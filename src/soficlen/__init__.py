@@ -11,7 +11,7 @@ from .groupring import (INTEGERS, RATIONALS, CoefficientRing,
 from .groups import (GroupDescriptor, GroupElement, ball, finite_group,
                      free_group, integer_line, lattice, load_table_file)
 from .meanlength import (FreeModuleVector, MeanLengthEstimate, RelativePair,
-                         build_sigma_action, build_sigma_bar, check_addition,
+                         build_sigma_bar, check_addition,
                          estimate_mean_length, estimate_vrk_fp,
                          principal_rank_point, relators,
                          relative_mean_length_at, rows_of, snap_to_H)

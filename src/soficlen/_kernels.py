@@ -1,78 +1,23 @@
-"""Dense mod-p elimination kernels.
-
-The hot loop exists twice: a numba-jitted version and a vectorized numpy
-version.  The jitted path is used when numba imports cleanly and the
-environment variable SOFICLEN_DISABLE_NUMBA is unset/empty/"0"; otherwise the
-numpy path runs.  Both produce identical ranks (rank is pivot-invariant and
-the two share the same pivot scan anyway).
+"""Dense mod-p elimination kernel, vectorized with numpy.
 
 Moduli must stay below 2**31 so products of two residues fit in int64.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 _INT64_MODULUS_LIMIT = 2**31
 
-if os.environ.get("SOFICLEN_DISABLE_NUMBA", "0") in ("", "0"):
-    try:
-        from numba import njit
-        JIT_ENABLED = True
-    except ImportError:  # pragma: no cover - depends on environment
-        JIT_ENABLED = False
-else:
-    JIT_ENABLED = False
 
-if not JIT_ENABLED:
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-        return wrap
-
-
-@njit(cache=True)
-def _rank_kernel_loops(a, p):  # pragma: no cover - exercised via dispatch
-    m, n = a.shape
-    rank = 0
-    for col in range(n):
-        if rank == m:
-            break
-        piv = -1
-        for r in range(rank, m):
-            if a[r, col] != 0:
-                piv = r
-                break
-        if piv < 0:
-            continue
-        if piv != rank:
-            for c in range(col, n):
-                t = a[rank, c]
-                a[rank, c] = a[piv, c]
-                a[piv, c] = t
-        # modular inverse by binary exponentiation (three-arg pow is out)
-        base = a[rank, col] % p
-        exp = p - 2
-        inv = 1
-        while exp > 0:
-            if exp & 1:
-                inv = inv * base % p
-            base = base * base % p
-            exp >>= 1
-        for c in range(col, n):
-            a[rank, c] = a[rank, c] * inv % p
-        for r in range(rank + 1, m):
-            f = a[r, col]
-            if f != 0:
-                for c in range(col, n):
-                    a[r, c] = (a[r, c] - f * a[rank, c]) % p
-        rank += 1
-    return rank
-
-
-def _rank_numpy(a, p):
+def dense_rank_mod_p(a, p) -> int:
+    """Rank of an integer matrix mod p (p prime, p < 2**31)."""
+    if p >= _INT64_MODULUS_LIMIT:
+        raise ValueError(f"modulus {p} too large for the int64 kernel")
+    a = np.array(a, dtype=np.int64, copy=True)
+    if a.ndim != 2:
+        raise ValueError("dense kernel expects a 2-d array")
+    np.mod(a, p, out=a)
     m, n = a.shape
     rank = 0
     for col in range(n):
@@ -92,42 +37,3 @@ def _rank_numpy(a, p):
             a[below, col:] = (a[below, col:] - f * a[rank, col:][None, :]) % p
         rank += 1
     return rank
-
-
-def _as_reduced_int64(a, p):
-    arr = np.array(a, dtype=np.int64, copy=True)
-    if arr.ndim != 2:
-        raise ValueError("dense kernel expects a 2-d array")
-    np.mod(arr, p, out=arr)
-    return np.ascontiguousarray(arr)
-
-
-def dense_rank_mod_p_numba(a, p) -> int:
-    """Rank of an integer matrix mod p via the jitted kernel."""
-    if not JIT_ENABLED:
-        raise RuntimeError("numba kernel unavailable (disabled or not installed)")
-    if p >= _INT64_MODULUS_LIMIT:
-        raise ValueError(f"modulus {p} too large for the int64 kernel")
-    return int(_rank_kernel_loops(_as_reduced_int64(a, p), p))
-
-
-def dense_rank_mod_p_numpy(a, p) -> int:
-    """Rank of an integer matrix mod p via the vectorized numpy path."""
-    if p >= _INT64_MODULUS_LIMIT:
-        raise ValueError(f"modulus {p} too large for the int64 kernel")
-    return int(_rank_numpy(_as_reduced_int64(a, p), p))
-
-
-def dense_rank_mod_p(a, p) -> int:
-    """Rank of an integer matrix mod p (p prime, p < 2**31).
-
-    Dispatches to the jitted kernel when enabled, else to the numpy path.
-    """
-    if JIT_ENABLED:
-        return dense_rank_mod_p_numba(a, p)
-    return dense_rank_mod_p_numpy(a, p)
-
-
-def warmup() -> None:
-    """Trigger JIT compilation so timed code paths pay no compile cost."""
-    dense_rank_mod_p([[1, 0], [0, 1]], 2147483647)

@@ -48,16 +48,19 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
 
 from . import groups
 from .groupring import (GroupRingError, GroupRingMatrix, parse_element,
                         parse_group_token, parse_matrix, parse_ring)
 from .groups import GroupError
-from .meanlength import (AdditionPoint, AdditionReport, FreeModuleVector,
-                         MeanLengthError, RelativePair, SeriesPoint,
-                         assemble_estimate, derive_rank_seed,
-                         principal_rank_point, relative_mean_length_at)
+from .meanlength import (AdditionReport, FreeModuleVector, MeanLengthError,
+                         RelativePair, addition_pair, addition_point,
+                         assemble_estimate, mrk_point, relative_pair,
+                         support_window, vrk_point)
+# not called here: perfbench/tracing.py patches these names on this module
+from .meanlength import principal_rank_point, relative_mean_length_at  # noqa: F401
 from .oracles import (FolnerBox, OracleError, compare, finite_group_vrk,
                       folner_mean_length, laurent_rank)
 from .sofic import SoficError, SoficSchedule, defect, make_sigma
@@ -289,8 +292,7 @@ class Materialized:
     ring: object = None
     matrix: GroupRingMatrix | None = None
     matrix_b: GroupRingMatrix | None = None
-    A: tuple[FreeModuleVector, ...] = ()
-    B: tuple[FreeModuleVector, ...] = ()
+    pair: RelativePair | None = None
     F: tuple = ()
     schedule: SoficSchedule | None = None
     boxes: tuple[FolnerBox, ...] = ()
@@ -311,22 +313,18 @@ def _materialize(spec: JobSpec) -> Materialized:
             parse_group_token(spec.group_token)
     if out.ring is None:
         out.ring = parse_ring(spec.ring_token)
-    if spec.a_texts:
+    if out.desc is not None:
+        out.F = tuple(g for g in groups.ball(out.desc, spec.radius)
+                      if spec.include_identity or not g.is_identity())
+    if spec.quantity == "addition-check":
+        out.pair = addition_pair(out.matrix)
+    elif spec.a_texts:
         if out.desc is None:
             raise JobSpecError(spec.name, "[generators] needs a group")
         n = spec.n
-        out.A = tuple(_parse_vector(out.desc, out.ring, t, n) for t in spec.a_texts)
-        if spec.b_texts:
-            out.B = tuple(_parse_vector(out.desc, out.ring, t, n) for t in spec.b_texts)
-        else:
-            out.B = tuple(FreeModuleVector.basis(out.desc, out.ring, n))
-    if out.desc is not None and out.desc.family != groups.FINITE:
-        ball = groups.ball(out.desc, spec.radius)
-        if not spec.include_identity:
-            ball = [g for g in ball if not g.is_identity()]
-        out.F = tuple(ball)
-    elif out.desc is not None:
-        out.F = tuple(groups.ball(out.desc, spec.radius))
+        A = [_parse_vector(out.desc, out.ring, t, n) for t in spec.a_texts]
+        B = [_parse_vector(out.desc, out.ring, t, n) for t in spec.b_texts]
+        out.pair = relative_pair(n, A, out.F, B or None)
     if spec.quantity == "finite-oracle":
         if out.desc is None or out.desc.family != groups.FINITE:
             raise JobSpecError(spec.name, "finite-oracle needs group = finite:<table>")
@@ -355,73 +353,17 @@ def _parse_vector(desc, ring, text: str, n: int) -> FreeModuleVector:
 # ---------------------------------------------------------------------------
 # point evaluation (one code path for serial and pooled runs)
 
-def _point_payload(spec: JobSpec, point) -> dict:
-    return {
-        "quantity": spec.quantity,
-        "group_token": spec.group_token,
-        "finite_table": spec.finite_table,
-        "ring_token": spec.ring_token,
-        "matrix_text": spec.matrix_text,
-        "n": spec.n,
-        "a_texts": spec.a_texts,
-        "b_texts": spec.b_texts,
-        "radius": spec.radius,
-        "include_identity": spec.include_identity,
-        "d": point.d,
-        "seed": point.seed,
-        "dims": point.dims,
-    }
-
-
-def _eval_point(payload: dict) -> dict:
-    spec = JobSpec(name="worker", quantity=payload["quantity"], base_dir=Path("."),
-                   group_token=payload["group_token"],
-                   finite_table=payload["finite_table"],
-                   ring_token=payload["ring_token"],
-                   matrix_text=payload["matrix_text"],
-                   n=payload["n"], a_texts=payload["a_texts"],
-                   b_texts=payload["b_texts"], radius=payload["radius"],
-                   include_identity=payload["include_identity"])
-    mat = _materialize(spec)
-    d, seed, dims = payload["d"], payload["seed"], payload["dims"]
-    sigma = make_sigma(mat.desc, d, seed, dims)
-    q = payload["quantity"]
-    if q in ("mrk-relative", "folner"):
-        pair = RelativePair(spec.n, mat.A, mat.B, mat.F)
-        value = relative_mean_length_at(
-            pair, sigma, rank_seed=derive_rank_seed("mrk", d, seed))
-        return {"d": d, "seed": seed, "num": value.numerator,
-                "den": value.denominator}
-    if q in ("vrk-fp", "finite-oracle", "laurent-oracle"):
-        pp = principal_rank_point(
-            mat.matrix, sigma, seed=seed,
-            rank_seed=derive_rank_seed("vrk", d, seed))
-        if not pp.duality:
-            raise MeanLengthError(
-                f"duality violation at d={d}, seed={seed}: "
-                f"kernel {pp.kernel} + rank {pp.rank} != {d * mat.matrix.n}")
-        return {"d": d, "seed": seed, "num": pp.vrk.numerator,
-                "den": pp.vrk.denominator}
-    if q == "addition-check":
-        f = mat.matrix
-        A = tuple(FreeModuleVector(f.row(k)) for k in range(f.m))
-        w = set()
-        for a in A:
-            w.update(a.support())
-        w.add(f.desc.identity())
-        F = tuple(sorted(w, key=lambda g: g.sort_key()))
-        B = tuple(FreeModuleVector.basis(f.desc, f.ring, f.n))
-        pair = RelativePair(f.n, A, B, F)
-        sub = relative_mean_length_at(
-            pair, sigma, rank_seed=derive_rank_seed("add-i", d, seed))
-        pp = principal_rank_point(
-            f, sigma, seed=seed, rank_seed=derive_rank_seed("add-ii", d, seed))
-        if not pp.duality:
-            raise MeanLengthError(f"duality violation at d={d}, seed={seed}")
-        return {"d": d, "seed": seed,
-                "sub_num": sub.numerator, "sub_den": sub.denominator,
-                "rank_num": pp.mrk.numerator, "rank_den": pp.mrk.denominator}
-    if q == "defect":
+def _eval_point(quantity: str, mat: Materialized, point):
+    """One schedule point of a job; pooled workers receive the pickled
+    arguments."""
+    sigma = make_sigma(mat.desc, point.d, point.seed, point.dims)
+    if quantity in ("mrk-relative", "folner"):
+        return mrk_point(mat.pair, sigma, point)
+    if quantity in ("vrk-fp", "finite-oracle", "laurent-oracle"):
+        return vrk_point(mat.matrix, sigma, point)
+    if quantity == "addition-check":
+        return addition_point(mat.matrix, mat.pair, sigma, point)
+    if quantity == "defect":
         report = defect(sigma, mat.F)
         pairs = [{
             "s": groups.format_word(s), "t": groups.format_word(t),
@@ -433,24 +375,26 @@ def _eval_point(payload: dict) -> dict:
         } for (s, t), v in sorted(
             report.multiplicativity.items(),
             key=lambda kv: (kv[0][0].sort_key(), kv[0][1].sort_key()))]
-        return {"d": d, "seed": seed, "summary": report.summary(), "pairs": pairs}
-    raise JobSpecError(q, "quantity is not schedule-driven")
+        return {"d": point.d, "seed": point.seed, "summary": report.summary(),
+                "pairs": pairs}
+    raise JobSpecError(quantity, "quantity is not schedule-driven")
 
 
-def _run_points(spec: JobSpec, mat: Materialized, jobs: int) -> list[dict]:
-    payloads = [_point_payload(spec, pt) for pt in mat.schedule.points()]
-    if jobs > 1 and len(payloads) > 1:
+def _run_points(spec: JobSpec, mat: Materialized, jobs: int) -> list:
+    points = mat.schedule.points()
+    if jobs > 1 and len(points) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(_eval_point, payloads))
-    else:
-        results = []
-        for p in payloads:
-            r = _eval_point(p)
-            if spec.verbose:
-                print(f"  d={r['d']} seed={r['seed']}: "
-                      + (f"{r['num']}/{r['den']}" if "num" in r else "done"),
-                      file=sys.stderr)
-            results.append(r)
+            return list(ex.map(_eval_point, repeat(spec.quantity), repeat(mat),
+                               points))
+    results = []
+    for point in points:
+        results.append(_eval_point(spec.quantity, mat, point))
+        if spec.verbose:
+            value = getattr(results[-1], "value", None)
+            print(f"  d={point.d} seed={point.seed}: "
+                  + ("done" if value is None else
+                     f"{value.numerator}/{value.denominator}"),
+                  file=sys.stderr)
     return results
 
 
@@ -468,24 +412,13 @@ class RunResult:
     csv_rows: list = field(default_factory=list)
 
 
-def _estimate_from_results(spec, mat, results, quantity_label) -> "MeanLengthEstimate":
-    series = [SeriesPoint(r["d"], r["seed"], Fraction(r["num"], r["den"]))
-              for r in results]
+def _estimate_from_results(spec, mat, series, quantity_label):
     last = mat.schedule.points()[-1]
     sigma = make_sigma(mat.desc, last.d, last.seed, last.dims)
-    if quantity_label == "mrk":
-        window = mat.F
-    else:
-        window = set()
-        f = mat.matrix
-        for k in range(f.m):
-            for j in range(f.n):
-                window.update(f.entries[k][j].coeffs)
-        window.add(mat.desc.identity())
-        window = sorted(window, key=lambda g: g.sort_key())
-    summary = defect(sigma, window).summary()
+    window = mat.pair.F if quantity_label == "mrk" else support_window(mat.matrix)
     return assemble_estimate(quantity_label, series, mat.desc,
-                             snap_tol=spec.snap_tol, defect_summary=summary)
+                             snap_tol=spec.snap_tol,
+                             defect_summary=defect(sigma, window).summary())
 
 
 def run_job(spec: JobSpec, jobs: int = 1) -> RunResult:
@@ -499,17 +432,7 @@ def run_job(spec: JobSpec, jobs: int = 1) -> RunResult:
         est = _estimate_from_results(spec, mat, _run_points(spec, mat, jobs), "vrk")
         return RunResult(0, est.to_json_dict(), list(_ESTIMATE_CSV), est.csv_rows())
     if q == "addition-check":
-        results = _run_points(spec, mat, jobs)
-        pts = []
-        for r in results:
-            sub = Fraction(r["sub_num"], r["sub_den"])
-            rnk = Fraction(r["rank_num"], r["rank_den"])
-            n = mat.matrix.n
-            pts.append(AdditionPoint(r["d"], r["seed"], sub, rnk, n - rnk,
-                                     abs(sub - rnk), abs(sub + (n - rnk) - n)))
-        rep = AdditionReport(mat.matrix.n, tuple(pts),
-                             max(p.residual_routes for p in pts),
-                             max(p.residual_addition for p in pts))
+        rep = AdditionReport.from_points(mat.matrix.n, _run_points(spec, mat, jobs))
         tol = spec.tolerance if spec.tolerance is not None else 0.02
         code = 0 if rep.max_residual_routes <= Fraction(tol) else 2
         return RunResult(code, rep.to_json_dict(),
@@ -517,7 +440,7 @@ def run_job(spec: JobSpec, jobs: int = 1) -> RunResult:
                           "residual_routes"], rep.csv_rows())
     if q == "folner":
         est = _estimate_from_results(spec, mat, _run_points(spec, mat, jobs), "mrk")
-        series = folner_mean_length(mat.A, mat.boxes)
+        series = folner_mean_length(mat.pair.A, mat.boxes)
         oracle_value = series[-1]
         tol = spec.tolerance if spec.tolerance is not None else 0.02
         cmp_report = compare(est, oracle_value, tol)
@@ -619,6 +542,9 @@ def main(argv=None) -> int:
     val_p = sub.add_parser("validate", help="parse and check a job file")
     val_p.add_argument("spec")
     args = parser.parse_args(argv)
+    if args.command == "run" and args.jobs < 1:
+        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return 1
 
     try:
         spec = load_job(args.spec, verbose=getattr(args, "verbose", False))

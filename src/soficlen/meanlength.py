@@ -11,10 +11,15 @@ element s along the permutation σ_s.  Two finite models are built here:
   piece A relative to the relators of (B, F).
 
 ``estimate_vrk_fp`` turns 1 - rank/d (per ambient column) into the von
-Neumann rank of the presented quotient module, checking the rank/kernel
-duality rank(σ̄_f) + ker(σ_f) = d·n on every evaluation.  All reported
-values are exact rationals at each finite size; limits are replaced by a
-schedule of sizes with spread/stabilization reporting.
+Neumann rank of the presented quotient module, checking the duality
+rank(σ̄_f) + ker(σ̄_f) = d·n on every evaluation, where the kernel comes from
+a second rank of σ̄_f with its own primes.  All reported values are exact
+rationals at each finite size; limits are replaced by a schedule of sizes
+with spread/stabilization reporting.
+
+Each schedule point is evaluated by one function per quantity
+(``mrk_point``, ``vrk_point``, ``addition_point``); the estimators here and
+the command-line runner both call them.
 """
 
 from __future__ import annotations
@@ -210,41 +215,22 @@ def build_sigma_bar(f: GroupRingMatrix, sigma: SoficMap) -> SparseMatrix:
                              sigma.d * f.m, sigma.d * f.n, f.ring)
 
 
-def build_sigma_action(f: GroupRingMatrix, sigma: SoficMap) -> SparseMatrix:
-    """The matrix of the transported action on column vectors: block (k, j)
-    sends w to the vector with v-entry Σ_{s, v': σ_s(v') = v} f_{k,j,s} w_{v'}.
-
-    Under the coordinate conventions used here this produces the same sparse
-    matrix as ``build_sigma_bar``; it is assembled from its own defining
-    formula and kept as a separate entry point so kernel computations name
-    the object they mean.
-    """
-    if f.desc != sigma.desc:
-        raise GroupRingError("matrix and sofic map live over different groups")
-    d = sigma.d
-    vprime = np.arange(d, dtype=np.int64)
-    blocks = []
-    for k in range(f.m):
-        for j in range(f.n):
-            for s, c in sorted(f.entries[k][j].coeffs.items(),
-                               key=lambda kv: kv[0].sort_key()):
-                rows = k * d + sigma.perm(s)[vprime]
-                cols = j * d + vprime
-                blocks.append((rows, cols, c))
-    return _blocks_to_sparse(blocks, d * f.m, d * f.n, f.ring)
+def _window(A, B, F) -> tuple[GroupElement, ...]:
+    """supp(A) ∪ supp(B) ∪ F·supp(B), sorted deterministically."""
+    w = set()
+    for a in A:
+        w.update(a.support())
+    for b in B:
+        sup = b.support()
+        w.update(sup)
+        for s in F:
+            w.update(s * g for g in sup)
+    return tuple(sorted(w, key=GroupElement.sort_key))
 
 
 def coordinate_window(pair: RelativePair) -> tuple[GroupElement, ...]:
     """W = supp(A) ∪ supp(B) ∪ F·supp(B), sorted deterministically."""
-    w = set()
-    for a in pair.A:
-        w.update(a.support())
-    for b in pair.B:
-        sup = b.support()
-        w.update(sup)
-        for s in pair.F:
-            w.update(s * g for g in sup)
-    return tuple(sorted(w, key=GroupElement.sort_key))
+    return _window(pair.A, pair.B, pair.F)
 
 
 def _relator_triplets(B, F, sigma: SoficMap, window, n: int):
@@ -281,13 +267,7 @@ def relators(B, F, sigma: SoficMap, window=None) -> SparseMatrix:
     n = B[0].n
     ring = B[0].ring
     if window is None:
-        w = set()
-        for b in B:
-            sup = b.support()
-            w.update(sup)
-            for s in F:
-                w.update(s * g for g in sup)
-        window = tuple(sorted(w, key=GroupElement.sort_key))
+        window = _window((), B, F)
     blocks, nrows, ncols = _relator_triplets(B, tuple(F), sigma, tuple(window), n)
     return _blocks_to_sparse(blocks, nrows, ncols, ring)
 
@@ -439,6 +419,119 @@ def _default_factory(desc):
     return factory
 
 
+@dataclass(frozen=True)
+class PrincipalPoint:
+    """One schedule evaluation of the presented module (R[Γ]^{1×n}) / rows(f):
+    the rank of σ̄_f, the kernel dimension d·n − rank from a second rank of
+    σ̄_f, and the derived mean-rank/vrk values.
+    duality = (kernel + rank == d·n)."""
+
+    d: int
+    seed: int
+    rank: int
+    kernel: int
+    mrk: Fraction
+    vrk: Fraction
+    duality: bool
+
+
+def principal_rank_point(f: GroupRingMatrix, sigma: SoficMap, *, seed: int = 0,
+                         rank_seed: int = 0) -> PrincipalPoint:
+    """Rank σ̄_f and kernel σ_f at one σ.
+
+    σ̄_f is assembled once and ranked twice over Q, with the primes of
+    ``rank_seed`` and of ``rank_seed + 1``; the kernel is d·n minus the
+    second rank.  The duality flag therefore checks that two independent
+    draws of primes certify the same rank of the same matrix; it is not a
+    second route to the rank.
+    """
+    if f.ring.kind == "GF":
+        raise MeanRankOnlyError(
+            "vrk needs coefficients embeddable in the algebraic numbers "
+            "(use ring Z or Q); over GF(p) this tool offers mean-rank only")
+    d = sigma.d
+    n = f.n
+    bar = build_sigma_bar(f, sigma)
+    rank = rank_over_Q(bar, seed=rank_seed).rank
+    kernel = d * n - rank_over_Q(bar, seed=rank_seed + 1).rank
+    mrk = Fraction(rank, d)
+    vrk = n - mrk
+    return PrincipalPoint(d, seed, rank, kernel, mrk, vrk,
+                          duality=(kernel + rank == d * n))
+
+
+# ---------------------------------------------------------------------------
+# one schedule point: the evaluation path shared by the estimators below and
+# the command-line runner (serial and pooled)
+
+def support_window(f: GroupRingMatrix) -> tuple[GroupElement, ...]:
+    """supp(f) ∪ {e}, sorted: the defect window of a vrk estimate and the
+    window F of the addition pair.  (An mrk estimate reports the defect on
+    its pair's F.)"""
+    window = {f.desc.identity()}
+    for k in range(f.m):
+        for j in range(f.n):
+            window.update(f.entries[k][j].coeffs)
+    return tuple(sorted(window, key=GroupElement.sort_key))
+
+
+def relative_pair(n: int, A, F, B=None) -> RelativePair:
+    """The pair (A, B, F) in (R[Γ])^{1×n}, B defaulting to the standard
+    basis of the ambient module."""
+    A = tuple(A)
+    if B is None and A:
+        B = FreeModuleVector.basis(A[0].desc, A[0].ring, n)
+    return RelativePair(n, A, tuple(B or ()), tuple(F))
+
+
+def addition_pair(f: GroupRingMatrix) -> RelativePair:
+    """The relative data of the addition check: A = rows(f), B = the
+    standard basis, F = supp(f) ∪ {e}."""
+    return relative_pair(f.n, rows_of(f), support_window(f))
+
+
+def mrk_point(pair: RelativePair, sigma: SoficMap, point) -> SeriesPoint:
+    """Relative mean length of ``pair`` at one schedule point."""
+    value = relative_mean_length_at(
+        pair, sigma, rank_seed=derive_rank_seed("mrk", point.d, point.seed))
+    return SeriesPoint(sigma.d, point.seed, value)
+
+
+def _checked_principal_point(f: GroupRingMatrix, sigma: SoficMap, point,
+                             tag: str) -> PrincipalPoint:
+    pp = principal_rank_point(
+        f, sigma, seed=point.seed,
+        rank_seed=derive_rank_seed(tag, point.d, point.seed))
+    if not pp.duality:
+        raise MeanLengthError(
+            f"duality violation at d={pp.d}, seed={pp.seed}: "
+            f"kernel {pp.kernel} + rank {pp.rank} != {pp.d * f.n}")
+    return pp
+
+
+def vrk_point(f: GroupRingMatrix, sigma: SoficMap, point) -> SeriesPoint:
+    """n − rank(σ̄_f)/d at one schedule point; raises MeanLengthError if
+    the duality check fails."""
+    pp = _checked_principal_point(f, sigma, point, "vrk")
+    return SeriesPoint(pp.d, point.seed, pp.vrk)
+
+
+def addition_point(f: GroupRingMatrix, pair: RelativePair, sigma: SoficMap,
+                   point) -> AdditionPoint:
+    """Both routes of the addition check at one schedule point, ``pair``
+    being ``addition_pair(f)``; raises MeanLengthError if the duality check
+    of route (ii) fails."""
+    sub = relative_mean_length_at(
+        pair, sigma, rank_seed=derive_rank_seed("add-i", point.d, point.seed))
+    pp = _checked_principal_point(f, sigma, point, "add-ii")
+    quot = f.n - pp.mrk
+    return AdditionPoint(sigma.d, point.seed, sub, pp.mrk, quot,
+                         abs(sub - pp.mrk), abs(sub + quot - f.n))
+
+
+# ---------------------------------------------------------------------------
+# estimates over schedules
+
 def estimate_mean_length(n: int, A, B_schedule, F_schedule,
                          schedule: SoficSchedule, *, sigma_factory=None,
                          snap_tol: float = 0.05,
@@ -457,54 +550,14 @@ def estimate_mean_length(n: int, A, B_schedule, F_schedule,
     B = tuple(tuple(bs) for bs in B_schedule)[-1]
     F = tuple(tuple(fs) for fs in F_schedule)[-1]
     pair = RelativePair(n, A, B, F)
-    desc = pair.desc
-    factory = sigma_factory or _default_factory(desc)
+    factory = sigma_factory or _default_factory(pair.desc)
     series = []
-    last_sigma = None
     for point in schedule.points():
         sigma = factory(point)
-        value = relative_mean_length_at(
-            pair, sigma, rank_seed=derive_rank_seed("mrk", point.d, point.seed))
-        series.append(SeriesPoint(sigma.d, point.seed, value))
-        last_sigma = sigma
-    summary = defect(last_sigma, F).summary() if with_defect else None
-    return assemble_estimate("mrk", series, desc, snap_tol=snap_tol,
+        series.append(mrk_point(pair, sigma, point))
+    summary = defect(sigma, pair.F).summary() if with_defect else None
+    return assemble_estimate("mrk", series, pair.desc, snap_tol=snap_tol,
                              stabilize_tol=stabilize_tol, defect_summary=summary)
-
-
-@dataclass(frozen=True)
-class PrincipalPoint:
-    """One schedule evaluation of the presented module (R[Γ]^{1×n}) / rows(f):
-    the rank of σ̄_f, the kernel dimension of the action matrix, and the
-    derived mean-rank/vrk values.  duality = (kernel + rank == d·n)."""
-
-    d: int
-    seed: int
-    rank: int
-    kernel: int
-    mrk: Fraction
-    vrk: Fraction
-    duality: bool
-
-
-def principal_rank_point(f: GroupRingMatrix, sigma: SoficMap, *, seed: int = 0,
-                         rank_seed: int = 0) -> PrincipalPoint:
-    """Rank σ̄_f and kernel σ_f at one σ, with the duality identity checked
-    from two independently assembled and eliminated matrices."""
-    if f.ring.kind == "GF":
-        raise MeanRankOnlyError(
-            "vrk needs coefficients embeddable in the algebraic numbers "
-            "(use ring Z or Q); over GF(p) this tool offers mean-rank only")
-    d = sigma.d
-    n = f.n
-    bar = build_sigma_bar(f, sigma)
-    rank = rank_over_Q(bar, seed=rank_seed).rank
-    action = build_sigma_action(f, sigma)
-    kernel = d * n - rank_over_Q(action, seed=rank_seed + 1).rank
-    mrk = Fraction(rank, d)
-    vrk = n - mrk
-    return PrincipalPoint(d, seed, rank, kernel, mrk, vrk,
-                          duality=(kernel + rank == d * n))
 
 
 def estimate_vrk_fp(f: GroupRingMatrix, schedule: SoficSchedule, *,
@@ -512,36 +565,14 @@ def estimate_vrk_fp(f: GroupRingMatrix, schedule: SoficSchedule, *,
                     stabilize_tol: Fraction = Fraction(1, 100),
                     with_defect: bool = True) -> MeanLengthEstimate:
     """vrk of (R[Γ])^{1×n} / (R[Γ])^{1×m} f across the schedule: series of
-    n − rank(σ̄_f)/d, the kernel route asserted equal at every point."""
-    if f.ring.kind == "GF":
-        raise MeanRankOnlyError(
-            "vrk needs coefficients embeddable in the algebraic numbers "
-            "(use ring Z or Q); over GF(p) this tool offers mean-rank only")
-    desc = f.desc
-    factory = sigma_factory or _default_factory(desc)
+    n − rank(σ̄_f)/d, the duality check asserted at every point."""
+    factory = sigma_factory or _default_factory(f.desc)
     series = []
-    last_sigma = None
     for point in schedule.points():
         sigma = factory(point)
-        pp = principal_rank_point(
-            f, sigma, seed=point.seed,
-            rank_seed=derive_rank_seed("vrk", point.d, point.seed))
-        if not pp.duality:
-            raise MeanLengthError(
-                f"duality violation at d={pp.d}, seed={pp.seed}: "
-                f"kernel {pp.kernel} + rank {pp.rank} != {pp.d * f.n}")
-        series.append(SeriesPoint(pp.d, point.seed, pp.vrk))
-        last_sigma = sigma
-    summary = None
-    if with_defect:
-        window = set()
-        for k in range(f.m):
-            for j in range(f.n):
-                window.update(f.entries[k][j].coeffs)
-        window.add(desc.identity())
-        summary = defect(last_sigma,
-                         sorted(window, key=GroupElement.sort_key)).summary()
-    return assemble_estimate("vrk", series, desc, snap_tol=snap_tol,
+        series.append(vrk_point(f, sigma, point))
+    summary = defect(sigma, support_window(f)).summary() if with_defect else None
+    return assemble_estimate("vrk", series, f.desc, snap_tol=snap_tol,
                              stabilize_tol=stabilize_tol, defect_summary=summary)
 
 
@@ -565,6 +596,12 @@ class AdditionReport:
     points: tuple[AdditionPoint, ...]
     max_residual_routes: Fraction
     max_residual_addition: Fraction
+
+    @classmethod
+    def from_points(cls, n: int, points) -> "AdditionReport":
+        points = tuple(points)
+        return cls(n, points, max(p.residual_routes for p in points),
+                   max(p.residual_addition for p in points))
 
     def to_json_dict(self) -> dict:
         return {
@@ -591,44 +628,19 @@ class AdditionReport:
 
 
 def check_addition(f: GroupRingMatrix, schedule: SoficSchedule, *,
-                   sigma_factory=None, F=None) -> AdditionReport:
+                   sigma_factory=None) -> AdditionReport:
     """Check that submodule and quotient values add up to the ambient rank.
 
-    Route (i): mean length of A = rows(f) relative to (B = basis, F) by the
-    relator construction.  Route (ii): rank(σ̄_f)/d.  Route (iii): quotient
-    value n − (ii).  Reports |(i) − (ii)| and |(i) + (iii) − n| per point.
+    Route (i): mean length of A = rows(f) relative to (B = basis,
+    F = supp(f) ∪ {e}) by the relator construction.  Route (ii):
+    rank(σ̄_f)/d.  Route (iii): quotient value n − (ii).  Reports
+    |(i) − (ii)| and |(i) + (iii) − n| per point.
     """
     if f.ring.kind == "GF":
         raise MeanRankOnlyError(
             "the addition check compares against vrk and needs ring Z or Q")
-    n = f.n
-    desc = f.desc
-    A = rows_of(f)
-    B = FreeModuleVector.basis(desc, f.ring, n)
-    if F is None:
-        w = set()
-        for a in A:
-            w.update(a.support())
-        w.add(desc.identity())
-        F = sorted(w, key=GroupElement.sort_key)
-    pair = RelativePair(n, tuple(A), tuple(B), tuple(F))
-    factory = sigma_factory or _default_factory(desc)
-    points = []
-    for point in schedule.points():
-        sigma = factory(point)
-        sub = relative_mean_length_at(
-            pair, sigma, rank_seed=derive_rank_seed("add-i", point.d, point.seed))
-        pp = principal_rank_point(
-            f, sigma, seed=point.seed,
-            rank_seed=derive_rank_seed("add-ii", point.d, point.seed))
-        if not pp.duality:
-            raise MeanLengthError(
-                f"duality violation at d={pp.d}, seed={pp.seed}")
-        quot = n - pp.mrk
-        points.append(AdditionPoint(
-            sigma.d, point.seed, sub, pp.mrk, quot,
-            abs(sub - pp.mrk), abs(sub + quot - n)))
-    return AdditionReport(
-        n, tuple(points),
-        max(p.residual_routes for p in points),
-        max(p.residual_addition for p in points))
+    pair = addition_pair(f)
+    factory = sigma_factory or _default_factory(f.desc)
+    return AdditionReport.from_points(
+        f.n, [addition_point(f, pair, factory(point), point)
+              for point in schedule.points()])

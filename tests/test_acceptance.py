@@ -16,9 +16,6 @@ import random
 from fractions import Fraction
 from time import perf_counter
 
-import pytest
-
-from soficlen import _kernels
 from soficlen.groups import (
     ball,
     cyclic_table,
@@ -68,12 +65,6 @@ S3_GROUP = finite_group(symmetric_table(3))
 # Filled by criteria 1-7, audited by criteria 8 and 9.
 DUALITY_REGISTRY = []  # (label, d, n, rank, kernel)
 HEADLINE_REGISTRY = []  # (label, value, desc)
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    """Compile the jitted dense kernels before any timed criterion runs."""
-    _kernels.warmup()
 
 
 def _finish(num, name, problems):

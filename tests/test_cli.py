@@ -1,10 +1,20 @@
 """End-to-end tests of the job-file front end: exit codes, JSON/CSV artifacts."""
 
 import csv
+import dataclasses
 import json
 import re
 
+import pytest
+
+from soficlen import meanlength
 from soficlen.cli import main
+from soficlen.groupring import INTEGERS, parse_element, parse_matrix
+from soficlen.groups import ball, integer_line
+from soficlen.meanlength import (FreeModuleVector, MeanLengthError,
+                                 check_addition, derive_rank_seed,
+                                 estimate_mean_length, estimate_vrk_fp)
+from soficlen.sofic import SoficSchedule
 
 T_MINUS_ONE_Z = "1 1 Z Z\n0 0 1@1 -1@0\n"
 
@@ -188,6 +198,22 @@ radius = 1
     assert rows[0][0] == "d"
 
 
+def test_finite_group_defect_job_can_drop_the_identity(tmp_path):
+    job = """
+[job]
+quantity = defect
+group = finite:z3.table
+schedule = 3
+radius = 1
+include_identity = false
+"""
+    table = "3\n0 1 2\n1 2 0\n2 0 1\n"
+    code, report, rows = _run(tmp_path, job, files=[("z3.table", table)])
+    assert code == 0
+    assert report["window"] == ["1", "2"]
+    assert report["series"][0]["summary"]["pairs"] == 4
+
+
 def test_direct_finite_job(tmp_path):
     job = """
 [job]
@@ -273,6 +299,16 @@ file = f.txt
     assert main(["validate", str(tmp_path / "missing.ini")]) == 1
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_exits_one(tmp_path, capsys, jobs):
+    job = "[job]\nquantity = vrk-fp\nschedule = 10\n\n[matrix]\nfile = f.txt\n"
+    code, report, rows = _run(tmp_path, job, files=[("f.txt", T_MINUS_ONE_Z)],
+                              argv_extra=("--jobs", jobs))
+    assert code == 1
+    assert report is None
+    assert capsys.readouterr().err.startswith(f"error: --jobs must be at least 1, got {jobs}")
+
+
 def test_inline_comments_and_seed_ranges(tmp_path):
     job = """
 [job]
@@ -337,3 +373,98 @@ file = f.txt
     a = _strip_timestamp((serial_out / "par.json").read_text())
     b = _strip_timestamp((parallel_out / "par.json").read_text())
     assert a == b
+
+
+# --- the CLI and the library evaluate points through the same functions ----
+
+F2_MATRIX = "2 1 Z F2\n0 0 1@s1 -1@e\n1 0 1@s2 -1@e\n"
+
+
+def _report_body(report):
+    return {k: v for k, v in report.items() if k not in ("job", "generated_at")}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_vrk_job_matches_library_estimator(tmp_path, jobs):
+    job = """
+[job]
+quantity = vrk-fp
+group = F2
+schedule = 30,60
+seeds = 1,2
+
+[matrix]
+file = f.txt
+"""
+    code, report, _ = _run(tmp_path, job, files=[("f.txt", F2_MATRIX)],
+                           argv_extra=("--jobs", jobs))
+    est = estimate_vrk_fp(parse_matrix(F2_MATRIX), SoficSchedule((30, 60), (1, 2)))
+    assert code == 0
+    assert _report_body(report) == est.to_json_dict()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_mrk_relative_job_matches_library_estimator(tmp_path, jobs):
+    job = """
+[job]
+quantity = mrk-relative
+group = Z
+schedule = 50,100
+seeds = 1,2
+radius = 1
+
+[generators]
+n = 2
+a1 = 1@1 -1@0 | 2@0
+a2 = 1@-1 | 1@1 1@0
+"""
+    code, report, _ = _run(tmp_path, job, argv_extra=("--jobs", jobs))
+    Z = integer_line()
+    A = [FreeModuleVector(tuple(parse_element(Z, INTEGERS, c) for c in v))
+         for v in (("1@1 -1@0", "2@0"), ("1@-1", "1@1 1@0"))]
+    B = FreeModuleVector.basis(Z, INTEGERS, 2)
+    est = estimate_mean_length(2, A, [B], [ball(Z, 1)],
+                               SoficSchedule((50, 100), (1, 2)))
+    assert code == 0
+    assert _report_body(report) == est.to_json_dict()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_addition_check_job_matches_library_check(tmp_path, jobs):
+    job = """
+[job]
+quantity = addition-check
+group = F2
+schedule = 40,80
+seeds = 1,2
+
+[matrix]
+file = f.txt
+"""
+    code, report, _ = _run(tmp_path, job, files=[("f.txt", F2_MATRIX)],
+                           argv_extra=("--jobs", jobs))
+    rep = check_addition(parse_matrix(F2_MATRIX), SoficSchedule((40, 80), (1, 2)))
+    assert code == (0 if rep.max_residual_routes <= 0.02 else 2)
+    assert _report_body(report) == rep.to_json_dict()
+
+
+def test_duality_failure_stops_library_and_cli_alike(tmp_path, monkeypatch, capsys):
+    real = meanlength.rank_over_Q
+    second_seed = derive_rank_seed("vrk", 20, 3) + 1
+
+    def second_rank_short(m, *, seed=0, **kwargs):
+        # principal_rank_point takes the kernel from a rank at rank_seed + 1
+        result = real(m, seed=seed, **kwargs)
+        if seed == second_seed:
+            return dataclasses.replace(result, rank=result.rank - 1)
+        return result
+
+    monkeypatch.setattr(meanlength, "rank_over_Q", second_rank_short)
+    with pytest.raises(MeanLengthError) as info:
+        estimate_vrk_fp(parse_matrix(T_MINUS_ONE_Z), SoficSchedule((20,), (3,)))
+    assert "duality violation at d=20, seed=3" in str(info.value)
+    job = "[job]\nquantity = vrk-fp\nschedule = 20\nseeds = 3\n\n[matrix]\nfile = f.txt\n"
+    code, report, _ = _run(tmp_path, job, files=[("f.txt", T_MINUS_ONE_Z)])
+    assert code == 1
+    assert report is None
+    assert capsys.readouterr().err == f"error: {info.value}\n"

@@ -28,7 +28,6 @@ from soficlen.meanlength import (
     RelativePair,
     SeriesPoint,
     assemble_estimate,
-    build_sigma_action,
     build_sigma_bar,
     check_addition,
     coordinate_window,
@@ -98,13 +97,13 @@ def test_sigma_bar_circulant_rank():
     assert dense_rank_rational(bar.to_dense()) == 3
 
 
-def test_sigma_action_identity_and_zero():
+def test_sigma_bar_identity_and_zero():
     eye = GroupRingMatrix.identity(Z, INTEGERS, 1)
-    action = build_sigma_action(eye, build_cyclic(4))
-    assert np.array_equal(np.array(action.to_dense(), dtype=object),
+    bar = build_sigma_bar(eye, build_cyclic(4))
+    assert np.array_equal(np.array(bar.to_dense(), dtype=object),
                           np.eye(4, dtype=object))
     zero = GroupRingMatrix.zeros(Z, INTEGERS, 1, 1)
-    assert build_sigma_action(zero, build_cyclic(4)).nnz == 0
+    assert build_sigma_bar(zero, build_cyclic(4)).nnz == 0
 
 
 def test_sigma_bar_rational_clearing_keeps_rank():
@@ -125,8 +124,12 @@ def test_duality_on_random_inputs():
         n = rng.randrange(1, 4)
         f = _random_matrix(rng, Z, INTEGERS, m, n)
         bar = build_sigma_bar(f, sigma)
-        action = build_sigma_action(f, sigma)
-        assert kernel_dim(action) == 5 * n - rank_over_Q(bar).rank
+        rank = rank_over_Q(bar).rank
+        # routes independent of the row elimination of bar: its transpose,
+        # and exact rational elimination
+        assert rank_over_Q(bar.transpose()).rank == rank
+        assert dense_rank_rational(bar.to_dense()) == rank
+        assert kernel_dim(bar) == 5 * n - rank
 
 
 def test_functoriality_of_matrix_models():

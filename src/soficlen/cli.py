@@ -6,6 +6,10 @@ directory, verbosity, and worker count.  All randomness flows from the seeds
 in the file, so re-running a job reproduces its JSON byte-for-byte (modulo
 the ``generated_at`` stamp).
 
+``load_job`` parses and builds the whole file, payloads included, before any
+point is computed; an input error exits 1 with its file, section and key.
+``--jobs N`` starts at most one worker process per schedule point.
+
 Exit codes: 0 success, 1 malformed input or unsupported combination,
 2 a comparison/tolerance gate failed (the report is still written).
 
@@ -23,13 +27,15 @@ Job file shape::
     radius = 1                   ; ball radius for the window F
     include_identity = true      ; keep e in F
     boxes = 10,50,200            ; Folner boxes (or 4x4,8x8 for Z^k)
-    tolerance = 0.02             ; compare/addition gate
-    snap_tol = 0.05
+    tolerance = 0.02             ; compare/addition gate, finite and >= 0
+    snap_tol = 0.05              ; finite and > 0
 
-    [matrix]                     ; for matrix quantities
-    file = f.txt                 ; or inline: text = <matrix text format>
+    [matrix]                     ; for matrix quantities; group and ring,
+    file = f.txt                 ; when given, must agree with its header
+                                 ; or inline: text = <matrix text format>
 
-    [matrix_b]                   ; second operand of direct-finite
+    [matrix_b]                   ; second operand of direct-finite, over
+                                 ; the same group ring as [matrix]
 
     [generators]                 ; for mrk-relative / folner
     n = 2
@@ -41,9 +47,11 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import datetime
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -52,9 +60,11 @@ from itertools import repeat
 from pathlib import Path
 
 from . import groups
-from .groupring import (GroupRingError, GroupRingMatrix, parse_element,
-                        parse_group_token, parse_matrix, parse_ring)
-from .groups import GroupError
+from .groupring import (INTEGERS, CoefficientRing, GroupRingError,
+                        GroupRingMatrix, check_direct_finite, format_matrix,
+                        group_token, parse_element, parse_group_token,
+                        parse_matrix, parse_ring)
+from .groups import GroupDescriptor, GroupError
 from .meanlength import (AdditionReport, FreeModuleVector, MeanLengthError,
                          RelativePair, addition_pair, addition_point,
                          assemble_estimate, mrk_point, relative_pair,
@@ -65,281 +75,150 @@ from .oracles import (FolnerBox, OracleError, compare, finite_group_vrk,
                       folner_mean_length, laurent_rank)
 from .sofic import SoficError, SoficSchedule, defect, make_sigma
 
-QUANTITIES = ("mrk-relative", "vrk-fp", "addition-check", "folner",
-              "finite-oracle", "laurent-oracle", "defect", "direct-finite")
+
+@dataclass(frozen=True)
+class Quantity:
+    """What a job of one quantity must give and what it computes."""
+
+    needs: tuple[str, ...]           # required parts of the job file, in check order
+    point: str | None                # per schedule point: mrk | vrk | addition | defect
+    oracle: str | None = None        # folner | finite-group | laurent
+    tolerance: float | None = None   # default gate
+
+
+_QUANTITY = {
+    "mrk-relative": Quantity(("[generators] a1", "[job] schedule"), "mrk"),
+    "vrk-fp": Quantity(("[matrix]", "[job] schedule"), "vrk"),
+    "addition-check": Quantity(("[matrix]", "[job] schedule"), "addition", tolerance=0.02),
+    "folner": Quantity(("[generators] a1", "[job] boxes", "[job] schedule"), "mrk",
+                       "folner", 0.02),
+    # one point at d = |G|: the regular representation, where vrk is exact
+    "finite-oracle": Quantity(("[matrix]",), "vrk", "finite-group", 0.0),
+    "laurent-oracle": Quantity(("[matrix]", "[job] schedule"), "vrk", "laurent", 0.01),
+    "defect": Quantity(("[job] group", "[job] schedule"), "defect"),
+    "direct-finite": Quantity(("[matrix]", "[matrix_b]"), None),
+}
+QUANTITIES = tuple(_QUANTITY)
 
 _INPUT_ERRORS = (GroupError, GroupRingError, SoficError, MeanLengthError,
                  OracleError)
 
 
-class JobSpecError(ValueError):
+class JobError(ValueError):
+    """Bad input, raised with its file, section and key."""
+
     def __init__(self, where: str, message: str):
         super().__init__(f"{where}: {message}")
 
 
 @dataclass
-class JobSpec:
+class Job:
+    """A job file, parsed and built; pool workers receive it pickled."""
+
     name: str
     quantity: str
-    base_dir: Path
-    group_token: str | None = None
-    finite_table: tuple | None = None
-    ring_token: str = "Z"
-    ds: tuple[int, ...] | None = None
-    seeds: tuple[int, ...] = (0,)
-    dims: tuple[tuple[int, ...], ...] | None = None
-    radius: int = 1
-    include_identity: bool = True
-    box_sides: tuple[tuple[int, ...], ...] | None = None
-    tolerance: float | None = None
-    snap_tol: float = 0.05
-    matrix_text: str | None = None
-    matrix_b_text: str | None = None
-    n: int | None = None
-    a_texts: tuple[str, ...] = ()
-    b_texts: tuple[str, ...] = ()
-    verbose: bool = False
-
-    def descriptor(self):
-        if self.finite_table is not None:
-            return groups.finite_group(self.finite_table, check=False)
-        if self.group_token is None:
-            return None
-        return parse_group_token(self.group_token)
-
-
-# ---------------------------------------------------------------------------
-# job file parsing
-
-def _parse_int_list(text: str, where: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(",") if x.strip() != "")
-    except ValueError:
-        raise JobSpecError(where, f"expected a comma list of integers, got {text!r}") from None
-
-
-def _parse_seeds(text: str, where: str) -> tuple[int, ...]:
-    text = text.strip()
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        try:
-            lo, hi = int(lo), int(hi)
-        except ValueError:
-            raise JobSpecError(where, f"bad seed range {text!r}") from None
-        if hi < lo:
-            raise JobSpecError(where, f"empty seed range {text!r}")
-        return tuple(range(lo, hi + 1))
-    return _parse_int_list(text, where)
-
-
-def _parse_sides_list(text: str, where: str) -> tuple[tuple[int, ...], ...]:
-    out = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            out.append(tuple(int(x) for x in chunk.split("x")))
-        except ValueError:
-            raise JobSpecError(where, f"bad size entry {chunk!r} (want e.g. 64x64)") from None
-    if not out:
-        raise JobSpecError(where, "empty size list")
-    return tuple(out)
-
-
-def load_job(path, verbose: bool = False) -> JobSpec:
-    path = Path(path)
-    cp = configparser.ConfigParser(interpolation=None,
-                                   inline_comment_prefixes=(";",))
-    cp.optionxform = str
-    try:
-        with open(path) as fh:
-            cp.read_file(fh, source=str(path))
-    except OSError as exc:
-        raise JobSpecError(str(path), f"cannot read job file: {exc}") from None
-    except configparser.Error as exc:
-        raise JobSpecError(str(path), f"syntax error: {exc}") from None
-    if "job" not in cp:
-        raise JobSpecError(f"{path}", "missing [job] section")
-    jobsec = cp["job"]
-    where = f"{path} [job]"
-    quantity = jobsec.get("quantity", "").strip()
-    if quantity not in QUANTITIES:
-        raise JobSpecError(f"{where} quantity",
-                           f"unknown quantity {quantity!r}; pick one of {', '.join(QUANTITIES)}")
-    spec = JobSpec(name=path.stem, quantity=quantity, base_dir=path.parent,
-                   verbose=verbose)
-
-    group_token = jobsec.get("group", "").strip() or None
-    if group_token is not None:
-        if group_token.startswith("finite:"):
-            table_path = (path.parent / group_token[len("finite:"):]).resolve()
-            try:
-                desc = groups.load_table_file(table_path)
-            except (OSError, GroupError) as exc:
-                raise JobSpecError(f"{where} group", str(exc)) from None
-            spec.finite_table = desc.table
-            spec.group_token = "finite"
-        else:
-            try:
-                parse_group_token(group_token)
-            except GroupRingError as exc:
-                raise JobSpecError(f"{where} group", str(exc)) from None
-            spec.group_token = group_token
-
-    spec.ring_token = jobsec.get("ring", "Z").strip()
-    try:
-        parse_ring(spec.ring_token)
-    except GroupRingError as exc:
-        raise JobSpecError(f"{where} ring", str(exc)) from None
-
-    if "schedule" in jobsec:
-        spec.ds = _parse_int_list(jobsec["schedule"], f"{where} schedule")
-    if "seeds" in jobsec:
-        spec.seeds = _parse_seeds(jobsec["seeds"], f"{where} seeds")
-    if "dims" in jobsec:
-        spec.dims = _parse_sides_list(jobsec["dims"], f"{where} dims")
-    if "radius" in jobsec:
-        try:
-            spec.radius = int(jobsec["radius"])
-        except ValueError:
-            raise JobSpecError(f"{where} radius", "expected an integer") from None
-    if "include_identity" in jobsec:
-        try:
-            spec.include_identity = jobsec.getboolean("include_identity")
-        except ValueError:
-            raise JobSpecError(f"{where} include_identity", "expected a boolean") from None
-    if "boxes" in jobsec:
-        spec.box_sides = _parse_sides_list(jobsec["boxes"], f"{where} boxes")
-    if "tolerance" in jobsec:
-        try:
-            spec.tolerance = float(jobsec["tolerance"])
-        except ValueError:
-            raise JobSpecError(f"{where} tolerance", "expected a number") from None
-    if "snap_tol" in jobsec:
-        try:
-            spec.snap_tol = float(jobsec["snap_tol"])
-        except ValueError:
-            raise JobSpecError(f"{where} snap_tol", "expected a number") from None
-
-    for section, attr in (("matrix", "matrix_text"), ("matrix_b", "matrix_b_text")):
-        if section in cp:
-            sec = cp[section]
-            if "file" in sec:
-                mpath = (path.parent / sec["file"]).resolve()
-                try:
-                    setattr(spec, attr, Path(mpath).read_text())
-                except OSError as exc:
-                    raise JobSpecError(f"{path} [{section}] file", str(exc)) from None
-            elif "text" in sec:
-                setattr(spec, attr, sec["text"])
-            else:
-                raise JobSpecError(f"{path} [{section}]", "needs 'file' or 'text'")
-
-    if "generators" in cp:
-        sec = cp["generators"]
-        if "n" not in sec:
-            raise JobSpecError(f"{path} [generators] n", "ambient rank n is required")
-        try:
-            spec.n = int(sec["n"])
-        except ValueError:
-            raise JobSpecError(f"{path} [generators] n", "expected an integer") from None
-        a_keys = sorted((k for k in sec if k.startswith("a") and k[1:].isdigit()),
-                        key=lambda k: int(k[1:]))
-        b_keys = sorted((k for k in sec if k.startswith("b") and k[1:].isdigit()),
-                        key=lambda k: int(k[1:]))
-        spec.a_texts = tuple(sec[k] for k in a_keys)
-        spec.b_texts = tuple(sec[k] for k in b_keys)
-
-    _validate_job(spec, path)
-    return spec
-
-
-def _validate_job(spec: JobSpec, path) -> None:
-    q = spec.quantity
-    where = f"{path} [job]"
-    needs_matrix = q in ("vrk-fp", "addition-check", "finite-oracle",
-                         "laurent-oracle", "direct-finite")
-    if needs_matrix and spec.matrix_text is None:
-        raise JobSpecError(f"{path}", f"quantity {q} needs a [matrix] section")
-    if q == "direct-finite" and spec.matrix_b_text is None:
-        raise JobSpecError(f"{path}", "direct-finite needs a [matrix_b] section")
-    if q in ("mrk-relative", "folner") and not spec.a_texts:
-        raise JobSpecError(f"{path}", f"quantity {q} needs [generators] with a1, a2, ...")
-    if q == "folner" and spec.box_sides is None:
-        raise JobSpecError(f"{where} boxes", "folner needs a box list")
-    if q == "defect" and spec.group_token is None:
-        raise JobSpecError(f"{where} group", "defect needs a group")
-    needs_schedule = q in ("mrk-relative", "vrk-fp", "addition-check", "folner",
-                           "laurent-oracle", "defect")
-    if needs_schedule and spec.ds is None and spec.dims is None:
-        raise JobSpecError(f"{where} schedule", f"quantity {q} needs a schedule")
-    # build objects once to surface payload errors with their section names
-    try:
-        _materialize(spec)
-    except JobSpecError:
-        raise
-    except _INPUT_ERRORS as exc:
-        raise JobSpecError(f"{path}", str(exc)) from None
-
-
-# ---------------------------------------------------------------------------
-# payload materialization (also used by the worker processes)
-
-@dataclass
-class Materialized:
-    desc: object = None
-    ring: object = None
+    ring: CoefficientRing
+    desc: GroupDescriptor | None = None
     matrix: GroupRingMatrix | None = None
     matrix_b: GroupRingMatrix | None = None
     pair: RelativePair | None = None
     F: tuple = ()
     schedule: SoficSchedule | None = None
     boxes: tuple[FolnerBox, ...] = ()
+    tolerance: float | None = None
+    snap_tol: float = 0.05
+    verbose: bool = False
+
+    @property
+    def facts(self) -> Quantity:
+        return _QUANTITY[self.quantity]
 
 
-def _materialize(spec: JobSpec) -> Materialized:
-    out = Materialized()
-    finite_desc = (groups.finite_group(spec.finite_table, check=False)
-                   if spec.finite_table is not None else None)
-    if spec.matrix_text is not None:
-        out.matrix = parse_matrix(spec.matrix_text, finite_desc)
-        out.desc = out.matrix.desc
-        out.ring = out.matrix.ring
-    if spec.matrix_b_text is not None:
-        out.matrix_b = parse_matrix(spec.matrix_b_text, finite_desc)
-    if out.desc is None and spec.group_token is not None:
-        out.desc = finite_desc if spec.group_token == "finite" else \
-            parse_group_token(spec.group_token)
-    if out.ring is None:
-        out.ring = parse_ring(spec.ring_token)
-    if out.desc is not None:
-        out.F = tuple(g for g in groups.ball(out.desc, spec.radius)
-                      if spec.include_identity or not g.is_identity())
-    if spec.quantity == "addition-check":
-        out.pair = addition_pair(out.matrix)
-    elif spec.a_texts:
-        if out.desc is None:
-            raise JobSpecError(spec.name, "[generators] needs a group")
-        n = spec.n
-        A = [_parse_vector(out.desc, out.ring, t, n) for t in spec.a_texts]
-        B = [_parse_vector(out.desc, out.ring, t, n) for t in spec.b_texts]
-        out.pair = relative_pair(n, A, out.F, B or None)
-    if spec.quantity == "finite-oracle":
-        if out.desc is None or out.desc.family != groups.FINITE:
-            raise JobSpecError(spec.name, "finite-oracle needs group = finite:<table>")
-        out.schedule = SoficSchedule((out.desc.order,), (spec.seeds[0],))
-    elif spec.dims is not None:
-        sched = SoficSchedule.from_dims(spec.dims, spec.seeds)
-        if spec.ds is not None and tuple(spec.ds) != sched.ds:
-            raise JobSpecError(spec.name,
-                               f"schedule {spec.ds} disagrees with dims products {sched.ds}")
-        out.schedule = sched
-    elif spec.ds is not None:
-        out.schedule = SoficSchedule(spec.ds, spec.seeds)
-    if spec.box_sides is not None:
-        out.boxes = tuple(FolnerBox(s) for s in spec.box_sides)
-    return out
+# ---------------------------------------------------------------------------
+# job file parsing: a parser raises ValueError, and _value adds its location
+
+@contextlib.contextmanager
+def _at(where: str, errors=_INPUT_ERRORS):
+    """Report an input error raised in the block at ``where``."""
+    try:
+        yield
+    except errors as exc:
+        raise JobError(where, str(exc)) from None
+
+
+def _value(sec, key: str, where: str, parse, default=None):
+    if key not in sec:
+        return default
+    with _at(f"{where} {key}", ValueError):
+        return parse(sec[key])
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in text.split(",") if x.strip())
+
+
+def _seeds(text: str) -> tuple[int, ...]:
+    lo, sep, hi = text.partition("..")
+    if not sep:
+        return _int_list(text)
+    seeds = tuple(range(int(lo), int(hi) + 1))
+    if not seeds:
+        raise ValueError(f"empty seed range {text.strip()!r}")
+    return seeds
+
+
+def _sides_list(text: str) -> tuple[tuple[int, ...], ...]:
+    """Sizes such as ``64x64,128x128``."""
+    sides = tuple(tuple(int(x) for x in c.split("x")) for c in text.split(",") if c.strip())
+    if not sides:
+        raise ValueError("empty size list")
+    return sides
+
+
+def _boolean(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ValueError(f"expected a boolean, got {text.strip()!r}") from None
+
+
+def _number(text: str, positive: bool) -> float:
+    x = float(text)
+    if not math.isfinite(x) or x < 0 or (positive and x == 0):
+        raise ValueError(f"expected a finite number {'>' if positive else '>='} 0, "
+                         f"got {text.strip()!r}")
+    return x
+
+
+def _group(text: str, base: Path) -> GroupDescriptor:
+    if text.startswith("finite:"):
+        try:
+            return groups.load_table_file((base / text[len("finite:"):]).resolve())
+        except OSError as exc:
+            raise ValueError(str(exc)) from None
+    return parse_group_token(text)
+
+
+def _matrix(cp, path: Path, section: str, finite_desc) -> GroupRingMatrix | None:
+    if section not in cp:
+        return None
+    sec = cp[section]
+    if "file" in sec:
+        try:
+            text = (path.parent / sec["file"]).resolve().read_text()
+        except OSError as exc:
+            raise JobError(f"{path} [{section}] file", str(exc)) from None
+    elif "text" in sec:
+        text = sec["text"]
+    else:
+        raise JobError(f"{path} [{section}]", "needs 'file' or 'text'")
+    with _at(f"{path} [{section}]"):
+        return parse_matrix(text, finite_desc)
+
+
+def _numbered(sec, letter: str) -> list[str]:
+    keys = [k for k in sec if k[:1] == letter and k[1:].isdigit()]
+    return [sec[k] for k in sorted(keys, key=lambda k: int(k[1:]))]
 
 
 def _parse_vector(desc, ring, text: str, n: int) -> FreeModuleVector:
@@ -350,46 +229,136 @@ def _parse_vector(desc, ring, text: str, n: int) -> FreeModuleVector:
     return FreeModuleVector(tuple(parse_element(desc, ring, c) for c in chunks))
 
 
+def load_job(path, verbose: bool = False) -> Job:
+    """Parse and build the job at ``path``; raise JobError naming the
+    file, section and key of the first bad input."""
+    path = Path(path)
+    cp = configparser.ConfigParser(interpolation=None,
+                                   inline_comment_prefixes=(";",))
+    cp.optionxform = str
+    try:
+        with open(path) as fh:
+            cp.read_file(fh, source=str(path))
+    except OSError as exc:
+        raise JobError(str(path), f"cannot read job file: {exc}") from None
+    except configparser.Error as exc:
+        raise JobError(str(path), f"syntax error: {exc}") from None
+    if "job" not in cp:
+        raise JobError(f"{path}", "missing [job] section")
+    jobsec = cp["job"]
+    where = f"{path} [job]"
+    quantity = jobsec.get("quantity", "").strip()
+    if quantity not in QUANTITIES:
+        raise JobError(f"{where} quantity",
+                           f"unknown quantity {quantity!r}; pick one of {', '.join(QUANTITIES)}")
+    facts = _QUANTITY[quantity]
+    gens = cp["generators"] if "generators" in cp else {}
+    a_texts = _numbered(gens, "a")
+    group = jobsec.get("group", "").strip()
+    given = {"[matrix]": "matrix" in cp, "[matrix_b]": "matrix_b" in cp,
+             "[generators] a1": bool(a_texts), "[job] boxes": "boxes" in jobsec,
+             "[job] group": bool(group),
+             "[job] schedule": "schedule" in jobsec or "dims" in jobsec}
+    for part in facts.needs:
+        if not given[part]:
+            raise JobError(f"{path} {part}", f"required by quantity {quantity}")
+
+    desc = _value(jobsec, "group", where, lambda t: _group(t.strip(), path.parent)) \
+        if group else None
+    ring = _value(jobsec, "ring", where, parse_ring, INTEGERS)
+    job = Job(path.stem, quantity, ring, desc, verbose=verbose,
+              tolerance=_value(jobsec, "tolerance", where,
+                               lambda t: _number(t, positive=False), facts.tolerance),
+              snap_tol=_value(jobsec, "snap_tol", where,
+                              lambda t: _number(t, positive=True), 0.05),
+              boxes=_value(jobsec, "boxes", where,
+                           lambda t: tuple(map(FolnerBox, _sides_list(t))), ()))
+    finite_desc = desc if desc is not None and desc.family == groups.FINITE else None
+    job.matrix = _matrix(cp, path, "matrix", finite_desc)
+    job.matrix_b = _matrix(cp, path, "matrix_b", finite_desc)
+    m = job.matrix
+    if m is not None:
+        header = f"ring {m.ring.label()}, group {group_token(m.desc)}"
+        for key, value, in_header in (("group", desc, m.desc), ("ring", ring, m.ring)):
+            if jobsec.get(key, "").strip() and value != in_header:
+                raise JobError(f"{where} {key}", f"{jobsec[key].strip()!r} disagrees "
+                                   f"with the [matrix] header ({header})")
+        job.desc, job.ring = m.desc, m.ring
+        if job.matrix_b is not None and (job.matrix_b.desc, job.matrix_b.ring) != (m.desc, m.ring):
+            raise JobError(f"{path} [matrix_b]", "not over the group ring of [matrix]")
+
+    radius = _value(jobsec, "radius", where, int, 1)
+    include_identity = _value(jobsec, "include_identity", where, _boolean, True)
+    if job.desc is not None:
+        with _at(f"{where} radius"):
+            job.F = tuple(g for g in groups.ball(job.desc, radius)
+                          if include_identity or not g.is_identity())
+    if quantity == "addition-check":
+        with _at(f"{path} [matrix]"):
+            job.pair = addition_pair(job.matrix)
+    elif a_texts:
+        gwhere = f"{path} [generators]"
+        n = _value(gens, "n", gwhere, int)
+        if n is None:
+            raise JobError(f"{gwhere} n", "ambient rank n is required")
+        if job.desc is None:
+            raise JobError(gwhere, "needs a group")
+        with _at(gwhere):
+            A = [_parse_vector(job.desc, job.ring, t, n) for t in a_texts]
+            B = [_parse_vector(job.desc, job.ring, t, n) for t in _numbered(gens, "b")]
+            job.pair = relative_pair(n, A, job.F, B or None)
+
+    seeds = _value(jobsec, "seeds", where, _seeds, (0,))
+    ds = _value(jobsec, "schedule", where, _int_list)
+    dims = _value(jobsec, "dims", where, _sides_list)
+    with _at(f"{where} schedule"):
+        if facts.oracle == "finite-group":
+            if job.desc.family != groups.FINITE:
+                raise JobError(f"{where} group",
+                                   "finite-oracle needs group = finite:<table>")
+            job.schedule = SoficSchedule((job.desc.order,), seeds[:1])
+        elif ds is not None:
+            job.schedule = SoficSchedule(ds, seeds, dims)
+        elif dims is not None:
+            job.schedule = SoficSchedule.from_dims(dims, seeds)
+    return job
+
+
 # ---------------------------------------------------------------------------
 # point evaluation (one code path for serial and pooled runs)
 
-def _eval_point(quantity: str, mat: Materialized, point):
-    """One schedule point of a job; pooled workers receive the pickled
-    arguments."""
-    sigma = make_sigma(mat.desc, point.d, point.seed, point.dims)
-    if quantity in ("mrk-relative", "folner"):
-        return mrk_point(mat.pair, sigma, point)
-    if quantity in ("vrk-fp", "finite-oracle", "laurent-oracle"):
-        return vrk_point(mat.matrix, sigma, point)
-    if quantity == "addition-check":
-        return addition_point(mat.matrix, mat.pair, sigma, point)
-    if quantity == "defect":
-        report = defect(sigma, mat.F)
-        pairs = [{
-            "s": groups.format_word(s), "t": groups.format_word(t),
-            "mult_num": v.numerator, "mult_den": v.denominator,
-            "sep_num": report.separation.get((s, t), Fraction(1)).numerator
-            if s != t else None,
-            "sep_den": report.separation.get((s, t), Fraction(1)).denominator
-            if s != t else None,
-        } for (s, t), v in sorted(
-            report.multiplicativity.items(),
-            key=lambda kv: (kv[0][0].sort_key(), kv[0][1].sort_key()))]
-        return {"d": point.d, "seed": point.seed, "summary": report.summary(),
-                "pairs": pairs}
-    raise JobSpecError(quantity, "quantity is not schedule-driven")
+def _eval_point(job: Job, point):
+    """One schedule point of a job; pooled workers receive the pickled job."""
+    sigma = make_sigma(job.desc, point.d, point.seed, point.dims)
+    kind = job.facts.point
+    if kind == "mrk":
+        return mrk_point(job.pair, sigma, point)
+    if kind == "vrk":
+        return vrk_point(job.matrix, sigma, point)
+    if kind == "addition":
+        return addition_point(job.matrix, job.pair, sigma, point)
+    report = defect(sigma, job.F)
+    pairs = []
+    for (s, t), v in sorted(report.multiplicativity.items(),
+                            key=lambda kv: (kv[0][0].sort_key(), kv[0][1].sort_key())):
+        sep = None if s == t else report.separation.get((s, t), Fraction(1))
+        pairs.append({"s": groups.format_word(s), "t": groups.format_word(t),
+                      "mult_num": v.numerator, "mult_den": v.denominator,
+                      "sep_num": None if sep is None else sep.numerator,
+                      "sep_den": None if sep is None else sep.denominator})
+    return {"d": point.d, "seed": point.seed, "summary": report.summary(),
+            "pairs": pairs}
 
 
-def _run_points(spec: JobSpec, mat: Materialized, jobs: int) -> list:
-    points = mat.schedule.points()
+def _run_points(job: Job, jobs: int) -> list:
+    points = job.schedule.points()
     if jobs > 1 and len(points) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            return list(ex.map(_eval_point, repeat(spec.quantity), repeat(mat),
-                               points))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(points))) as ex:
+            return list(ex.map(_eval_point, repeat(job), points))
     results = []
     for point in points:
-        results.append(_eval_point(spec.quantity, mat, point))
-        if spec.verbose:
+        results.append(_eval_point(job, point))
+        if job.verbose:
             value = getattr(results[-1], "value", None)
             print(f"  d={point.d} seed={point.seed}: "
                   + ("done" if value is None else
@@ -402,6 +371,8 @@ def _run_points(spec: JobSpec, mat: Materialized, jobs: int) -> list:
 # quantity runners
 
 _ESTIMATE_CSV = ["d", "seed", "value_num", "value_den", "value"]
+_DEFECT_CSV = ["d", "seed", "min_multiplicativity", "mean_multiplicativity",
+               "min_separation", "mean_separation"]
 
 
 @dataclass
@@ -412,114 +383,84 @@ class RunResult:
     csv_rows: list = field(default_factory=list)
 
 
-def _estimate_from_results(spec, mat, series, quantity_label):
-    last = mat.schedule.points()[-1]
-    sigma = make_sigma(mat.desc, last.d, last.seed, last.dims)
-    window = mat.pair.F if quantity_label == "mrk" else support_window(mat.matrix)
-    return assemble_estimate(quantity_label, series, mat.desc,
-                             snap_tol=spec.snap_tol,
+def _estimate(job: Job, series):
+    last = job.schedule.points()[-1]
+    sigma = make_sigma(job.desc, last.d, last.seed, last.dims)
+    label = job.facts.point
+    window = job.pair.F if label == "mrk" else support_window(job.matrix)
+    return assemble_estimate(label, series, job.desc, snap_tol=job.snap_tol,
                              defect_summary=defect(sigma, window).summary())
 
 
-def run_job(spec: JobSpec, jobs: int = 1) -> RunResult:
-    mat = _materialize(spec)
-    q = spec.quantity
-    if q == "mrk-relative":
-        est = _estimate_from_results(spec, mat, _run_points(spec, mat, jobs), "mrk")
+def _fraction(v: Fraction) -> dict:
+    return {"num": v.numerator, "den": v.denominator, "value": float(v)}
+
+
+def _compare_with_oracle(job: Job, est, report: dict) -> int:
+    """Add the oracle and the comparison to ``report``; return the exit code."""
+    kind = job.facts.oracle
+    if kind == "folner":
+        series = folner_mean_length(job.pair.A, job.boxes)
+        value = series[-1]
+        report["oracle"] = {"kind": kind, "boxes": [list(b.sides) for b in job.boxes],
+                            "series": [_fraction(v) for v in series]}
+    elif kind == "finite-group":
+        value = finite_group_vrk(job.matrix)
+        report["oracle"] = {"kind": kind, **_fraction(value)}
+    else:
+        lr = laurent_rank(job.matrix, seed=job.schedule.seeds[0])
+        value = lr.vrk
+        report["oracle"] = {"kind": kind, "rank": lr.rank, **_fraction(value),
+                            "evaluations": list(lr.evaluations)}
+    verdict = compare(est, value, job.tolerance)
+    report["compare"] = verdict.to_json_dict()
+    return 0 if verdict.passed else 2
+
+
+def run_job(job: Job, jobs: int = 1) -> RunResult:
+    kind = job.facts.point
+    if kind in ("mrk", "vrk"):
+        est = _estimate(job, _run_points(job, jobs))
         report = est.to_json_dict()
-        return RunResult(0, report, list(_ESTIMATE_CSV), est.csv_rows())
-    if q == "vrk-fp":
-        est = _estimate_from_results(spec, mat, _run_points(spec, mat, jobs), "vrk")
-        return RunResult(0, est.to_json_dict(), list(_ESTIMATE_CSV), est.csv_rows())
-    if q == "addition-check":
-        rep = AdditionReport.from_points(mat.matrix.n, _run_points(spec, mat, jobs))
-        tol = spec.tolerance if spec.tolerance is not None else 0.02
-        code = 0 if rep.max_residual_routes <= Fraction(tol) else 2
+        code = 0 if job.facts.oracle is None else _compare_with_oracle(job, est, report)
+        return RunResult(code, report, csv_rows=est.csv_rows())
+    if kind == "addition":
+        rep = AdditionReport.from_points(job.matrix.n, _run_points(job, jobs))
+        code = 0 if rep.max_residual_routes <= Fraction(job.tolerance) else 2
         return RunResult(code, rep.to_json_dict(),
                          ["d", "seed", "submodule_num", "submodule_den",
                           "residual_routes"], rep.csv_rows())
-    if q == "folner":
-        est = _estimate_from_results(spec, mat, _run_points(spec, mat, jobs), "mrk")
-        series = folner_mean_length(mat.pair.A, mat.boxes)
-        oracle_value = series[-1]
-        tol = spec.tolerance if spec.tolerance is not None else 0.02
-        cmp_report = compare(est, oracle_value, tol)
-        report = est.to_json_dict()
-        report["oracle"] = {
-            "kind": "folner",
-            "boxes": [list(b.sides) for b in mat.boxes],
-            "series": [{"num": v.numerator, "den": v.denominator,
-                        "value": float(v)} for v in series],
-        }
-        report["compare"] = cmp_report.to_json_dict()
-        return RunResult(0 if cmp_report.passed else 2, report,
-                         list(_ESTIMATE_CSV), est.csv_rows())
-    if q == "finite-oracle":
-        est = _estimate_from_results(spec, mat, _run_points(spec, mat, jobs), "vrk")
-        oracle_value = finite_group_vrk(mat.matrix)
-        tol = spec.tolerance if spec.tolerance is not None else 0.0
-        cmp_report = compare(est, oracle_value, tol)
-        report = est.to_json_dict()
-        report["oracle"] = {"kind": "finite-group",
-                            "num": oracle_value.numerator,
-                            "den": oracle_value.denominator,
-                            "value": float(oracle_value)}
-        report["compare"] = cmp_report.to_json_dict()
-        return RunResult(0 if cmp_report.passed else 2, report,
-                         list(_ESTIMATE_CSV), est.csv_rows())
-    if q == "laurent-oracle":
-        est = _estimate_from_results(spec, mat, _run_points(spec, mat, jobs), "vrk")
-        lr = laurent_rank(mat.matrix, seed=spec.seeds[0])
-        tol = spec.tolerance if spec.tolerance is not None else 0.01
-        cmp_report = compare(est, lr.vrk, tol)
-        report = est.to_json_dict()
-        report["oracle"] = {"kind": "laurent", "rank": lr.rank,
-                            "num": lr.vrk.numerator, "den": lr.vrk.denominator,
-                            "value": float(lr.vrk),
-                            "evaluations": list(lr.evaluations)}
-        report["compare"] = cmp_report.to_json_dict()
-        return RunResult(0 if cmp_report.passed else 2, report,
-                         list(_ESTIMATE_CSV), est.csv_rows())
-    if q == "defect":
-        results = _run_points(spec, mat, jobs)
+    if kind == "defect":
+        results = _run_points(job, jobs)
         report = {
             "quantity": "defect",
-            "window": [groups.format_word(g) for g in mat.F],
+            "window": [groups.format_word(g) for g in job.F],
             "series": results,
         }
-        rows = [[r["d"], r["seed"],
-                 r["summary"]["min_multiplicativity"],
-                 r["summary"]["mean_multiplicativity"],
-                 r["summary"]["min_separation"],
-                 r["summary"]["mean_separation"]] for r in results]
-        return RunResult(0, report,
-                         ["d", "seed", "min_multiplicativity",
-                          "mean_multiplicativity", "min_separation",
-                          "mean_separation"], rows)
-    if q == "direct-finite":
-        from .groupring import check_direct_finite, format_matrix
-        verdict = check_direct_finite(mat.matrix, mat.matrix_b)
-        report = {
-            "quantity": "direct-finite",
-            "verdict": verdict.kind,
-            "ba": None if verdict.ba is None else format_matrix(verdict.ba),
-        }
-        return RunResult(0, report, ["verdict"], [[verdict.kind]])
-    raise JobSpecError(spec.name, f"unhandled quantity {q}")
+        rows = [[r["d"], r["seed"], *(r["summary"][k] for k in _DEFECT_CSV[2:])]
+                for r in results]
+        return RunResult(0, report, list(_DEFECT_CSV), rows)
+    verdict = check_direct_finite(job.matrix, job.matrix_b)
+    report = {
+        "quantity": "direct-finite",
+        "verdict": verdict.kind,
+        "ba": None if verdict.ba is None else format_matrix(verdict.ba),
+    }
+    return RunResult(0, report, ["verdict"], [[verdict.kind]])
 
 
 # ---------------------------------------------------------------------------
 # entry point
 
-def _write_artifacts(spec: JobSpec, result: RunResult, out_dir: Path) -> tuple[Path, Path]:
+def _write_artifacts(job: Job, result: RunResult, out_dir: Path) -> tuple[Path, Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = {"job": spec.name,
+    report = {"job": job.name,
               "generated_at": datetime.datetime.now(datetime.timezone.utc)
                               .isoformat(timespec="seconds")}
     report.update(result.report)
-    json_path = out_dir / f"{spec.name}.json"
+    json_path = out_dir / f"{job.name}.json"
     json_path.write_text(json.dumps(report, indent=2) + "\n")
-    csv_path = out_dir / f"{spec.name}.csv"
+    csv_path = out_dir / f"{job.name}.csv"
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(result.csv_header)
@@ -546,31 +487,26 @@ def main(argv=None) -> int:
         print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
         return 1
 
+    verbose = getattr(args, "verbose", False)
     try:
-        spec = load_job(args.spec, verbose=getattr(args, "verbose", False))
-    except (JobSpecError, *_INPUT_ERRORS) as exc:
+        job = load_job(args.spec, verbose=verbose)
+        result = run_job(job, jobs=args.jobs) if args.command == "run" else None
+    except (JobError, *_INPUT_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    if args.command == "validate":
-        mat = _materialize(spec)
+    if result is None:
         print(f"{args.spec}: ok")
-        print(f"  quantity: {spec.quantity}")
-        if mat.desc is not None:
-            print(f"  group: {mat.desc.family}" +
-                  (f" (order {mat.desc.order})" if mat.desc.family == groups.FINITE else ""))
-        print(f"  ring: {mat.ring.label() if mat.ring else spec.ring_token}")
-        if mat.schedule is not None:
-            print(f"  points: {len(mat.schedule.points())}")
+        print(f"  quantity: {job.quantity}")
+        if job.desc is not None:
+            print(f"  group: {job.desc.family}" +
+                  (f" (order {job.desc.order})" if job.desc.family == groups.FINITE else ""))
+        print(f"  ring: {job.ring.label()}")
+        if job.schedule is not None:
+            print(f"  points: {len(job.schedule.points())}")
         return 0
-
-    try:
-        result = run_job(spec, jobs=args.jobs)
-    except (JobSpecError, *_INPUT_ERRORS) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    json_path, csv_path = _write_artifacts(spec, result, Path(args.out))
-    if getattr(args, "verbose", False) or result.exit_code != 0:
+    json_path, csv_path = _write_artifacts(job, result, Path(args.out))
+    if verbose or result.exit_code != 0:
         print(f"wrote {json_path} and {csv_path}", file=sys.stderr)
     if result.exit_code == 0 and result.report.get("stabilized") is False:
         print("warning: series has not stabilized "

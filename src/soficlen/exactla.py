@@ -127,18 +127,6 @@ class SparseMatrix:
             vals.append(v)
         return cls(nrows, ncols, rows, cols, vals, modulus)
 
-    @classmethod
-    def from_dense(cls, dense, modulus=None):
-        rows, cols, vals = [], [], []
-        for i, drow in enumerate(dense):
-            for j, v in enumerate(drow):
-                if v:
-                    rows.append(i)
-                    cols.append(j)
-                    vals.append(v)
-        return cls(len(list(dense)), len(dense[0]) if len(dense) else 0,
-                   rows, cols, vals, modulus)
-
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix(self.ncols, self.nrows, self.col, self.row,
                             self.val, self.modulus)
@@ -303,9 +291,7 @@ def _dense_tail(rows, cols, p) -> int:
 
 
 def _rank_mod_p_value(m: SparseMatrix, p: int) -> int:
-    if m.modulus is None:
-        return _sparse_rank(m.nrows, m.ncols, m.row, m.col, m.val, p)
-    if m.modulus != p:
+    if m.modulus is not None and m.modulus != p:
         raise ExactLAError(f"matrix is over GF({m.modulus}), not GF({p})")
     return _sparse_rank(m.nrows, m.ncols, m.row, m.col, m.val, p)
 

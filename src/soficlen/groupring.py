@@ -169,12 +169,6 @@ class GroupRingElement:
                 acc[gh] = ring.add(acc.get(gh, ring.zero()), ring.mul(c, d))
         return GroupRingElement(self.desc, ring, acc)
 
-    def scale(self, coef):
-        coef = self.ring.normalize(coef)
-        return GroupRingElement(
-            self.desc, self.ring,
-            {g: self.ring.mul(c, coef) for g, c in self.coeffs.items()})
-
     def translate(self, g: GroupElement) -> "GroupRingElement":
         """Left translation g * self."""
         if g.desc != self.desc:

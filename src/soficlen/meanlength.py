@@ -81,12 +81,6 @@ class FreeModuleVector:
             out.update(c.coeffs)
         return out
 
-    def translate(self, s: GroupElement) -> "FreeModuleVector":
-        return FreeModuleVector(tuple(c.translate(s) for c in self.components))
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
-
     @classmethod
     def basis(cls, desc, ring, n: int) -> list["FreeModuleVector"]:
         one = GroupRingElement.one(desc, ring)

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from soficlen import meanlength
+from soficlen import cli, meanlength
 from soficlen.cli import main
 from soficlen.groupring import INTEGERS, parse_element, parse_matrix
 from soficlen.groups import ball, integer_line
@@ -468,3 +468,85 @@ def test_duality_failure_stops_library_and_cli_alike(tmp_path, monkeypatch, caps
     assert code == 1
     assert report is None
     assert capsys.readouterr().err == f"error: {info.value}\n"
+
+
+# --- a job is parsed and built once, and bad input stops it at load --------
+
+VRK_JOB = "[job]\nquantity = vrk-fp\nschedule = 10\n{extra}\n[matrix]\nfile = f.txt\n"
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_job_matrix_is_parsed_once(tmp_path, monkeypatch, capsys, command):
+    calls = []
+
+    def counting_parse_matrix(*args, **kwargs):
+        calls.append(args)
+        return parse_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "parse_matrix", counting_parse_matrix)
+    path = tmp_path / "once.ini"
+    path.write_text(VRK_JOB.format(extra=""))
+    (tmp_path / "f.txt").write_text(T_MINUS_ONE_Z)
+    argv = [command, str(path)] + (["--out", str(tmp_path / "out")] if command == "run" else [])
+    assert main(argv) == 0
+    assert len(calls) == 1
+
+
+def test_jobs_start_at_most_one_worker_per_point(tmp_path, monkeypatch):
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    job = "[job]\nquantity = vrk-fp\nschedule = 10,20\n\n[matrix]\nfile = f.txt\n"
+    serial = _run(tmp_path, job, files=[("f.txt", T_MINUS_ONE_Z)], name="serial")
+    pooled = _run(tmp_path, job, name="pooled", argv_extra=("--jobs", "64"))
+    assert started == [2]
+    assert pooled[0] == serial[0] == 0
+    assert _report_body(pooled[1]) == _report_body(serial[1])
+    assert pooled[2] == serial[2]
+
+
+def _exits_one_at(tmp_path, capsys, job_text, files, where):
+    """Both validate and run exit 1, name ``where`` and write no report."""
+    for fname, content in files:
+        (tmp_path / fname).write_text(content)
+    path = tmp_path / "bad.ini"
+    path.write_text(job_text)
+    out = tmp_path / "out"
+    for argv in (["validate", str(path)], ["run", str(path), "--out", str(out)]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path} {where}: ")
+        assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("snap_tol", "0"), ("tolerance", "-1"), ("tolerance", "nan"),
+    ("tolerance", "inf"), ("snap_tol", "nan")])
+def test_bad_tolerances_exit_one_at_load(tmp_path, capsys, key, value):
+    _exits_one_at(tmp_path, capsys, VRK_JOB.format(extra=f"{key} = {value}\n"),
+                  [("f.txt", T_MINUS_ONE_Z)], f"[job] {key}")
+
+
+@pytest.mark.parametrize("job, where", [
+    (VRK_JOB.format(extra="group = F2\n"), "[job] group"),
+    (VRK_JOB.format(extra="ring = Q\n"), "[job] ring"),
+    ("[job]\nquantity = direct-finite\n\n[matrix]\nfile = f.txt\n\n"
+     "[matrix_b]\nfile = g.txt\n", "[matrix_b]"),
+], ids=["group", "ring", "matrix_b"])
+def test_group_ring_disagreeing_with_matrix_exits_one(tmp_path, capsys, job, where):
+    files = [("f.txt", T_MINUS_ONE_Z), ("g.txt", "1 1 Q Z\n0 0 1@1\n")]
+    _exits_one_at(tmp_path, capsys, job, files, where)

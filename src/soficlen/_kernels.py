@@ -1,6 +1,7 @@
 """Dense mod-p elimination kernel, vectorized with numpy.
 
-Moduli must stay below 2**31 so products of two residues fit in int64.
+Residues are int64 for p < 2**31, so that the product of two fits; larger
+moduli run the same loop on an object array of Python ints.
 """
 
 from __future__ import annotations
@@ -11,10 +12,13 @@ _INT64_MODULUS_LIMIT = 2**31
 
 
 def dense_rank_mod_p(a, p) -> int:
-    """Rank of an integer matrix mod p (p prime, p < 2**31)."""
-    if p >= _INT64_MODULUS_LIMIT:
-        raise ValueError(f"modulus {p} too large for the int64 kernel")
-    a = np.array(a, dtype=np.int64, copy=True)
+    """Rank of an integer matrix mod p (p prime); ``[]`` has rank 0."""
+    if p < _INT64_MODULUS_LIMIT:
+        a = np.array(a, dtype=np.int64)
+    else:  # Python ints, whose products cannot overflow
+        a = np.frompyfunc(int, 1, 1)(np.array(a, dtype=object))
+    if a.shape == (0,):
+        return 0
     if a.ndim != 2:
         raise ValueError("dense kernel expects a 2-d array")
     np.mod(a, p, out=a)

@@ -293,6 +293,9 @@ def load_job(path, verbose: bool = False) -> Job:
         with _at(f"{where} radius"):
             job.F = tuple(g for g in groups.ball(job.desc, radius)
                           if include_identity or not g.is_identity())
+        if facts.point == "mrk" and not job.F:
+            raise JobError(f"{where} radius", "the window F is empty: the ball "
+                           "has no element but e, and include_identity = false")
     if quantity == "addition-check":
         with _at(f"{path} [matrix]"):
             job.pair = addition_pair(job.matrix)
@@ -351,19 +354,23 @@ def _eval_point(job: Job, point):
 
 
 def _run_points(job: Job, jobs: int) -> list:
+    """Results of every schedule point in order, from at most one worker
+    process per point; under -v each is printed as it arrives."""
     points = job.schedule.points()
-    if jobs > 1 and len(points) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(points))) as ex:
-            return list(ex.map(_eval_point, repeat(job), points))
+    workers = min(jobs, len(points))
     results = []
-    for point in points:
-        results.append(_eval_point(job, point))
-        if job.verbose:
-            value = getattr(results[-1], "value", None)
-            print(f"  d={point.d} seed={point.seed}: "
-                  + ("done" if value is None else
-                     f"{value.numerator}/{value.denominator}"),
-                  file=sys.stderr)
+    with contextlib.ExitStack() as stack:
+        mapper = map
+        if workers > 1:
+            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+        for point, result in zip(points, mapper(_eval_point, repeat(job), points)):
+            results.append(result)
+            if job.verbose:
+                value = getattr(result, "value", None)
+                print(f"  d={point.d} seed={point.seed}: "
+                      + ("done" if value is None else
+                         f"{value.numerator}/{value.denominator}"),
+                      file=sys.stderr)
     return results
 
 

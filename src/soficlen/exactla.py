@@ -385,35 +385,10 @@ def dense_rank_rational(a) -> int:
 
 
 def dense_rank_mod_p(a, p: int) -> int:
-    """Exact rank mod p of a dense matrix; arbitrary-precision path for
-    moduli too large for the int64 kernels."""
+    """Exact rank mod p of a dense matrix or a SparseMatrix, for any prime p."""
     if isinstance(a, SparseMatrix):
         a = a.to_dense()
-    if p < 2**31:
-        return _kernels.dense_rank_mod_p(a, p)
-    mat = [[int(x) % p for x in drow] for drow in a]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(mat)):
-            if mat[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = pow(mat[rank][col], -1, p)
-        mat[rank] = [x * inv % p for x in mat[rank]]
-        for r in range(rank + 1, len(mat)):
-            f = mat[r][col]
-            if f:
-                prow = mat[rank]
-                mat[r] = [(x - f * y) % p for x, y in zip(mat[r], prow)]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+    return _kernels.dense_rank_mod_p(a, p)
 
 
 # --- Matrix Market debug IO -------------------------------------------------

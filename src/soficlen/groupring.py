@@ -456,15 +456,8 @@ def parse_matrix(text: str, finite_desc: GroupDescriptor | None = None) -> Group
         if (i, j) in seen:
             raise GroupRingError(f"line {lineno}: duplicate entry ({i}, {j})")
         seen.add((i, j))
-        terms = []
-        for tok in toks[2:]:
-            coef_s, sep, word_s = tok.partition("@")
-            if not sep:
-                raise GroupRingError(f"line {lineno}: term {tok!r} is missing '@'")
-            try:
-                g = parse_word(desc, word_s)
-            except GroupError as exc:
-                raise GroupRingError(f"line {lineno}: {exc}") from None
-            terms.append((g, _parse_coef(coef_s, ring)))
-        entries[i][j] = GroupRingElement.from_terms(desc, ring, terms)
+        try:
+            entries[i][j] = parse_element(desc, ring, " ".join(toks[2:]))
+        except GroupRingError as exc:
+            raise GroupRingError(f"line {lineno}: {exc}") from None
     return GroupRingMatrix(desc, ring, entries)

@@ -1,23 +1,26 @@
 """Sofic approximations σ: Γ → Sym(d) and their quality reports.
 
-Permutations are numpy int64 arrays of length d (σ_s as the map v ↦ arr[v]),
-computed lazily per group element and cached.  Every builder is deterministic
-given (source, d, seed); the cyclic, torus, translation, and quotient maps
-are genuine homomorphisms, and the random free-group map is a homomorphism
-on F_k by construction (generators get independent seeded permutations,
-words compose them after free reduction), so its approximation error shows
-up in separation, not multiplicativity.
+Every map is a homomorphism given by the permutations of Γ's standard
+generators: cyclic shifts, torus axis shifts, multiplication-table rows
+(translation and quotient maps), independent seeded random permutations of
+F_k's generators, or one permutation pulled back along Z → Γ (restriction).
+σ_g is composed from them along g's normal form.  Permutations are numpy
+int64 arrays of length d (σ_g as the map v ↦ arr[v]), computed lazily per
+group element and cached.  Every builder is deterministic given (source, d,
+seed); the random free-group map has no multiplicativity defect, so its
+approximation error shows up in separation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import groups
-from .groups import GroupDescriptor, GroupElement, GroupError
+from .groups import GroupDescriptor, GroupElement
 
 
 class SoficError(ValueError):
@@ -50,13 +53,17 @@ def perm_power(p: np.ndarray, n: int) -> np.ndarray:
 
 
 class SoficMap:
-    """Base class: caches permutations keyed by normal-form element."""
+    """A homomorphism σ: Γ → Sym(d), given by the permutations ``gens`` of
+    Γ's standard generators (for a finite group: its multiplication-table
+    rows, indexed by element).  σ_g is composed along g's normal form on
+    first use and cached."""
 
-    def __init__(self, desc: GroupDescriptor, d: int, source: str, seed=None):
-        if d < 1:
-            raise SoficError("d must be >= 1")
+    def __init__(self, desc: GroupDescriptor, gens, source: str, seed=None):
         self.desc = desc
-        self.d = d
+        self.gens = gens
+        self.d = len(gens[0])
+        if self.d < 1:
+            raise SoficError("d must be >= 1")
         self.source = source
         self.seed = seed
         self._cache: dict = {}
@@ -67,184 +74,91 @@ class SoficMap:
             raise SoficError("element from a different group")
         arr = self._cache.get(g.value)
         if arr is None:
-            arr = self._perm(g)
+            arr = self._compose(g)
             arr.setflags(write=False)
             self._cache[g.value] = arr
         return arr
 
-    def _perm(self, g: GroupElement) -> np.ndarray:
-        raise NotImplementedError
+    def _compose(self, g: GroupElement) -> np.ndarray:
+        family = self.desc.family
+        if family == groups.FINITE:
+            return np.array(self.gens[g.value], dtype=np.int64)
+        acc = np.arange(self.d, dtype=np.int64)
+        if family == groups.FREE:
+            # left-to-right fold: σ_{x1 x2 …} = σ_{x1} ∘ σ_{x2} ∘ …
+            for letter in g.value:
+                p = self.gens[abs(letter) - 1]
+                acc = acc[p if letter > 0 else perm_inverse(p)]
+            return acc
+        exponents = (g.value,) if family == groups.INTEGER_LINE else g.value
+        for p, a in zip(self.gens, exponents):
+            acc = acc[perm_power(p, a)]
+        return acc
 
     def __repr__(self):
         extra = "" if self.seed is None else f", seed={self.seed}"
         return f"SoficMap({self.source}, d={self.d}{extra})"
 
 
-class CyclicSoficMap(SoficMap):
-    def __init__(self, d: int):
-        super().__init__(groups.integer_line(), d, "Cyclic")
-
-    def _perm(self, g):
-        return (np.arange(self.d, dtype=np.int64) + g.value) % self.d
-
-
-class TorusSoficMap(SoficMap):
-    def __init__(self, dims):
-        dims = tuple(int(x) for x in dims)
-        if not dims or any(x < 1 for x in dims):
-            raise SoficError("torus dims must be positive")
-        d = 1
-        for x in dims:
-            d *= x
-        super().__init__(groups.lattice(len(dims)), d, "Torus")
-        self.dims = dims
-        self._coords = np.unravel_index(np.arange(d), dims)
-
-    def _perm(self, g):
-        shifted = tuple((c + a) % m for c, a, m in
-                        zip(self._coords, g.value, self.dims))
-        return np.ravel_multi_index(shifted, self.dims).astype(np.int64)
-
-
-class TranslationSoficMap(SoficMap):
-    """Left regular action of a finite group on itself: σ_s(v) = s·v."""
-
-    def __init__(self, desc: GroupDescriptor):
-        if desc.family != groups.FINITE:
-            raise SoficError("translation map needs a finite group")
-        super().__init__(desc, desc.order, "Translation")
-
-    def _perm(self, g):
-        return np.array([self.desc.table[g.value][v] for v in range(self.d)],
-                        dtype=np.int64)
-
-
-class RandomFreeSoficMap(SoficMap):
-    """Independent uniform permutations per generator, composed along reduced
-    words.  Each generator draws from a counter-based PRNG keyed by
-    (seed, generator index), so permutations do not depend on query order."""
-
-    def __init__(self, rank: int, d: int, seed: int):
-        if d < 2:
-            raise SoficError("random free map needs d >= 2")
-        super().__init__(groups.free_group(rank), d, "RandomFree", seed=seed)
-        self._letters: dict[int, np.ndarray] = {}
-
-    def _letter(self, letter: int) -> np.ndarray:
-        arr = self._letters.get(letter)
-        if arr is None:
-            if letter > 0:
-                rng = np.random.Generator(
-                    np.random.Philox(key=np.array([self.seed, letter], dtype=np.uint64)))
-                arr = rng.permutation(self.d).astype(np.int64)
-            else:
-                arr = perm_inverse(self._letter(-letter))
-            self._letters[letter] = arr
-        return arr
-
-    def _perm(self, g):
-        # left-to-right fold: σ_{x1 x2 …} = σ_{x1} ∘ σ_{x2} ∘ …
-        acc = np.arange(self.d, dtype=np.int64)
-        for letter in g.value:
-            acc = acc[self._letter(letter)]
-        return acc
-
-
-class QuotientSoficMap(SoficMap):
-    """σ through a homomorphism onto a finite group: φ: Γ → Q given by
-    generator images, then the left regular action of Q."""
-
-    def __init__(self, desc: GroupDescriptor, target: GroupDescriptor,
-                 images: list[GroupElement]):
-        if target.family != groups.FINITE:
-            raise SoficError("quotient target must be a finite group")
-        if desc.family not in (groups.INTEGER_LINE, groups.LATTICE, groups.FREE):
-            raise SoficError("quotient source must be Z, Z^k, or free")
-        gens = desc.generators()
-        if len(images) != len(gens):
-            raise SoficError(f"need {len(gens)} generator images, got {len(images)}")
-        for q in images:
-            if q.desc != target:
-                raise SoficError("generator image outside the target group")
-        if desc.family == groups.LATTICE:
-            for a in images:
-                for b in images:
-                    if a * b != b * a:
-                        raise SoficError("lattice quotient needs commuting images")
-        super().__init__(desc, target.order, "QuotientHom")
-        self.target = target
-        self.images = tuple(images)
-
-    def _apply(self, g: GroupElement) -> GroupElement:
-        if self.desc.family == groups.INTEGER_LINE:
-            return _element_power(self.images[0], g.value)
-        if self.desc.family == groups.LATTICE:
-            acc = self.target.identity()
-            for q, a in zip(self.images, g.value):
-                acc = acc * _element_power(q, a)
-            return acc
-        acc = self.target.identity()
-        for letter in g.value:
-            q = self.images[abs(letter) - 1]
-            acc = acc * (q if letter > 0 else q.inverse())
-        return acc
-
-    def _perm(self, g):
-        q = self._apply(g)
-        return np.array([self.target.table[q.value][v] for v in range(self.d)],
-                        dtype=np.int64)
-
-
-def _element_power(g: GroupElement, n: int) -> GroupElement:
-    if n < 0:
-        return _element_power(g.inverse(), -n)
-    acc = g.desc.identity()
-    base = g
-    while n:
-        if n & 1:
-            acc = acc * base
-        base = base * base
-        n >>= 1
-    return acc
-
-
-class RestrictedSoficMap(SoficMap):
-    """Pull a map on Γ back along an embedding Z → Γ, 1 ↦ image."""
-
-    def __init__(self, base: SoficMap, image: GroupElement):
-        if image.desc != base.desc:
-            raise SoficError("embedding image outside the base group")
-        if image.is_identity():
-            raise SoficError("embedding not injective on ball(1): image is the identity")
-        super().__init__(groups.integer_line(), base.d, "Restricted", seed=base.seed)
-        self.base = base
-        self.image = image
-
-    def _perm(self, g):
-        return np.asarray(self.base.perm(_element_power(self.image, g.value)))
-
-
 # ---------------------------------------------------------------------------
 # builders
 
 def build_cyclic(d: int) -> SoficMap:
-    return CyclicSoficMap(d)
+    """ℤ acting on ℤ/d by the shift v ↦ v + 1."""
+    return SoficMap(groups.integer_line(), [np.arange(1, d + 1, dtype=np.int64) % d],
+                    "Cyclic")
 
 
 def build_torus(dims) -> SoficMap:
-    return TorusSoficMap(dims)
+    """ℤ^k acting on the torus ∏ ℤ/dims_i, one axis shift per coordinate."""
+    dims = tuple(int(x) for x in dims)
+    if not dims or any(x < 1 for x in dims):
+        raise SoficError("torus dims must be positive")
+    index = np.arange(math.prod(dims), dtype=np.int64).reshape(dims)
+    gens = [np.roll(index, -1, axis=i).ravel() for i in range(len(dims))]
+    return SoficMap(groups.lattice(len(dims)), gens, "Torus")
 
 
 def build_translation(desc: GroupDescriptor) -> SoficMap:
-    return TranslationSoficMap(desc)
+    """Left regular action of a finite group on itself: σ_s(v) = s·v."""
+    if desc.family != groups.FINITE:
+        raise SoficError("translation map needs a finite group")
+    return SoficMap(desc, desc.table, "Translation")
 
 
 def build_random_free(rank: int, d: int, seed: int) -> SoficMap:
-    return RandomFreeSoficMap(rank, d, seed)
+    """Independent uniform permutations per generator of F_rank.  Each draws
+    from a counter-based PRNG keyed by (seed, generator index)."""
+    if d < 2:
+        raise SoficError("random free map needs d >= 2")
+    gens = []
+    for letter in range(1, rank + 1):
+        rng = np.random.Generator(
+            np.random.Philox(key=np.array([seed, letter], dtype=np.uint64)))
+        gens.append(rng.permutation(d).astype(np.int64))
+    return SoficMap(groups.free_group(rank), gens, "RandomFree", seed=seed)
 
 
 def build_quotient(desc, target, images) -> SoficMap:
-    return QuotientSoficMap(desc, target, images)
+    """σ through a homomorphism onto a finite group: φ: Γ → Q given by
+    generator images, then the left regular action of Q."""
+    if target.family != groups.FINITE:
+        raise SoficError("quotient target must be a finite group")
+    if desc.family not in (groups.INTEGER_LINE, groups.LATTICE, groups.FREE):
+        raise SoficError("quotient source must be Z, Z^k, or free")
+    n_gens = len(desc.generators())
+    if len(images) != n_gens:
+        raise SoficError(f"need {n_gens} generator images, got {len(images)}")
+    for q in images:
+        if q.desc != target:
+            raise SoficError("generator image outside the target group")
+    if desc.family == groups.LATTICE:
+        for a in images:
+            for b in images:
+                if a * b != b * a:
+                    raise SoficError("lattice quotient needs commuting images")
+    gens = [np.array(target.table[q.value], dtype=np.int64) for q in images]
+    return SoficMap(desc, gens, "QuotientHom")
 
 
 def restrict(sigma: SoficMap, image: GroupElement) -> SoficMap:
@@ -253,7 +167,12 @@ def restrict(sigma: SoficMap, image: GroupElement) -> SoficMap:
     The ball(1) injectivity check (image ≠ identity) is a heuristic only;
     genuine injectivity of n ↦ image^n is the caller's responsibility.
     """
-    return RestrictedSoficMap(sigma, image)
+    if image.desc != sigma.desc:
+        raise SoficError("embedding image outside the base group")
+    if image.is_identity():
+        raise SoficError("embedding not injective on ball(1): image is the identity")
+    return SoficMap(groups.integer_line(), [sigma.perm(image)], "Restricted",
+                    seed=sigma.seed)
 
 
 def make_sigma(desc: GroupDescriptor, d: int, seed: int = 0, dims=None) -> SoficMap:
@@ -380,22 +299,14 @@ class SoficSchedule:
             if len(dims) != len(ds):
                 raise SoficError("need one dims tuple per schedule size")
             for block, d in zip(dims, ds):
-                prod = 1
-                for x in block:
-                    prod *= x
-                if prod != d:
-                    raise SoficError(f"dims {block} give d={prod}, schedule says {d}")
+                if math.prod(block) != d:
+                    raise SoficError(f"dims {block} give d={math.prod(block)}, "
+                                     f"schedule says {d}")
 
     @classmethod
     def from_dims(cls, dims_list, seeds=(0,)) -> "SoficSchedule":
         dims = tuple(tuple(int(x) for x in block) for block in dims_list)
-        ds = []
-        for block in dims:
-            prod = 1
-            for x in block:
-                prod *= x
-            ds.append(prod)
-        return cls(tuple(ds), tuple(seeds), dims)
+        return cls(tuple(math.prod(block) for block in dims), tuple(seeds), dims)
 
     def points(self) -> list[SchedulePoint]:
         out = []

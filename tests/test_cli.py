@@ -492,7 +492,10 @@ def test_job_matrix_is_parsed_once(tmp_path, monkeypatch, capsys, command):
     assert len(calls) == 1
 
 
-def test_jobs_start_at_most_one_worker_per_point(tmp_path, monkeypatch):
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Swap the CLI's process pool for an in-process one that starts no
+    process; return the max_workers of every pool started."""
     started = []
 
     class SerialPool:
@@ -509,6 +512,11 @@ def test_jobs_start_at_most_one_worker_per_point(tmp_path, monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    return started
+
+
+def test_jobs_start_at_most_one_worker_per_point(tmp_path, serial_pool):
+    started = serial_pool
     job = "[job]\nquantity = vrk-fp\nschedule = 10,20\n\n[matrix]\nfile = f.txt\n"
     serial = _run(tmp_path, job, files=[("f.txt", T_MINUS_ONE_Z)], name="serial")
     pooled = _run(tmp_path, job, name="pooled", argv_extra=("--jobs", "64"))
@@ -516,6 +524,19 @@ def test_jobs_start_at_most_one_worker_per_point(tmp_path, monkeypatch):
     assert pooled[0] == serial[0] == 0
     assert _report_body(pooled[1]) == _report_body(serial[1])
     assert pooled[2] == serial[2]
+
+
+def test_verbose_pooled_run_prints_every_point(tmp_path, serial_pool, capsys):
+    job = ("[job]\nquantity = vrk-fp\nschedule = 10,20\nseeds = 1,2\n\n"
+           "[matrix]\nfile = f.txt\n")
+    _run(tmp_path, job, files=[("f.txt", T_MINUS_ONE_Z)], name="serial", argv_extra=("-v",))
+    serial = capsys.readouterr().err
+    _run(tmp_path, job, name="pooled", argv_extra=("-v", "--jobs", "2"))
+    pooled = capsys.readouterr().err
+    assert serial_pool == [2]
+    lines = [ln for ln in serial.splitlines() if ln.startswith("  d=")]
+    assert len(lines) == 4
+    assert [ln for ln in pooled.splitlines() if ln.startswith("  d=")] == lines
 
 
 def _exits_one_at(tmp_path, capsys, job_text, files, where):
@@ -550,3 +571,11 @@ def test_bad_tolerances_exit_one_at_load(tmp_path, capsys, key, value):
 def test_group_ring_disagreeing_with_matrix_exits_one(tmp_path, capsys, job, where):
     files = [("f.txt", T_MINUS_ONE_Z), ("g.txt", "1 1 Q Z\n0 0 1@1\n")]
     _exits_one_at(tmp_path, capsys, job, files, where)
+
+
+@pytest.mark.parametrize("quantity, extra", [
+    ("mrk-relative", ""), ("folner", "boxes = 10,20\n")], ids=["mrk-relative", "folner"])
+def test_empty_window_exits_one_at_radius(tmp_path, capsys, quantity, extra):
+    job = (f"[job]\nquantity = {quantity}\ngroup = Z\nschedule = 10\n{extra}"
+           "radius = 0\ninclude_identity = false\n\n[generators]\nn = 1\na1 = 1@1 -1@0\n")
+    _exits_one_at(tmp_path, capsys, job, [], "[job] radius")

@@ -177,6 +177,12 @@ def test_dense_rank_mod_p_huge_prime():
     assert dense_rank_mod_p([[p]], p) == 0
 
 
+def test_empty_dense_matrix_has_rank_zero_at_every_prime():
+    for p in (7, 2**31 - 1, (1 << 61) - 1):
+        assert dense_rank_mod_p([], p) == 0
+        assert dense_rank_mod_p(SparseMatrix(0, 3, [], [], []), p) == 0
+
+
 def test_dense_kernel_agrees_with_rational_rank():
     rng = np.random.default_rng(5)
     for _ in range(6):

@@ -315,3 +315,12 @@ def test_matrix_text_errors_carry_line_numbers():
     assert "line 3" in str(info.value)
     with pytest.raises(GroupRingError):
         parse_matrix("not a header\n")
+    with pytest.raises(GroupRingError) as info:
+        parse_matrix("2 2 Z Z\n0 0 1@0\n# comment\n1 1 x@1\n")
+    assert "line 4: bad coefficient 'x'" in str(info.value)
+
+
+def test_explicit_zero_matrix_entry_parses_as_zero():
+    m = parse_matrix("1 2 Z Z\n0 0 0\n0 1 1@1\n")
+    assert m.entries[0][0].is_zero()
+    assert not m.entries[0][1].is_zero()

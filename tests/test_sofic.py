@@ -228,6 +228,10 @@ def test_make_sigma_dispatch():
         make_sigma(S3, 5)
 
 
+_S3 = finite_group(symmetric_table(3))
+_F2 = free_group(2)
+
+
 def test_every_builder_respects_inverses():
     cases = [
         (build_cyclic(8), integer_line().element(3)),
@@ -235,10 +239,25 @@ def test_every_builder_respects_inverses():
         (build_translation(finite_group(symmetric_table(3))),
          finite_group(symmetric_table(3)).element(4)),
         (build_random_free(2, 25, 11), free_group(2).element((1, -2))),
+        (build_quotient(_F2, _S3, [_S3.element(1), _S3.element(3)]), _F2.element((2, 1, -2))),
+        (restrict(build_random_free(2, 25, 11), _F2.element((1, -2))), integer_line().element(3)),
     ]
     for sigma, g in cases:
         composed = perm_compose(sigma.perm(g), sigma.perm(g.inverse()))
         assert np.array_equal(composed, np.arange(sigma.d))
+
+
+@pytest.mark.parametrize("sigma, window", [
+    (build_translation(_S3), ball(_S3, 1)),
+    (build_random_free(2, 30, 4), ball(_F2, 2)),
+    (build_quotient(_F2, _S3, [_S3.element(1), _S3.element(3)]), ball(_F2, 2)),
+    (restrict(build_random_free(2, 30, 4), _F2.element((1, -2))), ball(integer_line(), 4)),
+], ids=["translation", "random-free", "quotient-free", "restricted"])
+def test_every_map_is_a_homomorphism_on_a_ball(sigma, window):
+    for g in window:
+        for h in window:
+            assert np.array_equal(perm_compose(sigma.perm(g), sigma.perm(h)),
+                                  sigma.perm(g * h))
 
 
 def test_perm_results_are_read_only():

@@ -67,8 +67,8 @@ from .groupring import (INTEGERS, CoefficientRing, GroupRingError,
 from .groups import GroupDescriptor, GroupError
 from .meanlength import (AdditionReport, FreeModuleVector, MeanLengthError,
                          RelativePair, addition_pair, addition_point,
-                         assemble_estimate, mrk_point, relative_pair,
-                         support_window, vrk_point)
+                         assemble_estimate, check_vrk_ring, mrk_point,
+                         relative_pair, support_window, vrk_point)
 # not called here: perfbench/tracing.py patches these names on this module
 from .meanlength import principal_rank_point, relative_mean_length_at  # noqa: F401
 from .oracles import (FolnerBox, OracleError, compare, finite_group_vrk,
@@ -159,11 +159,13 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 def _seeds(text: str) -> tuple[int, ...]:
     lo, sep, hi = text.partition("..")
-    if not sep:
-        return _int_list(text)
-    seeds = tuple(range(int(lo), int(hi) + 1))
-    if not seeds:
+    seeds = tuple(range(int(lo), int(hi) + 1)) if sep else _int_list(text)
+    if sep and not seeds:
         raise ValueError(f"empty seed range {text.strip()!r}")
+    # a seed keys a 64-bit generator (the random free-group maps)
+    for seed in seeds:
+        if not 0 <= seed < 2**64:
+            raise ValueError(f"a seed must lie in [0, 2**64), got {seed}")
     return seeds
 
 
@@ -286,6 +288,9 @@ def load_job(path, verbose: bool = False) -> Job:
         job.desc, job.ring = m.desc, m.ring
         if job.matrix_b is not None and (job.matrix_b.desc, job.matrix_b.ring) != (m.desc, m.ring):
             raise JobError(f"{path} [matrix_b]", "not over the group ring of [matrix]")
+        if facts.point in ("vrk", "addition"):
+            with _at(f"{where} ring" if jobsec.get("ring", "").strip() else f"{path} [matrix]"):
+                check_vrk_ring(m.ring)
 
     radius = _value(jobsec, "radius", where, int, 1)
     include_identity = _value(jobsec, "include_identity", where, _boolean, True)

@@ -11,7 +11,14 @@ deterministic: same input, same rank, same pivot sequence.
 
 Rank over Q is certified-probabilistic: the maximum of ranks modulo several
 seeded random primes in (2**30, 2**31), resampling until the top rank is hit
-by two distinct primes.
+by two distinct primes.  The scores depend only on the sparsity pattern, so
+one ``rank_over_Q`` call runs the heap search at its first prime only and
+replays the recorded pivot sequence at the later ones, without the heap and
+still checking the dense-tail switch before each pivot.  A replayed pivot
+that is zero mod p, or was cancelled, hands over to the heap search from the
+state reached.  Elimination at any nonzero pivots gives the exact rank mod p,
+so every per-prime rank is the one a fresh search would give.  The order is
+not kept between calls.
 """
 
 from __future__ import annotations
@@ -182,7 +189,15 @@ _DENSE_THIN = 64
 _DENSE_FILL = 0.25
 
 
-def _sparse_rank(nrows, ncols, row, col, val, p) -> int:
+def _sparse_rank(nrows, ncols, row, col, val, p, order=()):
+    """Rank mod p, and the pivots the Markowitz search chose, in order.
+
+    ``order`` is a pivot sequence recorded at another prime.  It is replayed
+    first, without the heap, for as long as each pivot is still present; the
+    first one that is zero mod p or was cancelled, or the end of ``order``,
+    hands over to the heap search from the state reached.  Elimination at any
+    nonzero pivots gives the same rank, and replayed pivots are not recorded.
+    """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
     for i, j, v in zip(row, col, val):
@@ -192,9 +207,9 @@ def _sparse_rank(nrows, ncols, row, col, val, p) -> int:
         rows.setdefault(i, {})[j] = v
         cols.setdefault(j, set()).add(i)
     nnz = sum(len(r) for r in rows.values())
-    heap = [((len(rows[i]) - 1) * (len(cols[j]) - 1), j, i)
-            for i, r in rows.items() for j in r]
-    heapq.heapify(heap)
+    replay = iter(order)
+    heap = None
+    pivots = []
     rank = 0
     while rows:
         ra = len(rows)
@@ -203,80 +218,106 @@ def _sparse_rank(nrows, ncols, row, col, val, p) -> int:
         if p < 2**31 and (area <= _DENSE_ALWAYS_AREA or
                           (area <= _DENSE_MAX_AREA and
                            (min(ra, ca) <= _DENSE_THIN or nnz >= _DENSE_FILL * area))):
-            return rank + _dense_tail(rows, cols, p)
-        # pop until an entry verifies fresh; stale entries re-enter at their
-        # true score, so the first fresh pop is a true Markowitz minimum
-        while True:
-            score, j, i = heapq.heappop(heap)
-            rdict = rows.get(i)
-            if rdict is None or j not in rdict:
-                continue
-            true = (len(rdict) - 1) * (len(cols[j]) - 1)
-            if true != score:
-                heapq.heappush(heap, (true, j, i))
-                continue
-            break
-        pr = rows.pop(i)
-        nnz -= len(pr)
-        inv = pow(pr[j], -1, p)
-        cols_touched = set()
-        for jj in pr:
-            s = cols[jj]
-            s.discard(i)
-            if s:
-                cols_touched.add(jj)
-            else:
-                del cols[jj]
-        targets = cols.pop(j, set())
-        cols_touched.discard(j)
-        rows_touched = []
-        for k in targets:
-            rk = rows[k]
-            f = rk.pop(j) * inv % p
-            nnz -= 1
-            for jj, v in pr.items():
-                if jj == j:
-                    continue
-                w = rk.get(jj)
-                if w is None:
-                    rk[jj] = (-f * v) % p  # nonzero: product of units
-                    cols.setdefault(jj, set()).add(k)
-                    nnz += 1
-                else:
-                    w = (w - f * v) % p
-                    if w == 0:
-                        del rk[jj]
-                        cols[jj].discard(k)
-                        if cols[jj]:
-                            cols_touched.add(jj)
-                        else:
-                            del cols[jj]
-                            cols_touched.discard(jj)
-                        nnz -= 1
-                    else:
-                        rk[jj] = w
-            if rk:
-                rows_touched.append(k)
-            else:
-                del rows[k]
-        # re-seed the heap where scores may have moved (and for fill-ins)
-        for k in rows_touched:
-            rk = rows[k]
-            rlen = len(rk) - 1
-            for jj in rk:
-                heapq.heappush(heap, (rlen * (len(cols[jj]) - 1), jj, k))
-        retouched = set(rows_touched)
-        for jj in cols_touched:
-            live = cols.get(jj)
-            if not live:
-                continue
-            clen = len(live) - 1
-            for k in live:
-                if k in retouched:
-                    continue
-                heapq.heappush(heap, ((len(rows[k]) - 1) * clen, jj, k))
+            return rank + _dense_tail(rows, cols, p), pivots
+        if heap is None:
+            i, j = next(replay, (None, None))
+            if j not in rows.get(i, ()):
+                heap = [((len(r) - 1) * (len(cols[j]) - 1), j, i)
+                        for i, r in rows.items() for j in r]
+                heapq.heapify(heap)
+        if heap is not None:
+            i, j = _markowitz_pop(heap, rows, cols)
+            pivots.append((i, j))
+        dnnz, rows_touched, cols_touched = _eliminate(rows, cols, i, j, p)
+        nnz += dnnz
         rank += 1
-    return rank
+        if heap is not None:
+            _reseed(heap, rows, cols, rows_touched, cols_touched)
+    return rank, pivots
+
+
+def _markowitz_pop(heap, rows, cols):
+    """Pop until an entry verifies fresh; stale entries re-enter at their
+    true score, so the first fresh pop is a true Markowitz minimum."""
+    while True:
+        score, j, i = heapq.heappop(heap)
+        rdict = rows.get(i)
+        if rdict is None or j not in rdict:
+            continue
+        true = (len(rdict) - 1) * (len(cols[j]) - 1)
+        if true == score:
+            return i, j
+        heapq.heappush(heap, (true, j, i))
+
+
+def _reseed(heap, rows, cols, rows_touched, cols_touched):
+    """Push fresh scores where they may have moved (and for fill-ins)."""
+    for k in rows_touched:
+        rk = rows[k]
+        rlen = len(rk) - 1
+        for jj in rk:
+            heapq.heappush(heap, (rlen * (len(cols[jj]) - 1), jj, k))
+    retouched = set(rows_touched)
+    for jj in cols_touched:
+        live = cols.get(jj)
+        if not live:
+            continue
+        clen = len(live) - 1
+        for k in live:
+            if k in retouched:
+                continue
+            heapq.heappush(heap, ((len(rows[k]) - 1) * clen, jj, k))
+
+
+def _eliminate(rows, cols, i, j, p):
+    """Eliminate column j with the nonzero pivot (i, j) and drop row i.
+
+    Returns the change in nnz, the surviving rows that changed, and the
+    columns whose counts changed (both needed to re-seed the heap)."""
+    pr = rows.pop(i)
+    dnnz = -len(pr)
+    inv = pow(pr[j], -1, p)
+    cols_touched = set()
+    for jj in pr:
+        s = cols[jj]
+        s.discard(i)
+        if s:
+            cols_touched.add(jj)
+        else:
+            del cols[jj]
+    targets = cols.pop(j, set())
+    cols_touched.discard(j)
+    rows_touched = []
+    for k in targets:
+        rk = rows[k]
+        f = rk.pop(j) * inv % p
+        dnnz -= 1
+        for jj, v in pr.items():
+            if jj == j:
+                continue
+            w = rk.get(jj)
+            if w is None:
+                rk[jj] = (-f * v) % p  # nonzero: product of units
+                cols.setdefault(jj, set()).add(k)
+                dnnz += 1
+            else:
+                w = (w - f * v) % p
+                if w == 0:
+                    del rk[jj]
+                    cols[jj].discard(k)
+                    if cols[jj]:
+                        cols_touched.add(jj)
+                    else:
+                        del cols[jj]
+                        cols_touched.discard(jj)
+                    dnnz -= 1
+                else:
+                    rk[jj] = w
+        if rk:
+            rows_touched.append(k)
+        else:
+            del rows[k]
+    return dnnz, rows_touched, cols_touched
 
 
 def _dense_tail(rows, cols, p) -> int:
@@ -290,12 +331,6 @@ def _dense_tail(rows, cols, p) -> int:
     return _kernels.dense_rank_mod_p(block, p)
 
 
-def _rank_mod_p_value(m: SparseMatrix, p: int) -> int:
-    if m.modulus is not None and m.modulus != p:
-        raise ExactLAError(f"matrix is over GF({m.modulus}), not GF({p})")
-    return _sparse_rank(m.nrows, m.ncols, m.row, m.col, m.val, p)
-
-
 def rank_mod_p(m: SparseMatrix, p: int | None = None) -> RankResult:
     """Exact rank over GF(p).  p defaults to the matrix's own modulus."""
     if p is None:
@@ -304,7 +339,10 @@ def rank_mod_p(m: SparseMatrix, p: int | None = None) -> RankResult:
             raise ExactLAError("rank_mod_p needs a modulus (matrix has none)")
     if not is_probable_prime(p):
         raise ExactLAError(f"{p} is not prime")
-    return RankResult(_rank_mod_p_value(m, p), f"GF({p})", (p,), True)
+    if m.modulus is not None and m.modulus != p:
+        raise ExactLAError(f"matrix is over GF({m.modulus}), not GF({p})")
+    rank, _ = _sparse_rank(m.nrows, m.ncols, m.row, m.col, m.val, p)
+    return RankResult(rank, f"GF({p})", (p,), True)
 
 
 def rank_over_Q(m: SparseMatrix, *, seed: int = 0, min_primes: int = 3,
@@ -316,7 +354,8 @@ def rank_over_Q(m: SparseMatrix, *, seed: int = 0, min_primes: int = 3,
     running maximum is a lower bound that is almost surely exact.  Sampling
     continues (at least ``min_primes`` draws) until two primes agree on the
     maximum; ``agreement`` records whether that certificate was reached
-    before ``max_primes``.
+    before ``max_primes``.  The pivots the first prime's Markowitz search
+    chooses are replayed at the later primes (see the module docstring).
     """
     if m.modulus is not None:
         raise ExactLAError("rank_over_Q needs integer entries, not GF residues")
@@ -326,12 +365,15 @@ def rank_over_Q(m: SparseMatrix, *, seed: int = 0, min_primes: int = 3,
     primes: list[int] = []
     ranks: list[int] = []
     agreement = False
+    order: list[tuple[int, int]] = []
     while len(primes) < max_primes:
         p = sample_prime(rng)
         if p in primes:
             continue
         primes.append(p)
-        ranks.append(_rank_mod_p_value(m, p))
+        rank, pivots = _sparse_rank(m.nrows, m.ncols, m.row, m.col, m.val, p, order)
+        order = order or pivots
+        ranks.append(rank)
         if len(primes) >= min_primes and ranks.count(max(ranks)) >= 2:
             agreement = True
             break

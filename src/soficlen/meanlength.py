@@ -429,6 +429,14 @@ class PrincipalPoint:
     duality: bool
 
 
+def check_vrk_ring(ring: CoefficientRing) -> None:
+    """Raise MeanRankOnlyError unless vrk can be taken over ``ring``."""
+    if ring.kind == "GF":
+        raise MeanRankOnlyError(
+            "vrk needs coefficients embeddable in the algebraic numbers "
+            "(use ring Z or Q); over GF(p) this tool offers mean-rank only")
+
+
 def principal_rank_point(f: GroupRingMatrix, sigma: SoficMap, *, seed: int = 0,
                          rank_seed: int = 0) -> PrincipalPoint:
     """Rank σ̄_f and kernel σ_f at one σ.
@@ -439,10 +447,7 @@ def principal_rank_point(f: GroupRingMatrix, sigma: SoficMap, *, seed: int = 0,
     draws of primes certify the same rank of the same matrix; it is not a
     second route to the rank.
     """
-    if f.ring.kind == "GF":
-        raise MeanRankOnlyError(
-            "vrk needs coefficients embeddable in the algebraic numbers "
-            "(use ring Z or Q); over GF(p) this tool offers mean-rank only")
+    check_vrk_ring(f.ring)
     d = sigma.d
     n = f.n
     bar = build_sigma_bar(f, sigma)

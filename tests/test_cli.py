@@ -579,3 +579,18 @@ def test_empty_window_exits_one_at_radius(tmp_path, capsys, quantity, extra):
     job = (f"[job]\nquantity = {quantity}\ngroup = Z\nschedule = 10\n{extra}"
            "radius = 0\ninclude_identity = false\n\n[generators]\nn = 1\na1 = 1@1 -1@0\n")
     _exits_one_at(tmp_path, capsys, job, [], "[job] radius")
+
+
+@pytest.mark.parametrize("seeds", ["-1", "-2..1", "0,18446744073709551616"])
+def test_out_of_range_seed_exits_one_at_seeds(tmp_path, capsys, seeds):
+    job = f"[job]\nquantity = defect\ngroup = F2\nschedule = 10\nseeds = {seeds}\n"
+    _exits_one_at(tmp_path, capsys, job, [], "[job] seeds")
+
+
+@pytest.mark.parametrize("quantity", ["vrk-fp", "addition-check", "laurent-oracle"])
+@pytest.mark.parametrize("ring_key, where", [
+    ("ring = GF(5)\n", "[job] ring"), ("", "[matrix]")], ids=["ring-key", "header"])
+def test_prime_field_vrk_quantities_exit_one_at_load(tmp_path, capsys, quantity,
+                                                     ring_key, where):
+    job = f"[job]\nquantity = {quantity}\nschedule = 10\n{ring_key}\n[matrix]\nfile = f.txt\n"
+    _exits_one_at(tmp_path, capsys, job, [("f.txt", "1 1 GF(5) Z\n0 0 1@1 -1@0\n")], where)

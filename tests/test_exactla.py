@@ -21,6 +21,7 @@ from soficlen.exactla import (
     sample_prime,
     write_matrix_market,
 )
+from soficlen.exactla import _sparse_rank
 
 
 def _circulant_minus_identity(d, modulus=None):
@@ -234,3 +235,57 @@ def test_deterministic_rank_over_q_seeding():
     a = rank_over_Q(m, seed=5)
     b = rank_over_Q(m, seed=5)
     assert a.rank == b.rank and a.primes == b.primes
+
+
+# --- the sparse driver: pivots chosen at the first prime, replayed at the rest
+#
+# An active block of area <= 4096 goes straight to the dense tail, so these
+# matrices are large and thin enough for the Markowitz search to pick pivots.
+
+def _heap_only_rank_over_q(m, seed=0, min_primes=3, max_primes=12):
+    """rank_over_Q's prime loop with every prime ranked by its own search."""
+    rng = random.Random(seed)
+    primes, ranks = [], []
+    while len(primes) < max_primes:
+        p = sample_prime(rng)
+        if p in primes:
+            continue
+        primes.append(p)
+        ranks.append(rank_mod_p(m, p).rank)
+        if len(primes) >= min_primes and ranks.count(max(ranks)) >= 2:
+            return max(ranks), tuple(primes), True
+    return max(ranks), tuple(primes), False
+
+
+def test_replayed_pivots_give_the_heap_only_rank():
+    rng = random.Random(90)
+    for nrows, ncols in ((200, 200), (260, 200), (200, 240)):
+        m = _random_sparse(rng, nrows, ncols, density=0.012, bound=4)
+        _, pivots = _sparse_rank(m.nrows, m.ncols, m.row, m.col, m.val, 2**31 - 1)
+        assert len(pivots) > 50  # the replay has something to replay
+        for seed in (0, 1):
+            result = rank_over_Q(m, seed=seed)
+            assert result.rank == max(rank_mod_p(m, p).rank for p in result.primes)
+            assert (result.rank, result.primes, result.agreement) == \
+                _heap_only_rank_over_q(m, seed)
+
+
+def test_replayed_pivot_vanishing_mod_the_later_prime_falls_back():
+    rng = random.Random(0)
+    p1, p2 = sample_prime(rng), sample_prime(rng)
+    # column 0's only entry is the first Markowitz pivot (score 0, lowest
+    # column); it is p2 * 3, so at p2 that pivot is missing from the start
+    gen = random.Random(91)
+    m = _random_sparse(gen, 90, 90, density=0.02, bound=4)
+    triplets = [(i, j, v) for i, j, v in zip(m.row, m.col, m.val) if j != 0]
+    triplets.append((0, 0, 3 * p2))
+    m = SparseMatrix.from_triplets(90, 90, triplets)
+    args = (m.nrows, m.ncols, m.row, m.col, m.val)
+    rank1, order = _sparse_rank(*args, p1)
+    assert order[0] == (0, 0)
+    rank2, fallback = _sparse_rank(*args, p2, order)
+    assert fallback  # the heap search took over at the missing pivot
+    assert rank2 == rank_mod_p(m, p2).rank == dense_rank_mod_p(m, p2)
+    result = rank_over_Q(m, seed=0)
+    assert result.primes[:2] == (p1, p2)
+    assert result.rank == rank1 == dense_rank_rational(m)

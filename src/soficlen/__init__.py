@@ -3,7 +3,7 @@ group rings, with exact sparse rank kernels and independent oracles."""
 
 from . import exactla, groupring, groups, meanlength, oracles, sofic
 from .exactla import (RankResult, SparseMatrix, dense_rank_mod_p,
-                      dense_rank_rational, kernel_dim, rank_mod_p, rank_over_Q)
+                      dense_rank_rational, rank_mod_p, rank_over_Q)
 from .groupring import (INTEGERS, RATIONALS, CoefficientRing,
                         DirectFinitenessVerdict, GroupRingElement,
                         GroupRingMatrix, check_direct_finite, format_matrix,

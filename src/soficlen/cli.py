@@ -7,7 +7,8 @@ in the file, so re-running a job reproduces its JSON byte-for-byte (modulo
 the ``generated_at`` stamp).
 
 ``load_job`` parses and builds the whole file, payloads included, before any
-point is computed; an input error exits 1 with its file, section and key.
+point is computed; an input error, or a key or section that the quantity does
+not read, exits 1 with its file, section and key.
 ``--jobs N`` starts at most one worker process per schedule point.
 
 Exit codes: 0 success, 1 malformed input or unsupported combination,
@@ -61,9 +62,9 @@ from pathlib import Path
 
 from . import groups
 from .groupring import (INTEGERS, CoefficientRing, GroupRingError,
-                        GroupRingMatrix, check_direct_finite, format_matrix,
-                        group_token, parse_element, parse_group_token,
-                        parse_matrix, parse_ring)
+                        GroupRingMatrix, check_direct_finite, check_square,
+                        format_matrix, group_token, parse_element,
+                        parse_group_token, parse_matrix, parse_ring)
 from .groups import GroupDescriptor, GroupError
 from .meanlength import (AdditionReport, FreeModuleVector, MeanLengthError,
                          RelativePair, addition_pair, addition_point,
@@ -73,7 +74,7 @@ from .meanlength import (AdditionReport, FreeModuleVector, MeanLengthError,
 from .meanlength import principal_rank_point, relative_mean_length_at  # noqa: F401
 from .oracles import (FolnerBox, OracleError, compare, finite_group_vrk,
                       folner_mean_length, laurent_rank)
-from .sofic import SoficError, SoficSchedule, defect, make_sigma
+from .sofic import SoficError, SoficSchedule, check_seed, defect, make_sigma
 
 
 @dataclass(frozen=True)
@@ -99,6 +100,23 @@ _QUANTITY = {
     "direct-finite": Quantity(("[matrix]", "[matrix_b]"), None),
 }
 QUANTITIES = tuple(_QUANTITY)
+
+
+def _reads(facts: Quantity) -> set[str]:
+    """The sections and [job] keys that a job of this quantity reads."""
+    reads = {"[job]", "[job] quantity", "[job] group"}
+    reads.update(part if part.startswith("[job]") else part.split()[0]
+                 for part in facts.needs)
+    optional = {"dims": "[job] schedule" in reads,
+                "ring": bool(reads & {"[matrix]", "[generators]"}),
+                "seeds": facts.point is not None,
+                "radius": facts.point in ("mrk", "defect"),  # they use the window F
+                "include_identity": facts.point in ("mrk", "defect"),
+                "snap_tol": facts.point in ("mrk", "vrk"),  # they report an estimate
+                "tolerance": facts.tolerance is not None}
+    reads.update(f"[job] {key}" for key, read in optional.items() if read)
+    return reads
+
 
 _INPUT_ERRORS = (GroupError, GroupRingError, SoficError, MeanLengthError,
                  OracleError)
@@ -162,10 +180,8 @@ def _seeds(text: str) -> tuple[int, ...]:
     seeds = tuple(range(int(lo), int(hi) + 1)) if sep else _int_list(text)
     if sep and not seeds:
         raise ValueError(f"empty seed range {text.strip()!r}")
-    # a seed keys a 64-bit generator (the random free-group maps)
     for seed in seeds:
-        if not 0 <= seed < 2**64:
-            raise ValueError(f"a seed must lie in [0, 2**64), got {seed}")
+        check_seed(seed)
     return seeds
 
 
@@ -254,6 +270,10 @@ def load_job(path, verbose: bool = False) -> Job:
         raise JobError(f"{where} quantity",
                            f"unknown quantity {quantity!r}; pick one of {', '.join(QUANTITIES)}")
     facts = _QUANTITY[quantity]
+    reads = _reads(facts)
+    for part in [f"[job] {key}" for key in jobsec] + [f"[{s}]" for s in cp.sections()]:
+        if part not in reads:
+            raise JobError(f"{path} {part}", f"not read by quantity {quantity}")
     gens = cp["generators"] if "generators" in cp else {}
     a_texts = _numbered(gens, "a")
     group = jobsec.get("group", "").strip()
@@ -286,8 +306,13 @@ def load_job(path, verbose: bool = False) -> Job:
                 raise JobError(f"{where} {key}", f"{jobsec[key].strip()!r} disagrees "
                                    f"with the [matrix] header ({header})")
         job.desc, job.ring = m.desc, m.ring
-        if job.matrix_b is not None and (job.matrix_b.desc, job.matrix_b.ring) != (m.desc, m.ring):
-            raise JobError(f"{path} [matrix_b]", "not over the group ring of [matrix]")
+        if job.matrix_b is not None:  # read by direct-finite only
+            if (job.matrix_b.desc, job.matrix_b.ring) != (m.desc, m.ring):
+                raise JobError(f"{path} [matrix_b]", "not over the group ring of [matrix]")
+            with _at(f"{path} [matrix]"):
+                check_square(m, m.m)
+            with _at(f"{path} [matrix_b]"):
+                check_square(job.matrix_b, m.m)
         if facts.point in ("vrk", "addition"):
             with _at(f"{where} ring" if jobsec.get("ring", "").strip() else f"{path} [matrix]"):
                 check_vrk_ring(m.ring)

@@ -9,16 +9,16 @@ min-heap: an entry is re-pushed whenever its true score may have *decreased*
 popped entry that verifies fresh is a global minimum.  Everything is
 deterministic: same input, same rank, same pivot sequence.
 
-Rank over Q is certified-probabilistic: the maximum of ranks modulo several
-seeded random primes in (2**30, 2**31), resampling until the top rank is hit
-by two distinct primes.  The scores depend only on the sparsity pattern, so
-one ``rank_over_Q`` call runs the heap search at its first prime only and
-replays the recorded pivot sequence at the later ones, without the heap and
-still checking the dense-tail switch before each pivot.  A replayed pivot
-that is zero mod p, or was cancelled, hands over to the heap search from the
-state reached.  Elimination at any nonzero pivots gives the exact rank mod p,
-so every per-prime rank is the one a fresh search would give.  The order is
-not kept between calls.
+Rank over Q is certified-probabilistic: the maximum of ranks modulo
+``_MIN_PRIMES`` to ``_MAX_PRIMES`` seeded random primes in (2**30, 2**31),
+resampling until the top rank is hit by two distinct primes.  The scores
+depend only on the sparsity pattern, so one ``rank_over_Q`` call runs the
+heap search at its first prime only and replays the recorded pivot sequence
+at the later ones, without the heap and still checking the dense-tail switch
+before each pivot.  A replayed pivot that is zero mod p, or was cancelled,
+hands over to the heap search from the state reached.  Elimination at any
+nonzero pivots gives the exact rank mod p, so every per-prime rank is the
+one a fresh search would give.  The order is not kept between calls.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
@@ -125,15 +124,6 @@ class SparseMatrix:
     def nnz(self) -> int:
         return len(self.val)
 
-    @classmethod
-    def from_triplets(cls, nrows, ncols, triplets, modulus=None):
-        rows, cols, vals = [], [], []
-        for i, j, v in triplets:
-            rows.append(i)
-            cols.append(j)
-            vals.append(v)
-        return cls(nrows, ncols, rows, cols, vals, modulus)
-
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix(self.ncols, self.nrows, self.col, self.row,
                             self.val, self.modulus)
@@ -143,13 +133,6 @@ class SparseMatrix:
         for i, j, v in zip(self.row, self.col, self.val):
             out[i][j] = v
         return out
-
-    def reduced(self, p: int) -> "SparseMatrix":
-        """Copy with entries reduced into GF(p)."""
-        if self.modulus is not None and self.modulus != p:
-            raise ExactLAError(f"matrix is over GF({self.modulus}), not GF({p})")
-        return SparseMatrix(self.nrows, self.ncols, self.row, self.col,
-                            self.val, p)
 
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):
@@ -173,10 +156,6 @@ class RankResult:
     field: str
     primes: tuple[int, ...]
     agreement: bool
-
-    @property
-    def certified(self) -> bool:
-        return self.agreement
 
 
 # --- sparse elimination core ------------------------------------------------
@@ -345,28 +324,30 @@ def rank_mod_p(m: SparseMatrix, p: int | None = None) -> RankResult:
     return RankResult(rank, f"GF({p})", (p,), True)
 
 
-def rank_over_Q(m: SparseMatrix, *, seed: int = 0, min_primes: int = 3,
-                max_primes: int = 12) -> RankResult:
+_MIN_PRIMES = 3
+_MAX_PRIMES = 12
+
+
+def rank_over_Q(m: SparseMatrix, *, seed: int = 0) -> RankResult:
     """Certified-probabilistic rank over Q for an integer matrix.
 
     Ranks the matrix modulo seeded random primes; rank mod p never exceeds
     the rational rank and equals it away from finitely many primes, so the
     running maximum is a lower bound that is almost surely exact.  Sampling
-    continues (at least ``min_primes`` draws) until two primes agree on the
+    continues (at least ``_MIN_PRIMES`` draws) until two primes agree on the
     maximum; ``agreement`` records whether that certificate was reached
-    before ``max_primes``.  The pivots the first prime's Markowitz search
-    chooses are replayed at the later primes (see the module docstring).
+    within ``_MAX_PRIMES`` draws.  The pivots the first prime's Markowitz
+    search chooses are replayed at the later primes (see the module
+    docstring).
     """
     if m.modulus is not None:
         raise ExactLAError("rank_over_Q needs integer entries, not GF residues")
-    if min_primes < 2 or max_primes < min_primes:
-        raise ExactLAError("need max_primes >= min_primes >= 2")
     rng = random.Random(seed)
     primes: list[int] = []
     ranks: list[int] = []
     agreement = False
     order: list[tuple[int, int]] = []
-    while len(primes) < max_primes:
+    while len(primes) < _MAX_PRIMES:
         p = sample_prime(rng)
         if p in primes:
             continue
@@ -374,18 +355,10 @@ def rank_over_Q(m: SparseMatrix, *, seed: int = 0, min_primes: int = 3,
         rank, pivots = _sparse_rank(m.nrows, m.ncols, m.row, m.col, m.val, p, order)
         order = order or pivots
         ranks.append(rank)
-        if len(primes) >= min_primes and ranks.count(max(ranks)) >= 2:
+        if len(primes) >= _MIN_PRIMES and ranks.count(max(ranks)) >= 2:
             agreement = True
             break
     return RankResult(max(ranks), "Q", tuple(primes), agreement)
-
-
-def kernel_dim(m: SparseMatrix, p: int | None = None, *, seed: int = 0) -> int:
-    """Dimension of the right kernel: ncols - rank (mod p if a modulus is
-    in play, otherwise over Q)."""
-    if p is not None or m.modulus is not None:
-        return m.ncols - rank_mod_p(m, p).rank
-    return m.ncols - rank_over_Q(m, seed=seed).rank
 
 
 # --- dense exact fallbacks --------------------------------------------------
@@ -431,49 +404,3 @@ def dense_rank_mod_p(a, p: int) -> int:
     if isinstance(a, SparseMatrix):
         a = a.to_dense()
     return _kernels.dense_rank_mod_p(a, p)
-
-
-# --- Matrix Market debug IO -------------------------------------------------
-
-def write_matrix_market(m: SparseMatrix, path) -> None:
-    """Dump in Matrix Market coordinate format (1-based), for inspection in
-    external tools.  The modulus, if any, rides along in a comment."""
-    lines = ["%%MatrixMarket matrix coordinate integer general"]
-    if m.modulus is not None:
-        lines.append(f"% modulus {m.modulus}")
-    lines.append(f"{m.nrows} {m.ncols} {m.nnz}")
-    lines.extend(f"{i + 1} {j + 1} {v}" for i, j, v in zip(m.row, m.col, m.val))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_matrix_market(path) -> SparseMatrix:
-    text = Path(path).read_text()
-    modulus = None
-    dims = None
-    rows, cols, vals = [], [], []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("%"):
-            toks = line.lstrip("%").split()
-            if toks[:1] == ["modulus"]:
-                modulus = int(toks[1])
-            continue
-        toks = line.split()
-        try:
-            if dims is None:
-                nrows, ncols, nnz = (int(t) for t in toks)
-                dims = (nrows, ncols, nnz)
-            else:
-                i, j, v = int(toks[0]), int(toks[1]), int(toks[2])
-                rows.append(i - 1)
-                cols.append(j - 1)
-                vals.append(v)
-        except (ValueError, IndexError):
-            raise ExactLAError(f"{path}: bad Matrix Market line {lineno}: {raw!r}") from None
-    if dims is None:
-        raise ExactLAError(f"{path}: no size line")
-    if len(vals) != dims[2]:
-        raise ExactLAError(f"{path}: expected {dims[2]} entries, found {len(vals)}")
-    return SparseMatrix(dims[0], dims[1], rows, cols, vals, modulus)

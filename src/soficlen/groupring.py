@@ -197,14 +197,6 @@ class GroupRingElement:
         return " + ".join(parts)
 
 
-def gr_add(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
-    return a + b
-
-
-def gr_mul(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
-    return a * b
-
-
 class GroupRingMatrix:
     """A rectangular matrix over R[Γ].  Treated as immutable."""
 
@@ -318,12 +310,18 @@ class DirectFinitenessVerdict:
     ba: GroupRingMatrix | None = None
 
 
+def check_square(mat: GroupRingMatrix, n: int) -> None:
+    """Raise GroupRingError unless ``mat`` is n × n."""
+    if (mat.m, mat.n) != (n, n):
+        raise GroupRingError("direct finiteness check needs square matrices of equal size")
+
+
 def check_direct_finite(a: GroupRingMatrix, b: GroupRingMatrix) -> DirectFinitenessVerdict:
     """Exact two-sided check of whether b inverts a over the group ring."""
     if a.desc != b.desc or a.ring != b.ring:
         raise GroupRingError("direct finiteness check across different group rings")
-    if a.m != a.n or b.m != b.n or a.n != b.m:
-        raise GroupRingError("direct finiteness check needs square matrices of equal size")
+    check_square(a, a.m)
+    check_square(b, a.m)
     if not mat_mul(a, b).is_identity():
         return DirectFinitenessVerdict(NOT_LEFT_INVERSE)
     ba = mat_mul(b, a)

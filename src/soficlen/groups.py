@@ -405,14 +405,6 @@ def load_table_file(path) -> GroupDescriptor:
     return desc
 
 
-def save_table_file(desc: GroupDescriptor, path) -> None:
-    if desc.family != FINITE:
-        raise GroupError("only finite groups have table files")
-    lines = [str(desc.order)]
-    lines.extend(" ".join(str(x) for x in row) for row in desc.table)
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def subgroup_orders(desc: GroupDescriptor) -> list[int]:
     """All orders of subgroups of a finite group, by breadth-first closure
     over generated subsets.  Practical for order <= 24."""

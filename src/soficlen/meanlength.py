@@ -141,10 +141,6 @@ class RelativePair:
 # ---------------------------------------------------------------------------
 # coefficient mapping into the elimination field
 
-def _field_modulus(ring: CoefficientRing):
-    return ring.p if ring.kind == "GF" else None
-
-
 def _rank(m: SparseMatrix, ring: CoefficientRing, seed: int):
     if ring.kind == "GF":
         return rank_mod_p(m)
@@ -176,10 +172,11 @@ def _sigma_blocks(f: GroupRingMatrix, sigma: SoficMap):
     return blocks
 
 
-def _blocks_to_sparse(blocks, nrows, ncols, ring: CoefficientRing) -> SparseMatrix:
+def blocks_to_sparse(blocks, nrows, ncols, ring: CoefficientRing) -> SparseMatrix:
     """Flatten (row-array, col-array, ring-coefficient) blocks into a
     SparseMatrix, clearing rational denominators by one global lcm (global
-    scaling leaves rank invariant)."""
+    scaling leaves rank invariant); GF(p) coefficients become residues mod p."""
+    modulus = ring.p if ring.kind == "GF" else None
     if ring.kind == "Q":
         denom = 1
         for _, _, c in blocks:
@@ -188,14 +185,13 @@ def _blocks_to_sparse(blocks, nrows, ncols, ring: CoefficientRing) -> SparseMatr
     else:
         scalars = [int(c) for _, _, c in blocks]
     if not blocks:
-        return SparseMatrix(nrows, ncols, modulus=_field_modulus(ring))
+        return SparseMatrix(nrows, ncols, modulus=modulus)
     row_idx = np.concatenate([rows for rows, _, _ in blocks])
     col_idx = np.concatenate([cols for _, cols, _ in blocks])
     vals = []
     for (rows, _, _), v in zip(blocks, scalars):
         vals.extend([v] * len(rows))
-    return SparseMatrix(nrows, ncols, row_idx, col_idx, vals,
-                        modulus=_field_modulus(ring))
+    return SparseMatrix(nrows, ncols, row_idx, col_idx, vals, modulus)
 
 
 def build_sigma_bar(f: GroupRingMatrix, sigma: SoficMap) -> SparseMatrix:
@@ -205,8 +201,8 @@ def build_sigma_bar(f: GroupRingMatrix, sigma: SoficMap) -> SparseMatrix:
     s with σ_s(v) = v'.  Over GF(p) entries are residues; over Z/Q they are
     integers (rational coefficients cleared by a global lcm).
     """
-    return _blocks_to_sparse(_sigma_blocks(f, sigma),
-                             sigma.d * f.m, sigma.d * f.n, f.ring)
+    return blocks_to_sparse(_sigma_blocks(f, sigma),
+                            sigma.d * f.m, sigma.d * f.n, f.ring)
 
 
 def _window(A, B, F) -> tuple[GroupElement, ...]:
@@ -263,7 +259,7 @@ def relators(B, F, sigma: SoficMap, window=None) -> SparseMatrix:
     if window is None:
         window = _window((), B, F)
     blocks, nrows, ncols = _relator_triplets(B, tuple(F), sigma, tuple(window), n)
-    return _blocks_to_sparse(blocks, nrows, ncols, ring)
+    return blocks_to_sparse(blocks, nrows, ncols, ring)
 
 
 def relative_mean_length_at(pair: RelativePair, sigma: SoficMap, *,
@@ -291,8 +287,8 @@ def relative_mean_length_at(pair: RelativePair, sigma: SoficMap, *,
                 cols = (base * nw + widx[g]) * n + j
                 a_blocks.append((rows, cols, c))
     ring = pair.ring
-    rel = _blocks_to_sparse(rel_blocks, rel_rows, ncols, ring)
-    stacked = _blocks_to_sparse(rel_blocks + a_blocks, rel_rows + d * na, ncols, ring)
+    rel = blocks_to_sparse(rel_blocks, rel_rows, ncols, ring)
+    stacked = blocks_to_sparse(rel_blocks + a_blocks, rel_rows + d * na, ncols, ring)
     rank_rel = _rank(rel, ring, rank_seed).rank
     rank_stacked = _rank(stacked, ring, rank_seed).rank
     return Fraction(rank_stacked - rank_rel, d)
@@ -341,14 +337,17 @@ class SeriesPoint:
     value: Fraction
 
 
+_STABILIZE_TOL = Fraction(1, 100)
+
+
 @dataclass(frozen=True, eq=False)
 class MeanLengthEstimate:
     """Schedule series plus the derived summary values.
 
     headline = mean over seeds at the largest size; spread = max − min over
     those seeds; snapped = nearest candidate invariant value (or None);
-    stabilized = whether the last two per-size means agree within the
-    stabilization tolerance (single-size schedules count as stabilized).
+    stabilized = whether the last two per-size means agree within
+    ``_STABILIZE_TOL`` (single-size schedules count as stabilized).
     """
 
     quantity: str
@@ -384,7 +383,6 @@ class MeanLengthEstimate:
 
 def assemble_estimate(quantity: str, series, desc: GroupDescriptor, *,
                       snap_tol: float = 0.05,
-                      stabilize_tol: Fraction = Fraction(1, 100),
                       defect_summary=None) -> MeanLengthEstimate:
     pts = tuple(series)
     if not pts:
@@ -401,7 +399,7 @@ def assemble_estimate(quantity: str, series, desc: GroupDescriptor, *,
     if len(ds) >= 2:
         prev = per_d[ds[-2]]
         prev_mean = sum(prev, Fraction(0)) / len(prev)
-        stabilized = abs(headline - prev_mean) <= stabilize_tol
+        stabilized = abs(headline - prev_mean) <= _STABILIZE_TOL
     snapped = snap_to_H(headline, desc, snap_tol) if snap_tol is not None else None
     return MeanLengthEstimate(quantity, pts, headline, spread, snapped,
                               defect_summary, stabilized)
@@ -534,7 +532,6 @@ def addition_point(f: GroupRingMatrix, pair: RelativePair, sigma: SoficMap,
 def estimate_mean_length(n: int, A, B_schedule, F_schedule,
                          schedule: SoficSchedule, *, sigma_factory=None,
                          snap_tol: float = 0.05,
-                         stabilize_tol: Fraction = Fraction(1, 100),
                          with_defect: bool = True) -> MeanLengthEstimate:
     """Relative mean length of the span of A against the largest supplied
     (B, F) pair, evaluated across the schedule.
@@ -556,12 +553,11 @@ def estimate_mean_length(n: int, A, B_schedule, F_schedule,
         series.append(mrk_point(pair, sigma, point))
     summary = defect(sigma, pair.F).summary() if with_defect else None
     return assemble_estimate("mrk", series, pair.desc, snap_tol=snap_tol,
-                             stabilize_tol=stabilize_tol, defect_summary=summary)
+                             defect_summary=summary)
 
 
 def estimate_vrk_fp(f: GroupRingMatrix, schedule: SoficSchedule, *,
                     sigma_factory=None, snap_tol: float = 0.05,
-                    stabilize_tol: Fraction = Fraction(1, 100),
                     with_defect: bool = True) -> MeanLengthEstimate:
     """vrk of (R[Γ])^{1×n} / (R[Γ])^{1×m} f across the schedule: series of
     n − rank(σ̄_f)/d, the duality check asserted at every point."""
@@ -572,7 +568,7 @@ def estimate_vrk_fp(f: GroupRingMatrix, schedule: SoficSchedule, *,
         series.append(vrk_point(f, sigma, point))
     summary = defect(sigma, support_window(f)).summary() if with_defect else None
     return assemble_estimate("vrk", series, f.desc, snap_tol=snap_tol,
-                             stabilize_tol=stabilize_tol, defect_summary=summary)
+                             defect_summary=summary)
 
 
 # ---------------------------------------------------------------------------
@@ -635,9 +631,7 @@ def check_addition(f: GroupRingMatrix, schedule: SoficSchedule, *,
     rank(σ̄_f)/d.  Route (iii): quotient value n − (ii).  Reports
     |(i) − (ii)| and |(i) + (iii) − n| per point.
     """
-    if f.ring.kind == "GF":
-        raise MeanRankOnlyError(
-            "the addition check compares against vrk and needs ring Z or Q")
+    check_vrk_ring(f.ring)
     pair = addition_pair(f)
     factory = sigma_factory or _default_factory(f.desc)
     return AdditionReport.from_points(

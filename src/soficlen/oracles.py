@@ -10,16 +10,17 @@ exact-rational eliminator, not the sparse mod-p one.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import groups
-from .exactla import SparseMatrix, dense_rank_rational, rank_mod_p, rank_over_Q
+from .exactla import dense_rank_rational, rank_mod_p, rank_over_Q
 from .groupring import GroupRingMatrix
 from .groups import GroupDescriptor, GroupElement
-from .meanlength import FreeModuleVector, MeanLengthEstimate
+from .meanlength import MeanLengthEstimate, blocks_to_sparse
 
 
 class OracleError(ValueError):
@@ -73,31 +74,22 @@ def folner_mean_length(A, boxes) -> list[Fraction]:
     n = A[0].n
     values = []
     for box in boxes:
-        F = box.elements(desc)
+        sinvs = [s.inverse() for s in box.elements(desc)]
         window = set()
-        for s in F:
-            sinv = s.inverse()
+        for sinv in sinvs:
             for a in A:
                 window.update(sinv * g for g in a.support())
         widx = {g: i for i, g in
                 enumerate(sorted(window, key=GroupElement.sort_key))}
-        triplets = []
-        r = 0
-        for s in F:
-            sinv = s.inverse()
-            for a in A:
-                for j, comp in enumerate(a.components):
-                    for g, c in comp.coeffs.items():
-                        triplets.append((r, widx[sinv * g] * n + j, c))
-                r += 1
-        if ring.kind == "Q":
-            denom = 1
-            for _, _, c in triplets:
-                denom = denom * c.denominator // math.gcd(denom, c.denominator)
-            triplets = [(i, j, int(c * denom)) for i, j, c in triplets]
-        m = SparseMatrix.from_triplets(
-            r, len(widx) * n, triplets,
-            modulus=ring.p if ring.kind == "GF" else None)
+        # row (index of s in the box) · |A| + (index of a) holds s⁻¹·a
+        rows = np.arange(len(sinvs), dtype=np.int64) * len(A)
+        blocks = []
+        for ai, a in enumerate(A):
+            for j, comp in enumerate(a.components):
+                for g, c in comp.coeffs.items():
+                    cols = np.array([widx[sinv * g] for sinv in sinvs], dtype=np.int64)
+                    blocks.append((rows + ai, cols * n + j, c))
+        m = blocks_to_sparse(blocks, len(sinvs) * len(A), len(widx) * n, ring)
         if ring.kind == "GF":
             rank = rank_mod_p(m).rank
         else:

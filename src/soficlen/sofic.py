@@ -126,11 +126,18 @@ def build_translation(desc: GroupDescriptor) -> SoficMap:
     return SoficMap(desc, desc.table, "Translation")
 
 
+def check_seed(seed: int) -> None:
+    """Raise SoficError unless ``seed`` fits the random free maps' 64-bit key."""
+    if not 0 <= seed < 2**64:
+        raise SoficError(f"a seed must lie in [0, 2**64), got {seed}")
+
+
 def build_random_free(rank: int, d: int, seed: int) -> SoficMap:
     """Independent uniform permutations per generator of F_rank.  Each draws
     from a counter-based PRNG keyed by (seed, generator index)."""
     if d < 2:
         raise SoficError("random free map needs d >= 2")
+    check_seed(seed)
     gens = []
     for letter in range(1, rank + 1):
         rng = np.random.Generator(
@@ -315,7 +322,3 @@ class SoficSchedule:
             for seed in self.seeds:
                 out.append(SchedulePoint(d, seed, block))
         return out
-
-    @property
-    def largest(self) -> int:
-        return self.ds[-1]

@@ -540,7 +540,8 @@ def test_verbose_pooled_run_prints_every_point(tmp_path, serial_pool, capsys):
 
 
 def _exits_one_at(tmp_path, capsys, job_text, files, where):
-    """Both validate and run exit 1, name ``where`` and write no report."""
+    """Both validate and run exit 1, name ``where`` and write no report;
+    returns run's stderr."""
     for fname, content in files:
         (tmp_path / fname).write_text(content)
     path = tmp_path / "bad.ini"
@@ -552,6 +553,7 @@ def _exits_one_at(tmp_path, capsys, job_text, files, where):
         assert err.startswith(f"error: {path} {where}: ")
         assert "Traceback" not in err
     assert not out.exists()
+    return err
 
 
 @pytest.mark.parametrize("key, value", [
@@ -560,6 +562,89 @@ def _exits_one_at(tmp_path, capsys, job_text, files, where):
 def test_bad_tolerances_exit_one_at_load(tmp_path, capsys, key, value):
     _exits_one_at(tmp_path, capsys, VRK_JOB.format(extra=f"{key} = {value}\n"),
                   [("f.txt", T_MINUS_ONE_Z)], f"[job] {key}")
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_bad_tolerance_of_addition_check_exits_one_at_load(tmp_path, capsys, value):
+    job = f"[job]\nquantity = addition-check\nschedule = 10\ntolerance = {value}\n\n" \
+          "[matrix]\nfile = f.txt\n"
+    err = _exits_one_at(tmp_path, capsys, job, [("f.txt", T_MINUS_ONE_Z)], "[job] tolerance")
+    assert "expected a finite number >= 0" in err
+
+
+FINITE_ORACLE_JOB = "[job]\nquantity = finite-oracle\ngroup = finite:z2.table\n{extra}\n" \
+                    "[matrix]\ntext = 1 1 Z finite\n  0 0 1@0 1@1\n"
+DEFECT_JOB = "[job]\nquantity = defect\ngroup = F2\nschedule = 10\n{extra}"
+DIRECT_JOB = "[job]\nquantity = direct-finite\n{extra}\n[matrix]\nfile = f.txt\n\n" \
+             "[matrix_b]\nfile = f.txt\n"
+
+
+@pytest.mark.parametrize("job, where", [
+    (VRK_JOB.format(extra="tolerance = 3\n"), "[job] tolerance"),
+    (VRK_JOB.format(extra="boxes = 7\n"), "[job] boxes"),
+    (VRK_JOB.format(extra="radius = 4\n"), "[job] radius"),
+    (VRK_JOB.format(extra="\n[generators]\nn = 1\na1 = 1@0\n"), "[generators]"),
+    (VRK_JOB.format(extra="schedul = 10\n"), "[job] schedul"),
+    (VRK_JOB.format(extra="\n[matrx]\nfile = f.txt\n"), "[matrx]"),
+    (VRK_JOB.format(extra="\n[matrix_b]\nfile = f.txt\n"), "[matrix_b]"),
+    (FINITE_ORACLE_JOB.format(extra="schedule = 2\n"), "[job] schedule"),
+    (FINITE_ORACLE_JOB.format(extra="dims = 2\n"), "[job] dims"),
+    (DEFECT_JOB.format(extra="ring = Q\n"), "[job] ring"),
+    (DEFECT_JOB.format(extra="snap_tol = 0.1\n"), "[job] snap_tol"),
+    (DEFECT_JOB.format(extra="\n[matrix]\nfile = f.txt\n"), "[matrix]"),
+    (DIRECT_JOB.format(extra="seeds = 1\n"), "[job] seeds"),
+    (DIRECT_JOB.format(extra="include_identity = false\n"), "[job] include_identity"),
+    ("[job]\nquantity = addition-check\nschedule = 10\nsnap_tol = 0.1\n\n[matrix]\n"
+     "file = f.txt\n", "[job] snap_tol"),
+    ("[job]\nquantity = mrk-relative\ngroup = Z\nschedule = 10\ntolerance = 0.1\n\n"
+     "[generators]\nn = 1\na1 = 1@0\n", "[job] tolerance"),
+], ids=["vrk-fp-tolerance", "vrk-fp-boxes", "vrk-fp-radius", "vrk-fp-generators",
+        "vrk-fp-unknown-key", "vrk-fp-unknown-section", "vrk-fp-matrix_b",
+        "finite-oracle-schedule", "finite-oracle-dims", "defect-ring", "defect-snap_tol",
+        "defect-matrix", "direct-finite-seeds", "direct-finite-include_identity",
+        "addition-check-snap_tol", "mrk-relative-tolerance"])
+def test_keys_and_sections_the_quantity_does_not_read_exit_one(tmp_path, capsys, job, where):
+    files = [("f.txt", T_MINUS_ONE_Z), ("z2.table", "2\n0 1\n1 0\n")]
+    err = _exits_one_at(tmp_path, capsys, job, files, where)
+    assert "not read by quantity" in err
+
+
+def test_jobs_load_with_the_keys_their_quantity_reads(tmp_path, capsys):
+    files = [("f.txt", T_MINUS_ONE_Z), ("z2.table", "2\n0 1\n1 0\n")]
+    for fname, content in files:
+        (tmp_path / fname).write_text(content)
+    estimate = "ring = Z\nseeds = 1,2\nsnap_tol = 0.1\n"
+    window = "radius = 2\ninclude_identity = false\n"
+    gens = "\n[generators]\nn = 1\na1 = 1@1 -1@0\nb1 = 1@0\n"
+    jobs = [
+        f"[job]\nquantity = mrk-relative\ngroup = Z\nschedule = 10\n{estimate}{window}{gens}",
+        f"[job]\nquantity = folner\ngroup = Z\nschedule = 10\n{estimate}{window}"
+        f"boxes = 10\ntolerance = 0.1\n{gens}",
+        VRK_JOB.format(extra=f"group = Z\n{estimate}"),
+        f"[job]\nquantity = laurent-oracle\ngroup = Z^2\ndims = 4x4\n{estimate}"
+        "tolerance = 0.1\n\n[matrix]\ntext = 1 1 Z Z^2\n  0 0 1@1,0 -1@0,0\n",
+        "[job]\nquantity = addition-check\ngroup = Z\nring = Z\nschedule = 10\nseeds = 1\n"
+        "tolerance = 0.1\n\n[matrix]\nfile = f.txt\n",
+        FINITE_ORACLE_JOB.format(extra="ring = Z\nseeds = 3\nsnap_tol = 0.1\ntolerance = 0\n"),
+        DEFECT_JOB.format(extra=window + "seeds = 1..2\n"),
+        DIRECT_JOB.format(extra="group = Z\nring = Z\n"),
+    ]
+    for k, job in enumerate(jobs):
+        path = tmp_path / f"job{k}.ini"
+        path.write_text(job)
+        assert main(["validate", str(path)]) == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("a, b, where", [
+    ("1 2 Z Z\n0 0 1@0\n", "1 1 Z Z\n0 0 1@0\n", "[matrix]"),
+    ("1 1 Z Z\n0 0 1@0\n", "2 2 Z Z\n0 0 1@0\n", "[matrix_b]"),
+    ("1 1 Z Z\n0 0 1@0\n", "2 1 Z Z\n0 0 1@0\n", "[matrix_b]")],
+    ids=["matrix-not-square", "matrix_b-larger", "matrix_b-not-square"])
+def test_direct_finite_shape_mismatch_exits_one_at_load(tmp_path, capsys, a, b, where):
+    job = "[job]\nquantity = direct-finite\n\n[matrix]\nfile = a.txt\n\n" \
+          "[matrix_b]\nfile = b.txt\n"
+    err = _exits_one_at(tmp_path, capsys, job, [("a.txt", a), ("b.txt", b)], where)
+    assert "square matrices of equal size" in err
 
 
 @pytest.mark.parametrize("job, where", [

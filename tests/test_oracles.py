@@ -82,6 +82,30 @@ def test_folner_values_bounded_by_span_rank():
             assert 0 <= value <= len(vectors)
 
 
+def test_folner_clears_denominators_and_reduces_mod_p():
+    rng = random.Random(505)  # criterion 05's random A in (Z[Z])^2
+    support = ball(Z, 2)
+    boxes = [FolnerBox((20,)), FolnerBox((50,))]
+    for _ in range(10):
+        over_z, over_q = [], []
+        for _ in range(rng.randrange(1, 3)):
+            comps = [[(rng.choice(support), rng.randrange(-3, 4))
+                      for _ in range(rng.randrange(1, 4))] for _ in range(2)]
+            over_z.append(FreeModuleVector(tuple(
+                GroupRingElement.from_terms(Z, INTEGERS, t) for t in comps)))
+            over_q.append(FreeModuleVector(tuple(
+                GroupRingElement.from_terms(Z, RATIONALS, [(g, Fraction(c, 6)) for g, c in t])
+                for t in comps)))
+        assert folner_mean_length(over_q, boxes) == folner_mean_length(over_z, boxes)
+    # 1 + t and 1 − t: equal over GF(2), so the translates of one span the
+    # box; over GF(3) they span all δ_g on its L + 1 window points
+    for p, value in ((2, Fraction(1)), (3, Fraction(11, 10))):
+        ring = prime_field(p)
+        A = [FreeModuleVector.single(GroupRingElement.from_terms(
+            Z, ring, [(Z.identity(), 1), (Z.element(1), c)])) for c in (1, -1)]
+        assert folner_mean_length(A, [FolnerBox((10,))]) == [value]
+
+
 def test_folner_rejects_unsupported_groups():
     from soficlen.groups import free_group
     F2 = free_group(2)

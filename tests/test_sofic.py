@@ -1,10 +1,12 @@
 """Tests for permutation models of groups and their quality reports."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from soficlen.groupring import INTEGERS, GroupRingElement, GroupRingMatrix
 from soficlen.groups import (
     ball,
     cyclic_table,
@@ -14,6 +16,7 @@ from soficlen.groups import (
     lattice,
     symmetric_table,
 )
+from soficlen.meanlength import estimate_vrk_fp
 from soficlen.sofic import (
     SoficError,
     SoficSchedule,
@@ -278,7 +281,7 @@ def test_schedule_validation():
         SoficSchedule((100,), seeds=(1, 1))
     sched = SoficSchedule((10, 20), seeds=(1, 2, 3))
     assert len(sched.points()) == 6
-    assert sched.largest == 20
+    assert sched.ds[-1] == 20
 
 
 def test_schedule_from_dims():
@@ -287,3 +290,17 @@ def test_schedule_from_dims():
     assert sched.points()[0].dims == (4, 4)
     with pytest.raises(SoficError):
         SoficSchedule((10,), dims=((3, 4),))
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_out_of_range_seed_raises_sofic_error(seed):
+    F2 = free_group(2)
+    s_minus_one = GroupRingElement.from_terms(
+        F2, INTEGERS, [(F2.element((1,)), 1), (F2.identity(), -1)])
+    f = GroupRingMatrix(F2, INTEGERS, [[s_minus_one]])
+    message = re.escape(f"a seed must lie in [0, 2**64), got {seed}")
+    with pytest.raises(SoficError, match=message):
+        make_sigma(F2, 10, seed)
+    with pytest.raises(SoficError, match=message):
+        estimate_vrk_fp(f, SoficSchedule((10,), seeds=(seed,)))
+    assert make_sigma(F2, 10, 2**64 - 1).d == 10

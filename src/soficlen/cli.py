@@ -221,6 +221,8 @@ def _matrix(cp, path: Path, section: str, finite_desc) -> GroupRingMatrix | None
     if section not in cp:
         return None
     sec = cp[section]
+    if "file" in sec and "text" in sec:
+        raise JobError(f"{path} [{section}]", "give 'file' or 'text', not both")
     if "file" in sec:
         try:
             text = (path.parent / sec["file"]).resolve().read_text()
@@ -349,7 +351,10 @@ def load_job(path, verbose: bool = False) -> Job:
             if job.desc.family != groups.FINITE:
                 raise JobError(f"{where} group",
                                    "finite-oracle needs group = finite:<table>")
-            job.schedule = SoficSchedule((job.desc.order,), seeds[:1])
+            if len(seeds) > 1:
+                raise JobError(f"{where} seeds",
+                               "finite-oracle's translation model uses no seed; give at most one")
+            job.schedule = SoficSchedule((job.desc.order,), seeds)
         elif ds is not None:
             job.schedule = SoficSchedule(ds, seeds, dims)
         elif dims is not None:

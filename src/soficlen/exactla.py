@@ -1,29 +1,28 @@
 """Exact sparse rank computation over prime fields and over Q.
 
-The sparse eliminator keeps rows as {col: value} dicts plus a column index,
-picks pivots by the Markowitz score (row_nnz - 1) * (col_nnz - 1) with ties
-broken by lowest column then lowest row, and finishes on a dense kernel once
-the active block is small or dense enough.  Pivot scores live in a lazy
-min-heap: an entry is re-pushed whenever its true score may have *decreased*
-(its row or column lost entries), so stored keys never exceed true keys and a
-popped entry that verifies fresh is a global minimum.  Everything is
-deterministic: same input, same rank, same pivot sequence.
+The sparse eliminator keeps the active entries mod p as numpy arrays sorted
+by (row, col) and eliminates in rounds.  Each round takes the entries of
+minimal Markowitz score (row_nnz - 1) * (col_nnz - 1) as candidates, gives
+each the priority (i * ncols + j) * 0x9E3779B97F4A7C15 mod 2**64 (distinct,
+since the multiplier is odd) and keeps those whose priority is the lowest
+among the candidates two hops away in the row/column graph, as in Luby's
+maximal independent set algorithm.  The kept pivots share no row or column
+and A[i, j'] = A[i', j] = 0 for any two of them, so their block is diagonal
+and one Schur update applies them all at once (Davis and Yew's parallel
+pivot sets).  Before each round, an active block that is small, thin or
+dense enough goes to the dense kernel instead.  Residues are int64 below
+2**31 and Python ints in object arrays above.  Everything is deterministic:
+same input, same rounds, same rank.
 
 Rank over Q is certified-probabilistic: the maximum of ranks modulo
 ``_MIN_PRIMES`` to ``_MAX_PRIMES`` seeded random primes in (2**30, 2**31),
-resampling until the top rank is hit by two distinct primes.  The scores
-depend only on the sparsity pattern, so one ``rank_over_Q`` call runs the
-heap search at its first prime only and replays the recorded pivot sequence
-at the later ones, without the heap and still checking the dense-tail switch
-before each pivot.  A replayed pivot that is zero mod p, or was cancelled,
-hands over to the heap search from the state reached.  Elimination at any
-nonzero pivots gives the exact rank mod p, so every per-prime rank is the
-one a fresh search would give.  The order is not kept between calls.
+resampling until the top rank is hit by two distinct primes.  Each prime is
+eliminated on its own; elimination at any nonzero pivots gives the exact
+rank mod p.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -74,6 +73,13 @@ def sample_prime(rng: random.Random) -> int:
             return candidate
 
 
+def _indices(x) -> np.ndarray:
+    try:
+        return np.asarray(x, dtype=np.int64)
+    except OverflowError:  # Python ints then, for the range check to report
+        return np.array([int(i) for i in x], dtype=object)
+
+
 class SparseMatrix:
     """Immutable coordinate-format sparse matrix with exact integer entries.
 
@@ -90,31 +96,24 @@ class SparseMatrix:
             raise ExactLAError("matrix dimensions must be nonnegative")
         if modulus is not None and not is_probable_prime(modulus):
             raise ExactLAError(f"modulus {modulus} is not prime")
-        row = [int(x) for x in row]
-        col = [int(x) for x in col]
-        val = [int(x) for x in val]
+        row, col = _indices(row), _indices(col)
+        val = np.array([int(x) for x in val], dtype=object)
         if not (len(row) == len(col) == len(val)):
             raise ExactLAError("triplet arrays must have equal length")
-        acc: dict[tuple[int, int], int] = {}
-        for i, j, v in zip(row, col, val):
-            if not (0 <= i < nrows and 0 <= j < ncols):
-                raise ExactLAError(f"entry ({i}, {j}) outside {nrows}x{ncols} matrix")
-            if modulus is not None:
-                v %= modulus
-            key = (i, j)
-            w = acc.get(key, 0) + v
-            if modulus is not None:
-                w %= modulus
-            if w == 0:
-                acc.pop(key, None)
-            else:
-                acc[key] = w
-        items = sorted(acc.items())
+        outside = np.flatnonzero((row < 0) | (row >= nrows) | (col < 0) | (col >= ncols))
+        if outside.size:
+            k = outside[0]
+            raise ExactLAError(f"entry ({row[k]}, {col[k]}) outside {nrows}x{ncols} matrix")
+        key, val = _merge(row * ncols + col, val)
+        if modulus is not None:
+            val %= modulus
+        live = val != 0
+        row, col = np.divmod(key[live], ncols)
         object.__setattr__(self, "nrows", nrows)
         object.__setattr__(self, "ncols", ncols)
-        object.__setattr__(self, "row", tuple(k[0] for k, _ in items))
-        object.__setattr__(self, "col", tuple(k[1] for k, _ in items))
-        object.__setattr__(self, "val", tuple(v for _, v in items))
+        object.__setattr__(self, "row", tuple(row.tolist()))
+        object.__setattr__(self, "col", tuple(col.tolist()))
+        object.__setattr__(self, "val", tuple(val[live].tolist()))
         object.__setattr__(self, "modulus", modulus)
 
     def __setattr__(self, name, value):
@@ -167,146 +166,107 @@ _DENSE_MAX_AREA = 6_000_000
 _DENSE_THIN = 64
 _DENSE_FILL = 0.25
 
+# odd, so (i * ncols + j) -> priority is a bijection mod 2**64
+_PRIORITY_MIX = np.uint64(0x9E3779B97F4A7C15)
+_NO_PRIORITY = np.iinfo(np.uint64).max
 
-def _sparse_rank(nrows, ncols, row, col, val, p, order=()):
-    """Rank mod p, and the pivots the Markowitz search chose, in order.
 
-    ``order`` is a pivot sequence recorded at another prime.  It is replayed
-    first, without the heap, for as long as each pivot is still present; the
-    first one that is zero mod p or was cancelled, or the end of ``order``,
-    hands over to the heap search from the state reached.  Elimination at any
-    nonzero pivots gives the same rank, and replayed pivots are not recorded.
-    """
-    rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, set[int]] = {}
-    for i, j, v in zip(row, col, val):
-        v %= p
-        if v == 0:
-            continue
-        rows.setdefault(i, {})[j] = v
-        cols.setdefault(j, set()).add(i)
-    nnz = sum(len(r) for r in rows.values())
-    replay = iter(order)
-    heap = None
-    pivots = []
+def _merge(key, val):
+    """Sort entries by key and sum the values that share a key."""
+    order = np.argsort(key)
+    key = key[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    return key[first], np.add.reduceat(val[order], first)
+
+
+def _sparse_rank(nrows, ncols, row, col, val, p) -> int:
+    """Rank mod p of triplets sorted by (row, col) without repeats, as a
+    SparseMatrix keeps them: rounds of independent pivots, then the dense
+    kernel on what is left (see the module docstring)."""
+    dtype = np.int64 if p < _kernels._INT64_MODULUS_LIMIT else object
+    v = np.array([x % p for x in val], dtype=dtype)
+    live = v != 0
+    key = (np.asarray(row, dtype=np.int64) * ncols + np.asarray(col, dtype=np.int64))[live]
+    v = v[live]
     rank = 0
-    while rows:
-        ra = len(rows)
-        ca = len(cols)
+    while v.size:
+        r, c = np.divmod(key, ncols)
+        row_nnz = np.bincount(r, minlength=nrows)
+        col_nnz = np.bincount(c, minlength=ncols)
+        ra, ca = np.count_nonzero(row_nnz), np.count_nonzero(col_nnz)
         area = ra * ca
-        if p < 2**31 and (area <= _DENSE_ALWAYS_AREA or
-                          (area <= _DENSE_MAX_AREA and
-                           (min(ra, ca) <= _DENSE_THIN or nnz >= _DENSE_FILL * area))):
-            return rank + _dense_tail(rows, cols, p), pivots
-        if heap is None:
-            i, j = next(replay, (None, None))
-            if j not in rows.get(i, ()):
-                heap = [((len(r) - 1) * (len(cols[j]) - 1), j, i)
-                        for i, r in rows.items() for j in r]
-                heapq.heapify(heap)
-        if heap is not None:
-            i, j = _markowitz_pop(heap, rows, cols)
-            pivots.append((i, j))
-        dnnz, rows_touched, cols_touched = _eliminate(rows, cols, i, j, p)
-        nnz += dnnz
-        rank += 1
-        if heap is not None:
-            _reseed(heap, rows, cols, rows_touched, cols_touched)
-    return rank, pivots
+        if area <= _DENSE_ALWAYS_AREA or (area <= _DENSE_MAX_AREA and (
+                min(ra, ca) <= _DENSE_THIN or v.size >= _DENSE_FILL * area)):
+            return rank + _dense_tail(r, c, v, p)
+        pivots = _independent_pivots(r, c, row_nnz, col_nnz, ncols)
+        rank += pivots.size
+        key, v = _schur_update(key, v, r, c, row_nnz, pivots, ncols, p)
+    return rank
 
 
-def _markowitz_pop(heap, rows, cols):
-    """Pop until an entry verifies fresh; stale entries re-enter at their
-    true score, so the first fresh pop is a true Markowitz minimum."""
-    while True:
-        score, j, i = heapq.heappop(heap)
-        rdict = rows.get(i)
-        if rdict is None or j not in rdict:
-            continue
-        true = (len(rdict) - 1) * (len(cols[j]) - 1)
-        if true == score:
-            return i, j
-        heapq.heappush(heap, (true, j, i))
+def _independent_pivots(r, c, row_nnz, col_nnz, ncols):
+    """Indices of the entries of minimal Markowitz score (row_nnz - 1) *
+    (col_nnz - 1) whose priority is the lowest among the candidates two hops
+    away in the row/column graph: no two share a row or a column, and the
+    entries that cross two of them, A[i, j'] and A[i', j], are zero."""
+    score = (row_nnz[r] - 1) * (col_nnz[c] - 1)
+    cand = np.flatnonzero(score == score.min())
+    cr, cc = r[cand], c[cand]
+    prio = (cr * ncols + cc).astype(np.uint64) * _PRIORITY_MIX
+    row_min = np.full(row_nnz.size, _NO_PRIORITY)
+    col_min = np.full(col_nnz.size, _NO_PRIORITY)
+    np.minimum.at(row_min, cr, prio)
+    np.minimum.at(col_min, cc, prio)
+    row_reach = np.full(row_nnz.size, _NO_PRIORITY)
+    col_reach = np.full(col_nnz.size, _NO_PRIORITY)
+    np.minimum.at(row_reach, r, col_min[c])
+    np.minimum.at(col_reach, c, row_min[r])
+    return cand[(prio == row_reach[cr]) & (prio == col_reach[cc])]
 
 
-def _reseed(heap, rows, cols, rows_touched, cols_touched):
-    """Push fresh scores where they may have moved (and for fill-ins)."""
-    for k in rows_touched:
-        rk = rows[k]
-        rlen = len(rk) - 1
-        for jj in rk:
-            heapq.heappush(heap, (rlen * (len(cols[jj]) - 1), jj, k))
-    retouched = set(rows_touched)
-    for jj in cols_touched:
-        live = cols.get(jj)
-        if not live:
-            continue
-        clen = len(live) - 1
-        for k in live:
-            if k in retouched:
-                continue
-            heapq.heappush(heap, ((len(rows[k]) - 1) * clen, jj, k))
+def _schur_update(key, v, r, c, row_nnz, pivots, ncols, p):
+    """Entries of the Schur complement A[I', J'] - A[I', J] D^-1 A[I, J'],
+    sorted by key, for independent pivots at (I, J), whose block D = A[I, J]
+    is diagonal; I' and J' are the other rows and columns.  Each row's
+    entries are contiguous in the sorted arrays."""
+    pr, pc = r[pivots], c[pivots]
+    inv = np.array([pow(int(x), -1, p) for x in v[pivots]], dtype=v.dtype)
+    pivot_of_col = np.full(ncols, -1)
+    pivot_of_col[pc] = np.arange(pivots.size)
+    in_pivot_row = np.zeros(row_nnz.size, dtype=bool)
+    in_pivot_row[pr] = True
+    tr, tc = in_pivot_row[r], pivot_of_col[c]
+    lower = np.flatnonzero((tc >= 0) & ~tr)
+    rest = (tc < 0) & ~tr
+    # pair each entry of A[I', J] with every entry of its pivot's row
+    t = tc[lower]
+    reps = row_nnz[pr[t]]
+    ends = np.cumsum(reps)
+    row_start = (np.cumsum(row_nnz) - row_nnz)[pr[t]]
+    source = np.repeat(row_start - ends + reps, reps) + np.arange(reps.sum())
+    target = np.repeat(lower, reps)
+    factor = np.repeat(v[lower] * inv[t] % p, reps)
+    # the pivot row meets J in its pivot alone, whose column is eliminated
+    off = pivot_of_col[c[source]] < 0
+    source, target, factor = source[off], target[off], factor[off]
+    fill_key, fill = _merge(r[target] * ncols + c[source], -factor * v[source] % p)
+    key, v = key[rest], v[rest]
+    pos = np.searchsorted(key, fill_key)
+    hit = np.zeros(pos.size, dtype=bool)
+    inside = pos < key.size
+    hit[inside] = key[pos[inside]] == fill_key[inside]
+    v[pos[hit]] += fill[hit]
+    key = np.insert(key, pos[~hit], fill_key[~hit])
+    v = np.insert(v, pos[~hit], fill[~hit]) % p
+    live = v != 0
+    return key[live], v[live]
 
 
-def _eliminate(rows, cols, i, j, p):
-    """Eliminate column j with the nonzero pivot (i, j) and drop row i.
-
-    Returns the change in nnz, the surviving rows that changed, and the
-    columns whose counts changed (both needed to re-seed the heap)."""
-    pr = rows.pop(i)
-    dnnz = -len(pr)
-    inv = pow(pr[j], -1, p)
-    cols_touched = set()
-    for jj in pr:
-        s = cols[jj]
-        s.discard(i)
-        if s:
-            cols_touched.add(jj)
-        else:
-            del cols[jj]
-    targets = cols.pop(j, set())
-    cols_touched.discard(j)
-    rows_touched = []
-    for k in targets:
-        rk = rows[k]
-        f = rk.pop(j) * inv % p
-        dnnz -= 1
-        for jj, v in pr.items():
-            if jj == j:
-                continue
-            w = rk.get(jj)
-            if w is None:
-                rk[jj] = (-f * v) % p  # nonzero: product of units
-                cols.setdefault(jj, set()).add(k)
-                dnnz += 1
-            else:
-                w = (w - f * v) % p
-                if w == 0:
-                    del rk[jj]
-                    cols[jj].discard(k)
-                    if cols[jj]:
-                        cols_touched.add(jj)
-                    else:
-                        del cols[jj]
-                        cols_touched.discard(jj)
-                    dnnz -= 1
-                else:
-                    rk[jj] = w
-        if rk:
-            rows_touched.append(k)
-        else:
-            del rows[k]
-    return dnnz, rows_touched, cols_touched
-
-
-def _dense_tail(rows, cols, p) -> int:
-    row_ids = sorted(rows)
-    col_ids = sorted(cols)
-    col_pos = {j: idx for idx, j in enumerate(col_ids)}
-    block = np.zeros((len(row_ids), len(col_ids)), dtype=np.int64)
-    for r, i in enumerate(row_ids):
-        for j, v in rows[i].items():
-            block[r, col_pos[j]] = v
+def _dense_tail(r, c, v, p) -> int:
+    rows, ri = np.unique(r, return_inverse=True)
+    cols, ci = np.unique(c, return_inverse=True)
+    block = np.zeros((rows.size, cols.size), dtype=v.dtype)
+    block[ri, ci] = v
     return _kernels.dense_rank_mod_p(block, p)
 
 
@@ -320,7 +280,7 @@ def rank_mod_p(m: SparseMatrix, p: int | None = None) -> RankResult:
         raise ExactLAError(f"{p} is not prime")
     if m.modulus is not None and m.modulus != p:
         raise ExactLAError(f"matrix is over GF({m.modulus}), not GF({p})")
-    rank, _ = _sparse_rank(m.nrows, m.ncols, m.row, m.col, m.val, p)
+    rank = _sparse_rank(m.nrows, m.ncols, m.row, m.col, m.val, p)
     return RankResult(rank, f"GF({p})", (p,), True)
 
 
@@ -336,9 +296,7 @@ def rank_over_Q(m: SparseMatrix, *, seed: int = 0) -> RankResult:
     running maximum is a lower bound that is almost surely exact.  Sampling
     continues (at least ``_MIN_PRIMES`` draws) until two primes agree on the
     maximum; ``agreement`` records whether that certificate was reached
-    within ``_MAX_PRIMES`` draws.  The pivots the first prime's Markowitz
-    search chooses are replayed at the later primes (see the module
-    docstring).
+    within ``_MAX_PRIMES`` draws.
     """
     if m.modulus is not None:
         raise ExactLAError("rank_over_Q needs integer entries, not GF residues")
@@ -346,15 +304,12 @@ def rank_over_Q(m: SparseMatrix, *, seed: int = 0) -> RankResult:
     primes: list[int] = []
     ranks: list[int] = []
     agreement = False
-    order: list[tuple[int, int]] = []
     while len(primes) < _MAX_PRIMES:
         p = sample_prime(rng)
         if p in primes:
             continue
         primes.append(p)
-        rank, pivots = _sparse_rank(m.nrows, m.ncols, m.row, m.col, m.val, p, order)
-        order = order or pivots
-        ranks.append(rank)
+        ranks.append(_sparse_rank(m.nrows, m.ncols, m.row, m.col, m.val, p))
         if len(primes) >= _MIN_PRIMES and ranks.count(max(ranks)) >= 2:
             agreement = True
             break

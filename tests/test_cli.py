@@ -635,6 +635,25 @@ def test_jobs_load_with_the_keys_their_quantity_reads(tmp_path, capsys):
         assert main(["validate", str(path)]) == 0, capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seeds", ["1,2", "0..2"])
+def test_finite_oracle_with_several_seeds_exits_one_at_seeds(tmp_path, capsys, seeds):
+    # the translation model of a finite group uses no seed, so a second one
+    # would be dropped, not evaluated
+    job = FINITE_ORACLE_JOB.format(extra=f"seeds = {seeds}\n")
+    err = _exits_one_at(tmp_path, capsys, job, [("z2.table", "2\n0 1\n1 0\n")],
+                        "[job] seeds")
+    assert "give at most one" in err
+
+
+@pytest.mark.parametrize("job, where", [
+    (VRK_JOB.format(extra="") + "text = 1 1 Z Z\n  0 0 1@0\n", "[matrix]"),
+    (DIRECT_JOB.format(extra="") + "text = 1 1 Z Z\n  0 0 1@0\n", "[matrix_b]"),
+], ids=["matrix", "matrix_b"])
+def test_matrix_section_with_file_and_text_exits_one(tmp_path, capsys, job, where):
+    err = _exits_one_at(tmp_path, capsys, job, [("f.txt", T_MINUS_ONE_Z)], where)
+    assert "give 'file' or 'text', not both" in err
+
+
 @pytest.mark.parametrize("a, b, where", [
     ("1 2 Z Z\n0 0 1@0\n", "1 1 Z Z\n0 0 1@0\n", "[matrix]"),
     ("1 1 Z Z\n0 0 1@0\n", "2 2 Z Z\n0 0 1@0\n", "[matrix_b]"),

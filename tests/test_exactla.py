@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from soficlen import _kernels
+from soficlen import _kernels, exactla
 from soficlen.exactla import (
     ExactLAError,
     RankResult,
@@ -18,7 +18,7 @@ from soficlen.exactla import (
     rank_over_Q,
     sample_prime,
 )
-from soficlen.exactla import _MAX_PRIMES, _MIN_PRIMES, _sparse_rank
+from soficlen.exactla import _MAX_PRIMES, _MIN_PRIMES
 
 
 def _matrix(nrows, ncols, triplets, modulus=None):
@@ -219,13 +219,48 @@ def test_deterministic_rank_over_q_seeding():
     assert a.rank == b.rank and a.primes == b.primes
 
 
-# --- the sparse driver: pivots chosen at the first prime, replayed at the rest
+# --- the sparse eliminator: rounds of independent pivots, then the dense tail
 #
 # An active block of area <= 4096 goes straight to the dense tail, so these
-# matrices are large and thin enough for the Markowitz search to pick pivots.
+# matrices are large and sparse enough to reach the rounds.
 
-def _heap_only_rank_over_q(m, seed=0):
-    """rank_over_Q's prime loop with every prime ranked by its own search."""
+def _low_rank_products(count, seed):
+    """Products of a random sparse nrows x inner and inner x ncols matrix
+    with entries in [-2, 2]: rank at most ``inner``, and eliminating them
+    cancels entries that are nonzero at the start."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        nrows, ncols = (int(x) for x in rng.integers(150, 401, size=2))
+        inner = int(rng.integers(20, 141))
+        density = np.sqrt(rng.uniform(0.03, 0.2) / inner)
+        a = rng.integers(-2, 3, size=(nrows, inner)) * (rng.random((nrows, inner)) < density)
+        b = rng.integers(-2, 3, size=(inner, ncols)) * (rng.random((inner, ncols)) < density)
+        c = a @ b
+        i, j = np.nonzero(c)
+        out.append(SparseMatrix(nrows, ncols, i, j, c[i, j].tolist()))
+    return out
+
+
+PRODUCTS = _low_rank_products(100, seed=80)
+
+
+@pytest.fixture
+def rounds(monkeypatch):
+    """Calls of the pivot search, one per round of the sparse eliminator."""
+    calls = []
+    real = exactla._independent_pivots
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(exactla, "_independent_pivots", counted)
+    return calls
+
+
+def _per_prime_rank_over_q(m, seed=0):
+    """rank_over_Q's prime loop with every prime ranked by the dense kernel."""
     rng = random.Random(seed)
     primes, ranks = [], []
     while len(primes) < _MAX_PRIMES:
@@ -233,41 +268,69 @@ def _heap_only_rank_over_q(m, seed=0):
         if p in primes:
             continue
         primes.append(p)
-        ranks.append(rank_mod_p(m, p).rank)
+        ranks.append(dense_rank_mod_p(m, p))
         if len(primes) >= _MIN_PRIMES and ranks.count(max(ranks)) >= 2:
             return max(ranks), tuple(primes), True
     return max(ranks), tuple(primes), False
 
 
-def test_replayed_pivots_give_the_heap_only_rank():
-    rng = random.Random(90)
-    for nrows, ncols in ((200, 200), (260, 200), (200, 240)):
-        m = _random_sparse(rng, nrows, ncols, density=0.012, bound=4)
-        _, pivots = _sparse_rank(m.nrows, m.ncols, m.row, m.col, m.val, 2**31 - 1)
-        assert len(pivots) > 50  # the replay has something to replay
-        for seed in (0, 1):
-            result = rank_over_Q(m, seed=seed)
-            assert result.rank == max(rank_mod_p(m, p).rank for p in result.primes)
-            assert (result.rank, result.primes, result.agreement) == \
-                _heap_only_rank_over_q(m, seed)
+def test_rounds_give_the_dense_rank_of_rank_deficient_products(rounds):
+    p = 2**31 - 1
+    for m in PRODUCTS:
+        before = len(rounds)
+        assert rank_mod_p(m, p).rank == dense_rank_mod_p(m, p) < min(m.nrows, m.ncols)
+        assert len(rounds) > before  # the matrix reached the rounds
+    small = sorted(PRODUCTS, key=lambda m: m.nrows * m.ncols * m.nnz)[:2]
+    for m in small:
+        assert rank_over_Q(m).rank == dense_rank_rational(m)
 
 
-def test_replayed_pivot_vanishing_mod_the_later_prime_falls_back():
+def test_rounds_over_a_prime_above_int64_products(rounds):
+    p = 2**61 - 1  # residues are Python ints in an object array
+    for m in PRODUCTS[5::10]:
+        before = len(rounds)
+        assert rank_mod_p(m, p).rank == dense_rank_mod_p(m, p)
+        assert len(rounds) > before
+
+
+def test_pivots_vanishing_mod_the_prime(rounds):
     rng = random.Random(0)
     p1, p2 = sample_prime(rng), sample_prime(rng)
-    # column 0's only entry is the first Markowitz pivot (score 0, lowest
-    # column); it is p2 * 3, so at p2 that pivot is missing from the start
+    blocks = 60
+    # [[2, 1], [3, (p2 + 3) / 2]] has determinant p2: after the first pivot
+    # of each block, its Schur complement entry is zero mod p2 alone
+    triplets = []
+    for b in range(blocks):
+        i = 2 * b
+        triplets += [(i, i, 2), (i, i + 1, 1), (i + 1, i, 3), (i + 1, i + 1, (p2 + 3) // 2)]
+    # and a lone entry that is a multiple of p2, in a column and row of its own
+    triplets.append((2 * blocks, 2 * blocks, 3 * p2))
     gen = random.Random(91)
-    m = _random_sparse(gen, 90, 90, density=0.02, bound=4)
-    triplets = [(i, j, v) for i, j, v in zip(m.row, m.col, m.val) if j != 0]
-    triplets.append((0, 0, 3 * p2))
-    m = _matrix(90, 90, triplets)
-    args = (m.nrows, m.ncols, m.row, m.col, m.val)
-    rank1, order = _sparse_rank(*args, p1)
-    assert order[0] == (0, 0)
-    rank2, fallback = _sparse_rank(*args, p2, order)
-    assert fallback  # the heap search took over at the missing pivot
-    assert rank2 == rank_mod_p(m, p2).rank == dense_rank_mod_p(m, p2)
+    for i in range(2 * blocks + 1, 2 * blocks + 30):
+        for j in range(2 * blocks + 1, 2 * blocks + 30):
+            if gen.random() < 0.1:
+                triplets.append((i, j, gen.randrange(1, 5)))
+    side = 2 * blocks + 30
+    m = _matrix(side, side, triplets)
+    assert rank_mod_p(m, p2).rank == dense_rank_mod_p(m, p2)
+    assert rounds
+    assert rank_mod_p(m, p1).rank == dense_rank_mod_p(m, p1) == dense_rank_rational(m)
+    assert rank_mod_p(m, p2).rank == rank_mod_p(m, p1).rank - blocks - 1
     result = rank_over_Q(m, seed=0)
     assert result.primes[:2] == (p1, p2)
-    assert result.rank == rank1 == dense_rank_rational(m)
+    assert (result.rank, result.primes, result.agreement) == _per_prime_rank_over_q(m, 0)
+    assert result.rank == dense_rank_rational(m)
+
+
+def test_rank_over_q_equals_the_per_prime_loop():
+    for m in PRODUCTS[:12]:
+        for seed in (0, 1):
+            result = rank_over_Q(m, seed=seed)
+            assert (result.rank, result.primes, result.agreement) == \
+                _per_prime_rank_over_q(m, seed)
+
+
+def test_reranking_gives_identical_results():
+    for m in PRODUCTS[::25]:
+        assert rank_over_Q(m, seed=3) == rank_over_Q(m, seed=3)
+        assert rank_mod_p(m, 2**61 - 1) == rank_mod_p(m, 2**61 - 1)

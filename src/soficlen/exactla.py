@@ -1,24 +1,29 @@
 """Exact sparse rank computation over prime fields and over Q.
 
-The sparse eliminator keeps the active entries mod p as numpy arrays sorted
-by (row, col) and eliminates in rounds.  Each round takes the entries of
-minimal Markowitz score (row_nnz - 1) * (col_nnz - 1) as candidates, gives
-each the priority (i * ncols + j) * 0x9E3779B97F4A7C15 mod 2**64 (distinct,
-since the multiplier is odd) and keeps those whose priority is the lowest
-among the candidates two hops away in the row/column graph, as in Luby's
-maximal independent set algorithm.  The kept pivots share no row or column
-and A[i, j'] = A[i', j] = 0 for any two of them, so their block is diagonal
-and one Schur update applies them all at once (Davis and Yew's parallel
-pivot sets).  Before each round, an active block that is small, thin or
-dense enough goes to the dense kernel instead.  Residues are int64 below
-2**31 and Python ints in object arrays above.  Everything is deterministic:
-same input, same rounds, same rank.
+The sparse eliminator ranks a matrix modulo one or more primes at once.  It
+keeps the active entries as one int64 key array sorted by (row, col), with
+one row of residues per prime, and eliminates in rounds.  Each round takes
+the entries of minimal Markowitz score (row_nnz - 1) * (col_nnz - 1) as
+candidates, gives each the priority (i * ncols + j) * 0x9E3779B97F4A7C15 mod
+2**64 (distinct, since the multiplier is odd) and keeps those whose priority
+is the lowest among the candidates two hops away in the row/column graph, as
+in Luby's maximal independent set algorithm.  The kept pivots share no row or
+column and A[i, j'] = A[i', j] = 0 for any two of them, so their block is
+diagonal and one Schur update applies them all at once (Davis and Yew's
+parallel pivot sets).  The primes share this pattern work; only the value
+arithmetic is done per prime, and the pivot inverses come from Montgomery's
+batch inversion, one pow per prime per round.  An entry stays live while it
+is nonzero mod some prime; once a live entry vanishes mod some primes only,
+each prime goes on alone.  Before each round, an active block that is small,
+thin or dense enough goes to the dense kernel instead, one prime at a time.
+Residues are int64 below 2**31 and Python ints in object arrays above.
+Everything is deterministic: same input, same rounds, same rank.
 
 Rank over Q is certified-probabilistic: the maximum of ranks modulo
 ``_MIN_PRIMES`` to ``_MAX_PRIMES`` seeded random primes in (2**30, 2**31),
-resampling until the top rank is hit by two distinct primes.  Each prime is
-eliminated on its own; elimination at any nonzero pivots gives the exact
-rank mod p.
+resampling until the top rank is hit by two distinct primes.  The first
+``_MIN_PRIMES`` are eliminated together, any later one alone; elimination at
+any nonzero pivots gives the exact rank mod p.
 """
 
 from __future__ import annotations
@@ -96,10 +101,14 @@ class SparseMatrix:
             raise ExactLAError("matrix dimensions must be nonnegative")
         if modulus is not None and not is_probable_prime(modulus):
             raise ExactLAError(f"modulus {modulus} is not prime")
-        row, col = _indices(row), _indices(col)
-        val = np.array([int(x) for x in val], dtype=object)
+        row, col, given = _indices(row), _indices(col), np.array(list(val), dtype=object)
+        val = np.array([int(x) for x in given], dtype=object)
         if not (len(row) == len(col) == len(val)):
             raise ExactLAError("triplet arrays must have equal length")
+        wrong = np.flatnonzero(val != given)
+        if wrong.size:
+            k = wrong[0]
+            raise ExactLAError(f"entry ({row[k]}, {col[k]}) is not an integer: {given[k]}")
         outside = np.flatnonzero((row < 0) | (row >= nrows) | (col < 0) | (col >= ncols))
         if outside.size:
             k = outside[0]
@@ -172,36 +181,45 @@ _NO_PRIORITY = np.iinfo(np.uint64).max
 
 
 def _merge(key, val):
-    """Sort entries by key and sum the values that share a key."""
+    """Sort entries by key and sum the values (last axis) that share a key."""
     order = np.argsort(key)
     key = key[order]
     first = np.flatnonzero(np.diff(key, prepend=-1))
-    return key[first], np.add.reduceat(val[order], first)
+    return key[first], np.add.reduceat(val.take(order, axis=-1), first, axis=-1)
 
 
-def _sparse_rank(nrows, ncols, row, col, val, p) -> int:
-    """Rank mod p of triplets sorted by (row, col) without repeats, as a
-    SparseMatrix keeps them: rounds of independent pivots, then the dense
-    kernel on what is left (see the module docstring)."""
-    dtype = np.int64 if p < _kernels._INT64_MODULUS_LIMIT else object
-    v = np.array([x % p for x in val], dtype=dtype)
-    live = v != 0
-    key = (np.asarray(row, dtype=np.int64) * ncols + np.asarray(col, dtype=np.int64))[live]
-    v = v[live]
+def _sparse_ranks(nrows, ncols, row, col, val, primes) -> list[int]:
+    """Ranks mod each prime of triplets sorted by (row, col) without repeats,
+    as a SparseMatrix keeps them: rounds of independent pivots shared by the
+    primes, then the dense kernel on what is left (see the module docstring)."""
+    dtype = np.int64 if max(primes) < _kernels._INT64_MODULUS_LIMIT else object
+    p = np.array(primes, dtype=dtype)[:, None]
+    try:
+        v = np.asarray(val, dtype=dtype) % p
+    except OverflowError:  # entries beyond int64, reduced as Python ints
+        v = (np.asarray(val, dtype=object) % p.astype(object)).astype(dtype)
+    key = np.asarray(row, dtype=np.int64) * ncols + np.asarray(col, dtype=np.int64)
     rank = 0
-    while v.size:
+    while True:
+        nonzero = v != 0
+        live = nonzero.any(axis=0)
+        key, v, nonzero = key[live], v.compress(live, axis=1), nonzero.compress(live, axis=1)
         r, c = np.divmod(key, ncols)
+        if not nonzero.all():  # zero mod some primes only: each goes on alone
+            return [rank + _sparse_ranks(nrows, ncols, r[z], c[z], vq[z], [q])[0]
+                    for vq, z, q in zip(v, nonzero, primes)]
+        if not key.size:
+            return [rank] * len(primes)
         row_nnz = np.bincount(r, minlength=nrows)
         col_nnz = np.bincount(c, minlength=ncols)
         ra, ca = np.count_nonzero(row_nnz), np.count_nonzero(col_nnz)
         area = ra * ca
         if area <= _DENSE_ALWAYS_AREA or (area <= _DENSE_MAX_AREA and (
-                min(ra, ca) <= _DENSE_THIN or v.size >= _DENSE_FILL * area)):
-            return rank + _dense_tail(r, c, v, p)
+                min(ra, ca) <= _DENSE_THIN or key.size >= _DENSE_FILL * area)):
+            return [rank + _dense_tail(r, c, vq, q) for vq, q in zip(v, primes)]
         pivots = _independent_pivots(r, c, row_nnz, col_nnz, ncols)
         rank += pivots.size
         key, v = _schur_update(key, v, r, c, row_nnz, pivots, ncols, p)
-    return rank
 
 
 def _independent_pivots(r, c, row_nnz, col_nnz, ncols):
@@ -224,13 +242,35 @@ def _independent_pivots(r, c, row_nnz, col_nnz, ncols):
     return cand[(prio == row_reach[cr]) & (prio == col_reach[cc])]
 
 
+def _exclusive_products(x, p):
+    """Products mod p of the entries before each one in its row, by doubling
+    (Hillis-Steele)."""
+    x, step = np.concatenate([np.ones_like(x[:, :1]), x[:, :-1]], axis=1), 1
+    while step < x.shape[1]:
+        x[:, step:] = x[:, step:] * x[:, :-step] % p
+        step *= 2
+    return x
+
+
+def _inverses(x, p):
+    """x**-1 mod p, one row of nonzero residues per prime of the column p:
+    Montgomery's batch inversion, one pow per prime."""
+    if not x.shape[1]:
+        return x
+    # x[j]**-1 = (x[0] ... x[j-1]) (x[j+1] ... x[-1]) / (x[0] ... x[-1])
+    left, right = _exclusive_products(x, p), _exclusive_products(x[:, ::-1], p)[:, ::-1]
+    total = [[pow(int(a * b % q), -1, int(q))] for a, b, q in zip(left[:, -1], x[:, -1], p[:, 0])]
+    return left * right % p * np.array(total, dtype=x.dtype) % p
+
+
 def _schur_update(key, v, r, c, row_nnz, pivots, ncols, p):
     """Entries of the Schur complement A[I', J'] - A[I', J] D^-1 A[I, J'],
     sorted by key, for independent pivots at (I, J), whose block D = A[I, J]
     is diagonal; I' and J' are the other rows and columns.  Each row's
-    entries are contiguous in the sorted arrays."""
+    entries are contiguous in the sorted arrays.  v has one row of values per
+    prime of the column p; the values that come out may be zero."""
     pr, pc = r[pivots], c[pivots]
-    inv = np.array([pow(int(x), -1, p) for x in v[pivots]], dtype=v.dtype)
+    inv = _inverses(v.take(pivots, axis=1), p)
     pivot_of_col = np.full(ncols, -1)
     pivot_of_col[pc] = np.arange(pivots.size)
     in_pivot_row = np.zeros(row_nnz.size, dtype=bool)
@@ -245,21 +285,22 @@ def _schur_update(key, v, r, c, row_nnz, pivots, ncols, p):
     row_start = (np.cumsum(row_nnz) - row_nnz)[pr[t]]
     source = np.repeat(row_start - ends + reps, reps) + np.arange(reps.sum())
     target = np.repeat(lower, reps)
-    factor = np.repeat(v[lower] * inv[t] % p, reps)
+    factor = np.repeat(v.take(lower, axis=1) * inv.take(t, axis=1) % p, reps, axis=1)
     # the pivot row meets J in its pivot alone, whose column is eliminated
     off = pivot_of_col[c[source]] < 0
-    source, target, factor = source[off], target[off], factor[off]
-    fill_key, fill = _merge(r[target] * ncols + c[source], -factor * v[source] % p)
-    key, v = key[rest], v[rest]
+    source, target, factor = source[off], target[off], factor.compress(off, axis=1)
+    fill_key, fill = _merge(r[target] * ncols + c[source], -factor * v.take(source, axis=1) % p)
+    key, v = key[rest], v.compress(rest, axis=1)
     pos = np.searchsorted(key, fill_key)
     hit = np.zeros(pos.size, dtype=bool)
     inside = pos < key.size
     hit[inside] = key[pos[inside]] == fill_key[inside]
-    v[pos[hit]] += fill[hit]
-    key = np.insert(key, pos[~hit], fill_key[~hit])
-    v = np.insert(v, pos[~hit], fill[~hit]) % p
-    live = v != 0
-    return key[live], v[live]
+    v[:, pos[hit]] += fill.compress(hit, axis=1)
+    at = pos[~hit]
+    # one flat insert for all primes: row q of v starts at q * key.size
+    flat_at = (at + key.size * np.arange(len(v))[:, None]).ravel()
+    v = np.insert(v.ravel(), flat_at, fill.compress(~hit, axis=1).ravel()).reshape(len(v), -1)
+    return np.insert(key, at, fill_key[~hit]), v % p
 
 
 def _dense_tail(r, c, v, p) -> int:
@@ -280,7 +321,7 @@ def rank_mod_p(m: SparseMatrix, p: int | None = None) -> RankResult:
         raise ExactLAError(f"{p} is not prime")
     if m.modulus is not None and m.modulus != p:
         raise ExactLAError(f"matrix is over GF({m.modulus}), not GF({p})")
-    rank = _sparse_rank(m.nrows, m.ncols, m.row, m.col, m.val, p)
+    rank = _sparse_ranks(m.nrows, m.ncols, m.row, m.col, m.val, [p])[0]
     return RankResult(rank, f"GF({p})", (p,), True)
 
 
@@ -293,10 +334,11 @@ def rank_over_Q(m: SparseMatrix, *, seed: int = 0) -> RankResult:
 
     Ranks the matrix modulo seeded random primes; rank mod p never exceeds
     the rational rank and equals it away from finitely many primes, so the
-    running maximum is a lower bound that is almost surely exact.  Sampling
-    continues (at least ``_MIN_PRIMES`` draws) until two primes agree on the
-    maximum; ``agreement`` records whether that certificate was reached
-    within ``_MAX_PRIMES`` draws.
+    running maximum is a lower bound that is almost surely exact.  The first
+    ``_MIN_PRIMES`` draws share one elimination; further primes are drawn and
+    ranked one at a time until two primes agree on the maximum.
+    ``agreement`` records whether that certificate was reached within
+    ``_MAX_PRIMES`` draws.
     """
     if m.modulus is not None:
         raise ExactLAError("rank_over_Q needs integer entries, not GF residues")
@@ -309,8 +351,10 @@ def rank_over_Q(m: SparseMatrix, *, seed: int = 0) -> RankResult:
         if p in primes:
             continue
         primes.append(p)
-        ranks.append(_sparse_rank(m.nrows, m.ncols, m.row, m.col, m.val, p))
-        if len(primes) >= _MIN_PRIMES and ranks.count(max(ranks)) >= 2:
+        if len(primes) < _MIN_PRIMES:
+            continue
+        ranks += _sparse_ranks(m.nrows, m.ncols, m.row, m.col, m.val, primes[len(ranks):])
+        if ranks.count(max(ranks)) >= 2:
             agreement = True
             break
     return RankResult(max(ranks), "Q", tuple(primes), agreement)

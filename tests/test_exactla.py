@@ -71,6 +71,17 @@ def test_sparse_matrix_normalization():
         m.row = ()
 
 
+def test_sparse_matrix_refuses_non_integral_entries():
+    with pytest.raises(ExactLAError, match=r"entry \(0, 0\) is not an integer: 1/2$"):
+        SparseMatrix(2, 2, [0, 1], [0, 1], [Fraction(1, 2), 2.7])
+    with pytest.raises(ExactLAError, match=r"entry \(1, 1\) is not an integer: 2.7$"):
+        SparseMatrix(2, 2, [0, 1], [0, 1], [Fraction(4, 2), 2.7])
+    m = SparseMatrix(3, 3, [0, 1, 2], [0, 1, 2], [Fraction(4, 2), np.int64(-3), True])
+    assert m.val == (2, -3, 1)
+    assert all(type(x) is int for x in m.val)
+    assert rank_over_Q(m).rank == 3
+
+
 def test_sparse_matrix_reduction_mod_p():
     r = _matrix(1, 2, [(0, 0, 6), (0, 1, 7)], modulus=3)
     assert r.modulus == 3
@@ -293,16 +304,22 @@ def test_rounds_over_a_prime_above_int64_products(rounds):
         assert len(rounds) > before
 
 
-def test_pivots_vanishing_mod_the_prime(rounds):
+def _determinant_p2_blocks(blocks):
+    """The first two primes of seed 0, and 2 x 2 blocks [[2, 1], [3, (p2 +
+    3) / 2]] down the diagonal.  Each has determinant p2: after the first
+    pivot of a block, its Schur complement entry is zero mod p2 alone."""
     rng = random.Random(0)
     p1, p2 = sample_prime(rng), sample_prime(rng)
-    blocks = 60
-    # [[2, 1], [3, (p2 + 3) / 2]] has determinant p2: after the first pivot
-    # of each block, its Schur complement entry is zero mod p2 alone
     triplets = []
     for b in range(blocks):
         i = 2 * b
         triplets += [(i, i, 2), (i, i + 1, 1), (i + 1, i, 3), (i + 1, i + 1, (p2 + 3) // 2)]
+    return p1, p2, triplets
+
+
+def test_pivots_vanishing_mod_the_prime(rounds):
+    blocks = 60
+    p1, p2, triplets = _determinant_p2_blocks(blocks)
     # and a lone entry that is a multiple of p2, in a column and row of its own
     triplets.append((2 * blocks, 2 * blocks, 3 * p2))
     gen = random.Random(91)
@@ -320,6 +337,42 @@ def test_pivots_vanishing_mod_the_prime(rounds):
     assert result.primes[:2] == (p1, p2)
     assert (result.rank, result.primes, result.agreement) == _per_prime_rank_over_q(m, 0)
     assert result.rank == dense_rank_rational(m)
+
+
+def test_primes_part_ways_after_a_shared_round(rounds, monkeypatch):
+    blocks = 60
+    p1, p2, triplets = _determinant_p2_blocks(blocks)
+    m = _matrix(2 * blocks, 2 * blocks, triplets)
+    calls = []  # (number of primes, rounds before the call) per call
+    real = exactla._sparse_ranks
+
+    def recorded(*args):
+        calls.append((len(args[-1]), len(rounds)))
+        return real(*args)
+
+    monkeypatch.setattr(exactla, "_sparse_ranks", recorded)
+    result = rank_over_Q(m, seed=0)
+    assert result.primes[:2] == (p1, p2)
+    assert (result.rank, result.primes, result.agreement) == _per_prime_rank_over_q(m, 0)
+    assert result.rank == dense_rank_rational(m) == 2 * blocks
+    # the three primes share the first round, which leaves each block one
+    # entry that is zero mod p2 alone; then each prime goes on by itself
+    assert calls == [(3, 0), (1, 1), (1, 1), (1, 1)]
+    assert rank_mod_p(m, p2).rank == blocks
+
+
+def test_batch_inverses_equal_pow():
+    rng = random.Random(12)
+    fields = (([sample_prime(rng) for _ in range(3)], np.int64), ([2**61 - 1], object))
+    for length in [*range(10), 1000]:
+        for primes, dtype in fields:
+            x = [[rng.randrange(1, q) for _ in range(length)] for q in primes]
+            column = np.array(primes, dtype=dtype)[:, None]
+            inv = exactla._inverses(np.array(x, dtype=dtype).reshape(len(primes), length), column)
+            assert inv.dtype == dtype and inv.shape == (len(primes), length)
+            assert inv.tolist() == [[pow(a, -1, q) for a in row] for row, q in zip(x, primes)]
+            assert all(a * b % q == 1 for row, irow, q in zip(x, inv.tolist(), primes)
+                       for a, b in zip(row, irow))
 
 
 def test_rank_over_q_equals_the_per_prime_loop():

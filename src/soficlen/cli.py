@@ -72,9 +72,11 @@ from .meanlength import (AdditionReport, FreeModuleVector, MeanLengthError,
                          relative_pair, support_window, vrk_point)
 # not called here: perfbench/tracing.py patches these names on this module
 from .meanlength import principal_rank_point, relative_mean_length_at  # noqa: F401
-from .oracles import (FolnerBox, OracleError, compare, finite_group_vrk,
-                      folner_mean_length, laurent_rank)
-from .sofic import SoficError, SoficSchedule, check_seed, defect, make_sigma
+from .oracles import (FolnerBox, OracleError, check_box, check_oracle_group,
+                      compare, finite_group_vrk, folner_mean_length,
+                      laurent_rank)
+from .sofic import (SoficError, SoficSchedule, check_seed, check_seeds,
+                    check_size, defect, make_sigma)
 
 
 @dataclass(frozen=True)
@@ -182,6 +184,7 @@ def _seeds(text: str) -> tuple[int, ...]:
         raise ValueError(f"empty seed range {text.strip()!r}")
     for seed in seeds:
         check_seed(seed)
+    check_seeds(seeds)
     return seeds
 
 
@@ -318,6 +321,12 @@ def load_job(path, verbose: bool = False) -> Job:
         if facts.point in ("vrk", "addition"):
             with _at(f"{where} ring" if jobsec.get("ring", "").strip() else f"{path} [matrix]"):
                 check_vrk_ring(m.ring)
+    if facts.oracle in ("folner", "laurent") and job.desc is not None:
+        with _at(f"{where} group" if group else f"{path} [matrix]"):
+            check_oracle_group(job.desc, f"quantity {quantity}")
+        with _at(f"{where} boxes"):
+            for box in job.boxes:
+                check_box(box, job.desc)
 
     radius = _value(jobsec, "radius", where, int, 1)
     include_identity = _value(jobsec, "include_identity", where, _boolean, True)
@@ -359,6 +368,9 @@ def load_job(path, verbose: bool = False) -> Job:
             job.schedule = SoficSchedule(ds, seeds, dims)
         elif dims is not None:
             job.schedule = SoficSchedule.from_dims(dims, seeds)
+        if job.schedule is not None:
+            for point in job.schedule.points():
+                check_size(job.desc, point.d, point.dims)
     return job
 
 

@@ -196,7 +196,7 @@ def free_group(rank: int) -> GroupDescriptor:
     return GroupDescriptor(FREE, rank=rank)
 
 
-def finite_group(table, check: bool = True) -> GroupDescriptor:
+def finite_group(table) -> GroupDescriptor:
     """Finite group from a multiplication table (rows of element indices).
 
     Validates shape, locates the (unique) two-sided identity, builds the
@@ -229,21 +229,20 @@ def finite_group(table, check: bool = True) -> GroupDescriptor:
                 break
         if inv[g] is None:
             raise GroupError(f"element {g} has no two-sided inverse")
-    if check:
-        if n <= 64:
-            for a, b, c in itertools.product(range(n), repeat=3):
-                if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
-                    raise GroupError(f"associativity fails at ({a}, {b}, {c})")
-        else:
-            # too big to exhaust; fixed LCG sample keeps validation deterministic
-            state = 0x9E3779B9
-            for _ in range(20000):
-                state = (state * 6364136223846793005 + 1442695040888963407) % 2**64
-                a = state % n
-                b = (state >> 20) % n
-                c = (state >> 40) % n
-                if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
-                    raise GroupError(f"associativity fails at ({a}, {b}, {c})")
+    if n <= 64:
+        for a, b, c in itertools.product(range(n), repeat=3):
+            if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
+                raise GroupError(f"associativity fails at ({a}, {b}, {c})")
+    else:
+        # too big to exhaust; fixed LCG sample keeps validation deterministic
+        state = 0x9E3779B9
+        for _ in range(20000):
+            state = (state * 6364136223846793005 + 1442695040888963407) % 2**64
+            a = state % n
+            b = (state >> 20) % n
+            c = (state >> 40) % n
+            if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
+                raise GroupError(f"associativity fails at ({a}, {b}, {c})")
     return GroupDescriptor(FINITE, rank=1, table=rows, identity_index=ident,
                            inverse_table=tuple(inv))
 
@@ -376,7 +375,7 @@ def parse_word(desc: GroupDescriptor, text: str) -> GroupElement:
 
 
 # ---------------------------------------------------------------------------
-# finite-table file IO and subgroup enumeration
+# finite-table file IO
 
 def load_table_file(path) -> GroupDescriptor:
     """Read a finite group table file: first line the order N, then N lines
@@ -403,42 +402,3 @@ def load_table_file(path) -> GroupDescriptor:
     if desc.identity_index != 0:
         raise GroupError(f"{path}: identity must be element 0, found {desc.identity_index}")
     return desc
-
-
-def subgroup_orders(desc: GroupDescriptor) -> list[int]:
-    """All orders of subgroups of a finite group, by breadth-first closure
-    over generated subsets.  Practical for order <= 24."""
-    if desc.family != FINITE:
-        raise GroupError("subgroup enumeration needs a finite group")
-    n = desc.order
-    table = desc.table
-
-    def closure(seed: frozenset[int]) -> frozenset[int]:
-        elems = set(seed)
-        elems.add(desc.identity_index)
-        frontier = list(elems)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for b in list(elems):
-                    for c in (table[a][b], table[b][a]):
-                        if c not in elems:
-                            elems.add(c)
-                            nxt.append(c)
-            frontier = nxt
-        return frozenset(elems)
-
-    subgroups = {closure(frozenset())}
-    frontier = list(subgroups)
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for g in range(n):
-                if g in h:
-                    continue
-                h2 = closure(h | {g})
-                if h2 not in subgroups:
-                    subgroups.add(h2)
-                    nxt.append(h2)
-        frontier = nxt
-    return sorted({len(h) for h in subgroups})

@@ -28,6 +28,7 @@ import math
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -241,14 +242,12 @@ def _relator_triplets(B, F, sigma: SoficMap, window, n: int):
                     cols = (base * nw + widx[g]) * n + j
                     blocks.append((rows, cols, c))
                 for g, c in comp.translate(s).coeffs.items():
-                    if g not in widx:
-                        raise AssertionError(f"relator support {g!r} escapes the window")
                     cols = (perm * nw + widx[g]) * n + j
                     blocks.append((rows, cols, -c))
     return blocks, d * nb * nf, d * nw * n
 
 
-def relators(B, F, sigma: SoficMap, window=None) -> SparseMatrix:
+def relators(B, F, sigma: SoficMap) -> SparseMatrix:
     """Sparse matrix whose rows are the relators δ_v b − δ_{σ_s(v)} s·b for
     v ∈ [d], b ∈ B, s ∈ F, in coordinates [d] × W × [n]."""
     B = tuple(B)
@@ -256,9 +255,8 @@ def relators(B, F, sigma: SoficMap, window=None) -> SparseMatrix:
         raise MeanLengthError("B must be nonempty")
     n = B[0].n
     ring = B[0].ring
-    if window is None:
-        window = _window((), B, F)
-    blocks, nrows, ncols = _relator_triplets(B, tuple(F), sigma, tuple(window), n)
+    F = tuple(F)
+    blocks, nrows, ncols = _relator_triplets(B, F, sigma, _window((), B, F), n)
     return blocks_to_sparse(blocks, nrows, ncols, ring)
 
 
@@ -301,30 +299,21 @@ def snap_to_H(value, desc: GroupDescriptor, tol: float) -> Fraction | None:
     """Nearest candidate invariant value within tol, else None.
 
     The candidate set is the additive subgroup of Q generated by reciprocals
-    of finite-subgroup orders: Z for the torsion-free families here; for a
-    finite group, fractions with denominators from the subgroup-order list
-    (exhaustive search up to order 24, divisors of |Γ| beyond — a superset).
+    of finite-subgroup orders: Z for the torsion-free families here.  For a
+    finite group it is (1/|Γ|)Z, since Γ is a subgroup of itself and every
+    subgroup order divides |Γ|.  Each divisor q of |Γ| proposes its nearest
+    multiple of 1/q (``round``, so an exact half goes to the even
+    numerator); the nearest proposal wins, and among equally near ones the
+    proposal of the smallest q.  In S₃ at tol 0.5, 5/12 is 1/12 from both
+    1/2 (q = 2) and 1/3 (q = 3), and snaps to 1/2.
     """
     if tol <= 0:
         raise MeanLengthError("snap tolerance must be positive")
     v = Fraction(value)
-    if desc.family == groups.FINITE:
-        if desc.order <= 24:
-            denominators = groups.subgroup_orders(desc)
-        else:
-            o = desc.order
-            denominators = [q for q in range(1, o + 1) if o % q == 0]
-    else:
-        denominators = [1]
-    best = None
-    for q in denominators:
-        cand = Fraction(round(v * q), q)
-        dist = abs(v - cand)
-        key = (dist, q, cand)
-        if best is None or key < best:
-            best = key
-    dist, _, cand = best
-    return cand if dist <= Fraction(tol) else None
+    o = desc.order if desc.family == groups.FINITE else 1
+    nearest = {q: Fraction(round(v * q), q) for q in range(1, o + 1) if o % q == 0}
+    dist, q = min((abs(v - cand), q) for q, cand in nearest.items())
+    return nearest[q] if dist <= Fraction(tol) else None
 
 
 # ---------------------------------------------------------------------------
@@ -403,12 +392,6 @@ def assemble_estimate(quantity: str, series, desc: GroupDescriptor, *,
     snapped = snap_to_H(headline, desc, snap_tol) if snap_tol is not None else None
     return MeanLengthEstimate(quantity, pts, headline, spread, snapped,
                               defect_summary, stabilized)
-
-
-def _default_factory(desc):
-    def factory(point):
-        return make_sigma(desc, point.d, point.seed, point.dims)
-    return factory
 
 
 @dataclass(frozen=True)
@@ -529,9 +512,31 @@ def addition_point(f: GroupRingMatrix, pair: RelativePair, sigma: SoficMap,
 # ---------------------------------------------------------------------------
 # estimates over schedules
 
+def _schedule_values(desc: GroupDescriptor, schedule: SoficSchedule, evaluate,
+                     sigma_factory=None):
+    """``evaluate(sigma, point)`` at every schedule point, σ from
+    ``sigma_factory(point)`` or ``make_sigma``; the values and the last σ."""
+    values = []
+    for point in schedule.points():
+        sigma = (make_sigma(desc, point.d, point.seed, point.dims)
+                 if sigma_factory is None else sigma_factory(point))
+        values.append(evaluate(sigma, point))
+    return values, sigma
+
+
+def _estimate(quantity: str, desc: GroupDescriptor, schedule: SoficSchedule,
+              evaluate, window, snap_tol, with_defect: bool,
+              sigma_factory=None) -> MeanLengthEstimate:
+    """The estimate of ``quantity`` over the schedule, with the defect of
+    the last σ on ``window``."""
+    series, sigma = _schedule_values(desc, schedule, evaluate, sigma_factory)
+    summary = defect(sigma, window).summary() if with_defect else None
+    return assemble_estimate(quantity, series, desc, snap_tol=snap_tol,
+                             defect_summary=summary)
+
+
 def estimate_mean_length(n: int, A, B_schedule, F_schedule,
-                         schedule: SoficSchedule, *, sigma_factory=None,
-                         snap_tol: float = 0.05,
+                         schedule: SoficSchedule, *, snap_tol: float = 0.05,
                          with_defect: bool = True) -> MeanLengthEstimate:
     """Relative mean length of the span of A against the largest supplied
     (B, F) pair, evaluated across the schedule.
@@ -546,14 +551,8 @@ def estimate_mean_length(n: int, A, B_schedule, F_schedule,
     B = tuple(tuple(bs) for bs in B_schedule)[-1]
     F = tuple(tuple(fs) for fs in F_schedule)[-1]
     pair = RelativePair(n, A, B, F)
-    factory = sigma_factory or _default_factory(pair.desc)
-    series = []
-    for point in schedule.points():
-        sigma = factory(point)
-        series.append(mrk_point(pair, sigma, point))
-    summary = defect(sigma, pair.F).summary() if with_defect else None
-    return assemble_estimate("mrk", series, pair.desc, snap_tol=snap_tol,
-                             defect_summary=summary)
+    return _estimate("mrk", pair.desc, schedule, partial(mrk_point, pair),
+                     pair.F, snap_tol, with_defect)
 
 
 def estimate_vrk_fp(f: GroupRingMatrix, schedule: SoficSchedule, *,
@@ -561,14 +560,8 @@ def estimate_vrk_fp(f: GroupRingMatrix, schedule: SoficSchedule, *,
                     with_defect: bool = True) -> MeanLengthEstimate:
     """vrk of (R[Γ])^{1×n} / (R[Γ])^{1×m} f across the schedule: series of
     n − rank(σ̄_f)/d, the duality check asserted at every point."""
-    factory = sigma_factory or _default_factory(f.desc)
-    series = []
-    for point in schedule.points():
-        sigma = factory(point)
-        series.append(vrk_point(f, sigma, point))
-    summary = defect(sigma, support_window(f)).summary() if with_defect else None
-    return assemble_estimate("vrk", series, f.desc, snap_tol=snap_tol,
-                             defect_summary=summary)
+    return _estimate("vrk", f.desc, schedule, partial(vrk_point, f),
+                     support_window(f), snap_tol, with_defect, sigma_factory)
 
 
 # ---------------------------------------------------------------------------
@@ -622,8 +615,7 @@ class AdditionReport:
                  float(p.residual_routes)] for p in self.points]
 
 
-def check_addition(f: GroupRingMatrix, schedule: SoficSchedule, *,
-                   sigma_factory=None) -> AdditionReport:
+def check_addition(f: GroupRingMatrix, schedule: SoficSchedule) -> AdditionReport:
     """Check that submodule and quotient values add up to the ambient rank.
 
     Route (i): mean length of A = rows(f) relative to (B = basis,
@@ -632,8 +624,6 @@ def check_addition(f: GroupRingMatrix, schedule: SoficSchedule, *,
     |(i) − (ii)| and |(i) + (iii) − n| per point.
     """
     check_vrk_ring(f.ring)
-    pair = addition_pair(f)
-    factory = sigma_factory or _default_factory(f.desc)
-    return AdditionReport.from_points(
-        f.n, [addition_point(f, pair, factory(point), point)
-              for point in schedule.points()])
+    points, _ = _schedule_values(f.desc, schedule,
+                                 partial(addition_point, f, addition_pair(f)))
+    return AdditionReport.from_points(f.n, points)

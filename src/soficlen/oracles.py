@@ -18,7 +18,7 @@ import numpy as np
 
 from . import groups
 from .exactla import dense_rank_rational, rank_mod_p, rank_over_Q
-from .groupring import GroupRingMatrix
+from .groupring import GroupRingMatrix, group_token
 from .groups import GroupDescriptor, GroupElement
 from .meanlength import MeanLengthEstimate, blocks_to_sparse
 
@@ -47,14 +47,26 @@ class FolnerBox:
         return out
 
     def elements(self, desc: GroupDescriptor) -> list[GroupElement]:
+        check_box(self, desc)
         if desc.family == groups.INTEGER_LINE:
-            if len(self.sides) != 1:
-                raise OracleError("integer-line box needs a single side")
             return [desc.element(v) for v in range(self.sides[0])]
-        if desc.family != groups.LATTICE or desc.rank != len(self.sides):
-            raise OracleError(f"box rank {len(self.sides)} does not match the group")
         return [desc.element(v) for v in
                 itertools.product(*(range(x) for x in self.sides))]
+
+
+def check_oracle_group(desc: GroupDescriptor, what: str) -> None:
+    """Raise OracleError unless ``desc`` is Z or Z^k, the only groups of
+    the Følner and Laurent oracles; ``what`` names the caller."""
+    if desc.family not in (groups.INTEGER_LINE, groups.LATTICE):
+        raise OracleError(f"{what} needs group Z or Z^k, not {group_token(desc)}")
+
+
+def check_box(box: FolnerBox, desc: GroupDescriptor) -> None:
+    """Raise OracleError unless ``box`` is a box of the group ``desc``."""
+    check_oracle_group(desc, "a Følner box")
+    if len(box.sides) != desc.rank:
+        raise OracleError(f"box rank {len(box.sides)} does not match the group "
+                          f"{group_token(desc)}")
 
 
 def folner_mean_length(A, boxes) -> list[Fraction]:
@@ -69,8 +81,7 @@ def folner_mean_length(A, boxes) -> list[Fraction]:
         raise OracleError("A must be nonempty")
     desc = A[0].desc
     ring = A[0].ring
-    if desc.family not in (groups.INTEGER_LINE, groups.LATTICE):
-        raise OracleError("Følner averaging supports Z and Z^k only")
+    check_oracle_group(desc, "Følner averaging")
     n = A[0].n
     values = []
     for box in boxes:
@@ -132,24 +143,23 @@ class LaurentRank:
     evaluations: tuple[int, ...]  # ranks seen at the sample points
 
 
-def laurent_rank(f: GroupRingMatrix, *, seed: int = 0, trials: int = 3) -> LaurentRank:
+def laurent_rank(f: GroupRingMatrix, *, seed: int = 0) -> LaurentRank:
     """Generic rank of a Laurent polynomial matrix over Z or Z^k, and the
     vrk = n − rank of the presented quotient.
 
     Each variable is evaluated at a random rational with numerator strictly
     greater than denominator (both below 2³¹), keeping the point off the
     unit circle; the generic rank is attained off a proper subvariety, so
-    the max over a few points is correct except on a measure-zero miss.
+    the max over three points is correct except on a measure-zero miss.
     """
     desc = f.desc
-    if desc.family not in (groups.INTEGER_LINE, groups.LATTICE):
-        raise OracleError("Laurent oracle needs group Z or Z^k")
+    check_oracle_group(desc, "the Laurent oracle")
     if f.ring.kind == "GF":
         raise OracleError("Laurent oracle works over Z or Q coefficients")
     k = 1 if desc.family == groups.INTEGER_LINE else desc.rank
     rng = random.Random(seed)
     seen = []
-    for _ in range(trials):
+    for _ in range(3):
         point = []
         for _ in range(k):
             den = rng.randrange(1, 2**31)

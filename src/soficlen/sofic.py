@@ -132,11 +132,19 @@ def check_seed(seed: int) -> None:
         raise SoficError(f"a seed must lie in [0, 2**64), got {seed}")
 
 
+def check_seeds(seeds) -> None:
+    """Raise SoficError unless a schedule can take ``seeds``: at least one,
+    all distinct."""
+    if not seeds:
+        raise SoficError("schedule needs at least one seed")
+    if len(set(seeds)) != len(seeds):
+        raise SoficError("seeds must be distinct")
+
+
 def build_random_free(rank: int, d: int, seed: int) -> SoficMap:
     """Independent uniform permutations per generator of F_rank.  Each draws
     from a counter-based PRNG keyed by (seed, generator index)."""
-    if d < 2:
-        raise SoficError("random free map needs d >= 2")
+    check_size(groups.free_group(rank), d, None)
     check_seed(seed)
     gens = []
     for letter in range(1, rank + 1):
@@ -182,23 +190,35 @@ def restrict(sigma: SoficMap, image: GroupElement) -> SoficMap:
                     seed=sigma.seed)
 
 
-def make_sigma(desc: GroupDescriptor, d: int, seed: int = 0, dims=None) -> SoficMap:
-    """Default approximation for a group family at size d."""
-    if desc.family == groups.INTEGER_LINE:
-        return build_cyclic(d)
+def check_size(desc: GroupDescriptor, d: int, dims) -> None:
+    """Raise SoficError unless ``make_sigma`` can build a map of ``desc``
+    at size d; ``dims`` are the torus sizes of a lattice, unread otherwise."""
+    if d < 1:
+        raise SoficError("d must be >= 1")
     if desc.family == groups.LATTICE:
         if dims is None:
             raise SoficError("lattice approximations need torus dims")
         if len(dims) != desc.rank:
             raise SoficError(f"dims rank {len(dims)} != lattice rank {desc.rank}")
-        t = build_torus(dims)
-        if t.d != d:
-            raise SoficError(f"dims {dims} give d={t.d}, schedule says {d}")
-        return t
+        if any(x < 1 for x in dims):
+            raise SoficError("torus dims must be positive")
+        if math.prod(dims) != d:
+            raise SoficError(f"dims {dims} give d={math.prod(dims)}, schedule says {d}")
+    elif desc.family == groups.FREE and d < 2:
+        raise SoficError("random free map needs d >= 2")
+    elif desc.family == groups.FINITE and desc.order != d:
+        raise SoficError(f"finite group has order {desc.order}, schedule says {d}")
+
+
+def make_sigma(desc: GroupDescriptor, d: int, seed: int = 0, dims=None) -> SoficMap:
+    """Default approximation for a group family at size d."""
+    check_size(desc, d, dims)
+    if desc.family == groups.INTEGER_LINE:
+        return build_cyclic(d)
+    if desc.family == groups.LATTICE:
+        return build_torus(dims)
     if desc.family == groups.FREE:
         return build_random_free(desc.rank, d, seed)
-    if desc.order != d:
-        raise SoficError(f"finite group has order {desc.order}, schedule says {d}")
     return build_translation(desc)
 
 
@@ -296,10 +316,7 @@ class SoficSchedule:
             raise SoficError("schedule needs at least one size")
         if any(b <= a for a, b in zip(ds, ds[1:])):
             raise SoficError(f"sizes must be strictly increasing, got {ds}")
-        if not seeds:
-            raise SoficError("schedule needs at least one seed")
-        if len(set(seeds)) != len(seeds):
-            raise SoficError("seeds must be distinct")
+        check_seeds(seeds)
         if self.dims is not None:
             dims = tuple(tuple(int(x) for x in block) for block in self.dims)
             object.__setattr__(self, "dims", dims)

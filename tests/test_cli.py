@@ -698,3 +698,45 @@ def test_prime_field_vrk_quantities_exit_one_at_load(tmp_path, capsys, quantity,
                                                      ring_key, where):
     job = f"[job]\nquantity = {quantity}\nschedule = 10\n{ring_key}\n[matrix]\nfile = f.txt\n"
     _exits_one_at(tmp_path, capsys, job, [("f.txt", "1 1 GF(5) Z\n0 0 1@1 -1@0\n")], where)
+
+
+Z3_TABLE = ("z3.table", "3\n0 1 2\n1 2 0\n2 0 1\n")
+
+
+@pytest.mark.parametrize("job, where, message", [
+    ("[job]\nquantity = folner\ngroup = F2\nschedule = 10\nboxes = 10\n\n"
+     "[generators]\nn = 1\na1 = 1@s1 -1@e\n", "[job] group", "needs group Z or Z^k"),
+    ("[job]\nquantity = folner\ngroup = Z^2\ndims = 4x4\nboxes = 10\n\n"
+     "[generators]\nn = 1\na1 = 1@1,0 -1@0,0\n", "[job] boxes", "box rank 1"),
+    ("[job]\nquantity = laurent-oracle\nschedule = 10\n\n[matrix]\ntext = 1 1 Z F2\n"
+     "  0 0 1@s1 -1@e\n", "[matrix]", "needs group Z or Z^k"),
+    ("[job]\nquantity = laurent-oracle\ngroup = F2\nschedule = 10\n\n[matrix]\n"
+     "text = 1 1 Z F2\n  0 0 1@s1 -1@e\n", "[job] group", "needs group Z or Z^k"),
+], ids=["folner-F2", "folner-box-rank", "laurent-header-F2", "laurent-group-F2"])
+def test_jobs_an_oracle_cannot_take_exit_one_at_load(tmp_path, capsys, job, where, message):
+    assert message in _exits_one_at(tmp_path, capsys, job, [], where)
+
+
+@pytest.mark.parametrize("job, message", [
+    (VRK_JOB.replace("schedule = 10", "schedule = 0,10").format(extra=""),
+     "d must be >= 1"),
+    ("[job]\nquantity = defect\ngroup = F2\nschedule = 1\n", "random free map needs d >= 2"),
+    (VRK_JOB.format(extra="").replace("file = f.txt", "text = 1 1 Z Z^2\n  0 0 1@1,0"),
+     "lattice approximations need torus dims"),
+    ("[job]\nquantity = defect\ngroup = Z^2\nschedule = 9\n",
+     "lattice approximations need torus dims"),
+    ("[job]\nquantity = defect\ngroup = Z^2\ndims = 3x3x1\n", "dims rank 3 != lattice rank 2"),
+    ("[job]\nquantity = vrk-fp\ngroup = finite:z3.table\nschedule = 7\n\n"
+     "[matrix]\ntext = 1 1 Z finite\n  0 0 1@0 1@1\n", "finite group has order 3"),
+], ids=["Z-zero", "F2-one", "Z2-vrk-no-dims", "Z2-defect-no-dims", "Z2-dims-rank",
+        "finite-order"])
+def test_sizes_no_sofic_map_has_exit_one_at_schedule(tmp_path, capsys, job, message):
+    files = [("f.txt", T_MINUS_ONE_Z), Z3_TABLE]
+    assert message in _exits_one_at(tmp_path, capsys, job, files, "[job] schedule")
+
+
+@pytest.mark.parametrize("seeds, message", [
+    ("", "at least one seed"), ("1,1", "seeds must be distinct")], ids=["empty", "repeated"])
+def test_bad_seed_lists_exit_one_at_seeds(tmp_path, capsys, seeds, message):
+    job = DEFECT_JOB.format(extra=f"seeds = {seeds}\n")
+    assert message in _exits_one_at(tmp_path, capsys, job, [], "[job] seeds")

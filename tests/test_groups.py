@@ -18,7 +18,6 @@ from soficlen.groups import (
     load_table_file,
     multiply,
     parse_word,
-    subgroup_orders,
     symmetric_table,
 )
 
@@ -226,16 +225,6 @@ def test_parse_word_free_syntax():
     assert parse_word(F2, "s1^3") == F2.element((1, 1, 1))
     with pytest.raises(GroupError):
         parse_word(F2, "s3")
-
-
-def test_subgroup_orders_cyclic_six():
-    Z6 = finite_group(cyclic_table(6))
-    assert subgroup_orders(Z6) == [1, 2, 3, 6]
-
-
-def test_subgroup_orders_symmetric_three():
-    S3 = finite_group(symmetric_table(3))
-    assert subgroup_orders(S3) == [1, 2, 3, 6]
 
 
 def test_generators_match_family():

@@ -1,5 +1,6 @@
 """Tests for the finite matrix models, relator modules, and the estimators."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from soficlen.groups import (
     finite_group,
     free_group,
     integer_line,
+    symmetric_table,
 )
 from soficlen.groupring import (
     INTEGERS,
@@ -317,6 +319,50 @@ def test_snap_examples():
 def test_snap_uses_divisors_beyond_exhaustive_range():
     Z30 = finite_group(cyclic_table(30))
     assert snap_to_H(Fraction(1, 30) + Fraction(1, 1000), Z30, 0.01) == Fraction(1, 30)
+
+
+def _table(elements, mul):
+    """Multiplication table of ``elements`` (the identity first) under mul."""
+    index = {g: i for i, g in enumerate(elements)}
+    return [[index[mul(g, h)] for h in elements] for g in elements]
+
+
+def _alternating_four():
+    def compose(p, q):  # apply q, then p
+        return tuple(p[i] for i in q)
+    even = [p for p in itertools.permutations(range(4))
+            if sum(p[i] > p[j] for i, j in itertools.combinations(range(4), 2)) % 2 == 0]
+    return finite_group(_table(even, compose))
+
+
+def _special_linear_2_3():
+    """SL(2, 3): the 2×2 matrices (a, b, c, d) of determinant 1 over GF(3)."""
+    def mul(x, y):
+        return ((x[0] * y[0] + x[1] * y[2]) % 3, (x[0] * y[1] + x[1] * y[3]) % 3,
+                (x[2] * y[0] + x[3] * y[2]) % 3, (x[2] * y[1] + x[3] * y[3]) % 3)
+    mats = [m for m in itertools.product(range(3), repeat=4)
+            if (m[0] * m[3] - m[1] * m[2]) % 3 == 1]
+    mats.sort(key=lambda m: m != (1, 0, 0, 1))
+    return finite_group(_table(mats, mul))
+
+
+def test_snap_tie_breaks_where_subgroup_orders_miss_a_divisor():
+    """A₄ has no subgroup of order 6 and SL(2, 3) none of order 12, so some
+    divisors of |Γ| are no subgroup order; the candidates are still
+    (1/|Γ|)Z, and equally near ones go to the smallest denominator."""
+    A4, SL23 = _alternating_four(), _special_linear_2_3()
+    S3, S4 = finite_group(symmetric_table(3)), finite_group(symmetric_table(4))
+    assert (A4.order, SL23.order) == (12, 24)
+    cases = [(S3, Fraction(5, 12), Fraction(1, 2)),
+             (A4, Fraction(5, 24), Fraction(1, 4)),
+             (A4, Fraction(1, 8), Fraction(1, 6)),
+             (A4, Fraction(7, 8), Fraction(5, 6)),
+             (SL23, Fraction(5, 48), Fraction(1, 8)),
+             (SL23, Fraction(1, 16), Fraction(1, 12)),
+             (S4, Fraction(5, 48), Fraction(1, 8)),
+             (S4, Fraction(19, 48), Fraction(3, 8))]
+    for G, value, snapped in cases:
+        assert snap_to_H(value, G, 0.5) == snapped, (G.order, value)
 
 
 def test_derive_rank_seed_is_stable():

@@ -57,7 +57,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
+from functools import partial
 from pathlib import Path
 
 from . import groups
@@ -68,15 +68,16 @@ from .groupring import (INTEGERS, CoefficientRing, GroupRingError,
 from .groups import GroupDescriptor, GroupError
 from .meanlength import (AdditionReport, FreeModuleVector, MeanLengthError,
                          RelativePair, addition_pair, addition_point,
-                         assemble_estimate, check_vrk_ring, mrk_point,
-                         relative_pair, support_window, vrk_point)
+                         assemble_run, check_vrk_ring, estimate_run,
+                         relative_pair, run_schedule)
 # not called here: perfbench/tracing.py patches these names on this module
-from .meanlength import principal_rank_point, relative_mean_length_at  # noqa: F401
+from .meanlength import (make_sigma, principal_rank_point,  # noqa: F401
+                         relative_mean_length_at)
 from .oracles import (FolnerBox, OracleError, check_box, check_oracle_group,
                       compare, finite_group_vrk, folner_mean_length,
                       laurent_rank)
 from .sofic import (SoficError, SoficSchedule, check_seed, check_seeds,
-                    check_size, defect, make_sigma)
+                    check_size, defect)
 
 
 @dataclass(frozen=True)
@@ -147,7 +148,6 @@ class Job:
     boxes: tuple[FolnerBox, ...] = ()
     tolerance: float | None = None
     snap_tol: float = 0.05
-    verbose: bool = False
 
     @property
     def facts(self) -> Quantity:
@@ -252,7 +252,7 @@ def _parse_vector(desc, ring, text: str, n: int) -> FreeModuleVector:
     return FreeModuleVector(tuple(parse_element(desc, ring, c) for c in chunks))
 
 
-def load_job(path, verbose: bool = False) -> Job:
+def load_job(path) -> Job:
     """Parse and build the job at ``path``; raise JobError naming the
     file, section and key of the first bad input."""
     path = Path(path)
@@ -293,7 +293,7 @@ def load_job(path, verbose: bool = False) -> Job:
     desc = _value(jobsec, "group", where, lambda t: _group(t.strip(), path.parent)) \
         if group else None
     ring = _value(jobsec, "ring", where, parse_ring, INTEGERS)
-    job = Job(path.stem, quantity, ring, desc, verbose=verbose,
+    job = Job(path.stem, quantity, ring, desc,
               tolerance=_value(jobsec, "tolerance", where,
                                lambda t: _number(t, positive=False), facts.tolerance),
               snap_tol=_value(jobsec, "snap_tol", where,
@@ -375,19 +375,11 @@ def load_job(path, verbose: bool = False) -> Job:
 
 
 # ---------------------------------------------------------------------------
-# point evaluation (one code path for serial and pooled runs)
+# schedule points, evaluated by meanlength.run_schedule
 
-def _eval_point(job: Job, point):
-    """One schedule point of a job; pooled workers receive the pickled job."""
-    sigma = make_sigma(job.desc, point.d, point.seed, point.dims)
-    kind = job.facts.point
-    if kind == "mrk":
-        return mrk_point(job.pair, sigma, point)
-    if kind == "vrk":
-        return vrk_point(job.matrix, sigma, point)
-    if kind == "addition":
-        return addition_point(job.matrix, job.pair, sigma, point)
-    report = defect(sigma, job.F)
+def _defect_point(F, sigma, point) -> dict:
+    """The defect of σ on the window F at one point of a defect job."""
+    report = defect(sigma, F)
     pairs = []
     for (s, t), v in sorted(report.multiplicativity.items(),
                             key=lambda kv: (kv[0][0].sort_key(), kv[0][1].sort_key())):
@@ -400,25 +392,14 @@ def _eval_point(job: Job, point):
             "pairs": pairs}
 
 
-def _run_points(job: Job, jobs: int) -> list:
-    """Results of every schedule point in order, from at most one worker
-    process per point; under -v each is printed as it arrives."""
-    points = job.schedule.points()
-    workers = min(jobs, len(points))
-    results = []
-    with contextlib.ExitStack() as stack:
-        mapper = map
-        if workers > 1:
-            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
-        for point, result in zip(points, mapper(_eval_point, repeat(job), points)):
-            results.append(result)
-            if job.verbose:
-                value = getattr(result, "value", None)
-                print(f"  d={point.d} seed={point.seed}: "
-                      + ("done" if value is None else
-                         f"{value.numerator}/{value.denominator}"),
-                      file=sys.stderr)
-    return results
+def _echo(results, verbose: bool):
+    """Pass the runner's results on; under -v print each as it arrives."""
+    for point, value, summary in results:
+        if verbose:
+            shown = getattr(value, "value", None)
+            shown = "done" if shown is None else f"{shown.numerator}/{shown.denominator}"
+            print(f"  d={point.d} seed={point.seed}: {shown}", file=sys.stderr)
+        yield point, value, summary
 
 
 # ---------------------------------------------------------------------------
@@ -435,15 +416,6 @@ class RunResult:
     report: dict
     csv_header: list = field(default_factory=lambda: list(_ESTIMATE_CSV))
     csv_rows: list = field(default_factory=list)
-
-
-def _estimate(job: Job, series):
-    last = job.schedule.points()[-1]
-    sigma = make_sigma(job.desc, last.d, last.seed, last.dims)
-    label = job.facts.point
-    window = job.pair.F if label == "mrk" else support_window(job.matrix)
-    return assemble_estimate(label, series, job.desc, snap_tol=job.snap_tol,
-                             defect_summary=defect(sigma, window).summary())
 
 
 def _fraction(v: Fraction) -> dict:
@@ -471,21 +443,36 @@ def _compare_with_oracle(job: Job, est, report: dict) -> int:
     return 0 if verdict.passed else 2
 
 
-def run_job(job: Job, jobs: int = 1) -> RunResult:
+def run_job(job: Job, jobs: int, verbose: bool) -> RunResult:
     kind = job.facts.point
-    if kind in ("mrk", "vrk"):
-        est = _estimate(job, _run_points(job, jobs))
-        report = est.to_json_dict()
-        code = 0 if job.facts.oracle is None else _compare_with_oracle(job, est, report)
-        return RunResult(code, report, csv_rows=est.csv_rows())
+    if kind is None:
+        verdict = check_direct_finite(job.matrix, job.matrix_b)
+        report = {
+            "quantity": "direct-finite",
+            "verdict": verdict.kind,
+            "ba": None if verdict.ba is None else format_matrix(verdict.ba),
+        }
+        return RunResult(0, report, ["verdict"], [[verdict.kind]])
+    workers = min(jobs, len(job.schedule.points()))
+    with contextlib.ExitStack() as stack:
+        mapper = map if workers < 2 else stack.enter_context(
+            ProcessPoolExecutor(max_workers=workers)).map
+        if kind in ("mrk", "vrk"):
+            run = estimate_run(kind, job.pair if kind == "mrk" else job.matrix,
+                               job.schedule, mapper)
+            est = assemble_run(kind, job.desc, _echo(run, verbose), job.snap_tol)
+        else:
+            evaluate = (partial(addition_point, job.matrix, job.pair)
+                        if kind == "addition" else partial(_defect_point, job.F))
+            run = run_schedule(job.desc, job.schedule, evaluate, None, mapper)
+            results = [value for _, value, _ in _echo(run, verbose)]
     if kind == "addition":
-        rep = AdditionReport.from_points(job.matrix.n, _run_points(job, jobs))
+        rep = AdditionReport.from_points(job.matrix.n, results)
         code = 0 if rep.max_residual_routes <= Fraction(job.tolerance) else 2
         return RunResult(code, rep.to_json_dict(),
                          ["d", "seed", "submodule_num", "submodule_den",
                           "residual_routes"], rep.csv_rows())
     if kind == "defect":
-        results = _run_points(job, jobs)
         report = {
             "quantity": "defect",
             "window": [groups.format_word(g) for g in job.F],
@@ -494,13 +481,9 @@ def run_job(job: Job, jobs: int = 1) -> RunResult:
         rows = [[r["d"], r["seed"], *(r["summary"][k] for k in _DEFECT_CSV[2:])]
                 for r in results]
         return RunResult(0, report, list(_DEFECT_CSV), rows)
-    verdict = check_direct_finite(job.matrix, job.matrix_b)
-    report = {
-        "quantity": "direct-finite",
-        "verdict": verdict.kind,
-        "ba": None if verdict.ba is None else format_matrix(verdict.ba),
-    }
-    return RunResult(0, report, ["verdict"], [[verdict.kind]])
+    report = est.to_json_dict()
+    code = 0 if job.facts.oracle is None else _compare_with_oracle(job, est, report)
+    return RunResult(code, report, csv_rows=est.csv_rows())
 
 
 # ---------------------------------------------------------------------------
@@ -543,8 +526,8 @@ def main(argv=None) -> int:
 
     verbose = getattr(args, "verbose", False)
     try:
-        job = load_job(args.spec, verbose=verbose)
-        result = run_job(job, jobs=args.jobs) if args.command == "run" else None
+        job = load_job(args.spec)
+        result = run_job(job, args.jobs, verbose) if args.command == "run" else None
     except (JobError, *_INPUT_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

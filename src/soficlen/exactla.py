@@ -28,6 +28,7 @@ any nonzero pivots gives the exact rank mod p.
 
 from __future__ import annotations
 
+import numbers
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -79,10 +80,17 @@ def sample_prime(rng: random.Random) -> int:
 
 
 def _indices(x) -> np.ndarray:
-    try:
-        return np.asarray(x, dtype=np.int64)
-    except OverflowError:  # Python ints then, for the range check to report
-        return np.array([int(i) for i in x], dtype=object)
+    """An int64 array as it is; other input as int64, or as an object array
+    of the indices given if one is no integer or is beyond int64."""
+    if isinstance(x, np.ndarray) and x.dtype == np.int64:
+        return x
+    given = np.array(x, dtype=object)
+    if all(isinstance(i, numbers.Integral) for i in given):
+        try:
+            return given.astype(np.int64)
+        except OverflowError:
+            pass
+    return given
 
 
 class SparseMatrix:
@@ -105,6 +113,10 @@ class SparseMatrix:
         val = np.array([int(x) for x in given], dtype=object)
         if not (len(row) == len(col) == len(val)):
             raise ExactLAError("triplet arrays must have equal length")
+        if object in (row.dtype, col.dtype):
+            for entry in zip(row.tolist(), col.tolist()):
+                if not all(isinstance(i, numbers.Integral) for i in entry):
+                    raise ExactLAError(f"entry {entry!r} has an index that is not an integer")
         wrong = np.flatnonzero(val != given)
         if wrong.size:
             k = wrong[0]

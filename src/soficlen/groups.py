@@ -173,10 +173,6 @@ def inverse(g: GroupElement) -> GroupElement:
     return GroupElement(d, d.inverse_table[g.value])
 
 
-def identity(desc: GroupDescriptor) -> GroupElement:
-    return desc.identity()
-
-
 # ---------------------------------------------------------------------------
 # descriptor factories
 

@@ -18,8 +18,10 @@ rationals at each finite size; limits are replaced by a schedule of sizes
 with spread/stabilization reporting.
 
 Each schedule point is evaluated by one function per quantity
-(``mrk_point``, ``vrk_point``, ``addition_point``); the estimators here and
-the command-line runner both call them.
+(``mrk_point``, ``vrk_point``, ``addition_point``).  ``run_schedule`` is the
+one loop over a schedule: it builds σ once per point and evaluates the point
+there, serially or through a process pool's ``map``.  The estimators here and
+the command-line runner both call it.
 """
 
 from __future__ import annotations
@@ -206,8 +208,8 @@ def build_sigma_bar(f: GroupRingMatrix, sigma: SoficMap) -> SparseMatrix:
                             sigma.d * f.m, sigma.d * f.n, f.ring)
 
 
-def _window(A, B, F) -> tuple[GroupElement, ...]:
-    """supp(A) ∪ supp(B) ∪ F·supp(B), sorted deterministically."""
+def coordinate_window(A, B, F) -> tuple[GroupElement, ...]:
+    """W = supp(A) ∪ supp(B) ∪ F·supp(B), sorted deterministically."""
     w = set()
     for a in A:
         w.update(a.support())
@@ -217,11 +219,6 @@ def _window(A, B, F) -> tuple[GroupElement, ...]:
         for s in F:
             w.update(s * g for g in sup)
     return tuple(sorted(w, key=GroupElement.sort_key))
-
-
-def coordinate_window(pair: RelativePair) -> tuple[GroupElement, ...]:
-    """W = supp(A) ∪ supp(B) ∪ F·supp(B), sorted deterministically."""
-    return _window(pair.A, pair.B, pair.F)
 
 
 def _relator_triplets(B, F, sigma: SoficMap, window, n: int):
@@ -256,7 +253,7 @@ def relators(B, F, sigma: SoficMap) -> SparseMatrix:
     n = B[0].n
     ring = B[0].ring
     F = tuple(F)
-    blocks, nrows, ncols = _relator_triplets(B, F, sigma, _window((), B, F), n)
+    blocks, nrows, ncols = _relator_triplets(B, F, sigma, coordinate_window((), B, F), n)
     return blocks_to_sparse(blocks, nrows, ncols, ring)
 
 
@@ -271,7 +268,7 @@ def relative_mean_length_at(pair: RelativePair, sigma: SoficMap, *,
         raise MeanLengthError("pair and sofic map live over different groups")
     d = sigma.d
     n = pair.n
-    window = coordinate_window(pair)
+    window = coordinate_window(pair.A, pair.B, pair.F)
     widx = {g: i for i, g in enumerate(window)}
     nw = len(window)
     rel_blocks, rel_rows, ncols = _relator_triplets(pair.B, pair.F, sigma, window, n)
@@ -441,8 +438,7 @@ def principal_rank_point(f: GroupRingMatrix, sigma: SoficMap, *, seed: int = 0,
 
 
 # ---------------------------------------------------------------------------
-# one schedule point: the evaluation path shared by the estimators below and
-# the command-line runner (serial and pooled)
+# one schedule point of each quantity
 
 def support_window(f: GroupRingMatrix) -> tuple[GroupElement, ...]:
     """supp(f) ∪ {e}, sorted: the defect window of a vrk estimate and the
@@ -510,58 +506,65 @@ def addition_point(f: GroupRingMatrix, pair: RelativePair, sigma: SoficMap,
 
 
 # ---------------------------------------------------------------------------
-# estimates over schedules
+# the schedule runner of the estimators below and of the command line
 
-def _schedule_values(desc: GroupDescriptor, schedule: SoficSchedule, evaluate,
-                     sigma_factory=None):
-    """``evaluate(sigma, point)`` at every schedule point, σ from
-    ``sigma_factory(point)`` or ``make_sigma``; the values and the last σ."""
-    values = []
-    for point in schedule.points():
-        sigma = (make_sigma(desc, point.d, point.seed, point.dims)
-                 if sigma_factory is None else sigma_factory(point))
-        values.append(evaluate(sigma, point))
-    return values, sigma
+def _run_point(desc: GroupDescriptor, evaluate, point, window):
+    """``evaluate(σ, point)`` on σ built by ``make_sigma``, and the defect
+    summary of that σ on ``window`` (None without a window)."""
+    sigma = make_sigma(desc, point.d, point.seed, point.dims)
+    value = evaluate(sigma, point)
+    return value, None if window is None else defect(sigma, window).summary()
 
 
-def _estimate(quantity: str, desc: GroupDescriptor, schedule: SoficSchedule,
-              evaluate, window, snap_tol, with_defect: bool,
-              sigma_factory=None) -> MeanLengthEstimate:
-    """The estimate of ``quantity`` over the schedule, with the defect of
-    the last σ on ``window``."""
-    series, sigma = _schedule_values(desc, schedule, evaluate, sigma_factory)
-    summary = defect(sigma, window).summary() if with_defect else None
-    return assemble_estimate(quantity, series, desc, snap_tol=snap_tol,
-                             defect_summary=summary)
+def run_schedule(desc: GroupDescriptor, schedule: SoficSchedule, evaluate, window,
+                 mapper):
+    """Evaluate every point of ``schedule`` through ``mapper`` (builtin
+    ``map``, or a process pool's), σ built once per point where it is
+    evaluated.  Yields ``(point, value, summary)`` in order as each arrives;
+    ``summary`` is None but at the last point, where it is the defect on
+    ``window`` (if given) of the σ that point was evaluated on."""
+    points = schedule.points()
+    windows = [None] * (len(points) - 1) + [window]
+    results = mapper(partial(_run_point, desc, evaluate), points, windows)
+    for point, (value, summary) in zip(points, results):
+        yield point, value, summary
 
 
-def estimate_mean_length(n: int, A, B_schedule, F_schedule,
-                         schedule: SoficSchedule, *, snap_tol: float = 0.05,
-                         with_defect: bool = True) -> MeanLengthEstimate:
-    """Relative mean length of the span of A against the largest supplied
-    (B, F) pair, evaluated across the schedule.
+def estimate_run(quantity: str, subject, schedule: SoficSchedule, mapper):
+    """``run_schedule`` for an estimate: ``"mrk"`` of a RelativePair, with
+    the defect on the pair's F, or ``"vrk"`` of a matrix f, with the defect
+    on supp(f) ∪ {e}."""
+    if quantity == "mrk":
+        evaluate, window = partial(mrk_point, subject), subject.F
+    else:
+        evaluate, window = partial(vrk_point, subject), support_window(subject)
+    return run_schedule(subject.desc, schedule, evaluate, window, mapper)
 
-    ``B_schedule`` and ``F_schedule`` are increasing lists; monotonicity in
-    B and F means the largest entries give the best finite surrogate for
-    the infimum, so they are the ones evaluated.
-    """
-    A = tuple(A)
-    if not A:
-        raise MeanLengthError("A must be nonempty")
-    B = tuple(tuple(bs) for bs in B_schedule)[-1]
-    F = tuple(tuple(fs) for fs in F_schedule)[-1]
-    pair = RelativePair(n, A, B, F)
-    return _estimate("mrk", pair.desc, schedule, partial(mrk_point, pair),
-                     pair.F, snap_tol, with_defect)
+
+def assemble_run(quantity: str, desc: GroupDescriptor, results,
+                 snap_tol) -> MeanLengthEstimate:
+    """The estimate from the ``(point, value, summary)`` results of
+    ``estimate_run``, with the defect summary of the last point."""
+    results = list(results)
+    return assemble_estimate(quantity, [value for _, value, _ in results], desc,
+                             snap_tol=snap_tol, defect_summary=results[-1][2])
+
+
+def estimate_mean_length(pair: RelativePair, schedule: SoficSchedule, *,
+                         snap_tol: float = 0.05) -> MeanLengthEstimate:
+    """Relative mean length of the span of ``pair.A`` against the relators
+    of (``pair.B``, ``pair.F``) across the schedule.  Monotonicity in B and
+    F makes the largest affordable pair the best finite surrogate for the
+    infimum."""
+    return assemble_run("mrk", pair.desc, estimate_run("mrk", pair, schedule, map),
+                        snap_tol)
 
 
 def estimate_vrk_fp(f: GroupRingMatrix, schedule: SoficSchedule, *,
-                    sigma_factory=None, snap_tol: float = 0.05,
-                    with_defect: bool = True) -> MeanLengthEstimate:
+                    snap_tol: float = 0.05) -> MeanLengthEstimate:
     """vrk of (R[Γ])^{1×n} / (R[Γ])^{1×m} f across the schedule: series of
     n − rank(σ̄_f)/d, the duality check asserted at every point."""
-    return _estimate("vrk", f.desc, schedule, partial(vrk_point, f),
-                     support_window(f), snap_tol, with_defect, sigma_factory)
+    return assemble_run("vrk", f.desc, estimate_run("vrk", f, schedule, map), snap_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -624,6 +627,6 @@ def check_addition(f: GroupRingMatrix, schedule: SoficSchedule) -> AdditionRepor
     |(i) − (ii)| and |(i) + (iii) − n| per point.
     """
     check_vrk_ring(f.ring)
-    points, _ = _schedule_values(f.desc, schedule,
-                                 partial(addition_point, f, addition_pair(f)))
-    return AdditionReport.from_points(f.n, points)
+    run = run_schedule(f.desc, schedule, partial(addition_point, f, addition_pair(f)),
+                       None, map)
+    return AdditionReport.from_points(f.n, [value for _, value, _ in run])

@@ -27,11 +27,6 @@ class SoficError(ValueError):
     """Bad construction parameters or group/descriptor mismatches."""
 
 
-def perm_compose(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Array of v ↦ p[q[v]] (apply q, then p)."""
-    return p[q]
-
-
 def perm_inverse(p: np.ndarray) -> np.ndarray:
     out = np.empty_like(p)
     out[p] = np.arange(len(p), dtype=p.dtype)

@@ -124,8 +124,7 @@ def test_criterion_02_circulant_values():
     f = GroupRingMatrix(Z, INTEGERS, [[diff]])
     ds = (100, 1000, 5000)
     start = perf_counter()
-    mrk_est = estimate_mean_length(
-        1, [a], [[b]], [[gen]], SoficSchedule(ds), with_defect=False)
+    mrk_est = estimate_mean_length(RelativePair(1, [a], [b], [gen]), SoficSchedule(ds))
     vrk_points = []
     for d in ds:
         pp = principal_rank_point(
@@ -236,8 +235,8 @@ def test_criterion_05_amenable_coincidence():
                 comps.append(GroupRingElement.from_terms(Z, INTEGERS, terms))
             vectors.append(FreeModuleVector(tuple(comps)))
         est = estimate_mean_length(
-            2, vectors, [basis2], [ball(Z, 1), ball(Z, 2)],
-            SoficSchedule((2000,)), snap_tol=None, with_defect=False)
+            RelativePair(2, vectors, basis2, ball(Z, 2)),
+            SoficSchedule((2000,)), snap_tol=None)
         oracle = folner_mean_length(vectors, [FolnerBox((200,))])[-1]
         gap = abs(est.headline - oracle)
         if gap > tol:
@@ -286,10 +285,8 @@ def test_criterion_07_finite_group_exactness():
         Z2_GROUP, RATIONALS,
         [(Z2_GROUP.element(0), 1), (Z2_GROUP.element(1), 1)])
     f = GroupRingMatrix(Z2_GROUP, RATIONALS, [[one_plus_t]])
-    est = estimate_vrk_fp(
-        f, SoficSchedule((2,)),
-        sigma_factory=lambda point: build_translation(Z2_GROUP),
-        with_defect=False)
+    # make_sigma builds the translation model at d = |Z/2| = 2
+    est = estimate_vrk_fp(f, SoficSchedule((2,)))
     direct = finite_group_vrk(f)
     if est.headline != direct:
         problems.append(f"estimate {est.headline} vs direct {direct}")

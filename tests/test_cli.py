@@ -11,10 +11,10 @@ from soficlen import cli, meanlength
 from soficlen.cli import main
 from soficlen.groupring import INTEGERS, parse_element, parse_matrix
 from soficlen.groups import ball, integer_line
-from soficlen.meanlength import (FreeModuleVector, MeanLengthError,
+from soficlen.meanlength import (FreeModuleVector, MeanLengthError, RelativePair,
                                  check_addition, derive_rank_seed,
                                  estimate_mean_length, estimate_vrk_fp)
-from soficlen.sofic import SoficSchedule
+from soficlen.sofic import SoficSchedule, make_sigma
 
 T_MINUS_ONE_Z = "1 1 Z Z\n0 0 1@1 -1@0\n"
 
@@ -423,7 +423,7 @@ a2 = 1@-1 | 1@1 1@0
     A = [FreeModuleVector(tuple(parse_element(Z, INTEGERS, c) for c in v))
          for v in (("1@1 -1@0", "2@0"), ("1@-1", "1@1 1@0"))]
     B = FreeModuleVector.basis(Z, INTEGERS, 2)
-    est = estimate_mean_length(2, A, [B], [ball(Z, 1)],
+    est = estimate_mean_length(RelativePair(2, A, B, ball(Z, 1)),
                                SoficSchedule((50, 100), (1, 2)))
     assert code == 0
     assert _report_body(report) == est.to_json_dict()
@@ -537,6 +537,29 @@ def test_verbose_pooled_run_prints_every_point(tmp_path, serial_pool, capsys):
     lines = [ln for ln in serial.splitlines() if ln.startswith("  d=")]
     assert len(lines) == 4
     assert [ln for ln in pooled.splitlines() if ln.startswith("  d=")] == lines
+
+
+@pytest.mark.parametrize("argv_extra", [(), ("--jobs", "2")])
+def test_every_point_builds_its_sigma_once(tmp_path, monkeypatch, serial_pool, argv_extra):
+    built = []
+
+    def counting_make_sigma(desc, d, seed=0, dims=None):
+        built.append((d, seed))
+        return make_sigma(desc, d, seed, dims)
+
+    for module in (meanlength, cli):
+        monkeypatch.setattr(module, "make_sigma", counting_make_sigma)
+    schedule = SoficSchedule((10, 20), (1, 2))
+    points = [(p.d, p.seed) for p in schedule.points()]
+    estimate_vrk_fp(parse_matrix(T_MINUS_ONE_Z), schedule)
+    assert built == points
+    built.clear()
+    job = ("[job]\nquantity = vrk-fp\nschedule = 10,20\nseeds = 1,2\n\n"
+           "[matrix]\nfile = f.txt\n")
+    code, _, _ = _run(tmp_path, job, files=[("f.txt", T_MINUS_ONE_Z)], argv_extra=argv_extra)
+    assert code == 0
+    assert built == points
+    assert serial_pool == ([2] if argv_extra else [])
 
 
 def _exits_one_at(tmp_path, capsys, job_text, files, where):

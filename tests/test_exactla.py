@@ -1,6 +1,7 @@
 """Tests for exact sparse/dense rank computation over GF(p) and over the rationals."""
 
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -80,6 +81,27 @@ def test_sparse_matrix_refuses_non_integral_entries():
     assert m.val == (2, -3, 1)
     assert all(type(x) is int for x in m.val)
     assert rank_over_Q(m).rank == 3
+
+
+@pytest.mark.parametrize("row, col, entry", [
+    ([0.5, 1.9], [0, 1.2], "(0.5, 0)"),
+    (["1", 0], [0, 1], "('1', 0)"),
+    (np.array([0.0, 1.0]), [0, 1], "(0.0, 0)"),
+    ([0, 1], [0, Fraction(1, 2)], "(1, Fraction(1, 2))"),
+])
+def test_sparse_matrix_refuses_non_integer_indices(row, col, entry):
+    with pytest.raises(ExactLAError,
+                       match=re.escape(f"entry {entry} has an index that is not an integer")):
+        SparseMatrix(2, 2, row, col, [1, 1])
+
+
+def test_sparse_matrix_takes_indices_of_any_integer_type():
+    rows = np.array([0, 1], dtype=np.int64)
+    assert exactla._indices(rows) is rows  # int64 input is not copied or scanned
+    for row, col in ((rows, rows), (rows.astype(np.int32), [np.int64(0), 1]),
+                     ([False, True], (0, 1))):
+        m = SparseMatrix(2, 2, row, col, [1, 1])
+        assert (m.row, m.col, m.val) == ((0, 1), (0, 1), (1, 1))
 
 
 def test_sparse_matrix_reduction_mod_p():

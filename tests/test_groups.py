@@ -11,7 +11,6 @@ from soficlen.groups import (
     finite_group,
     format_word,
     free_group,
-    identity,
     integer_line,
     inverse,
     lattice,
@@ -28,7 +27,7 @@ def test_integer_line_arithmetic():
     three = Z.element(3)
     assert multiply(two, three) == Z.element(5)
     assert inverse(Z.element(5)) == Z.element(-5)
-    e = identity(Z)
+    e = Z.identity()
     assert multiply(e, two) == two
     assert multiply(two, e) == two
 
@@ -37,7 +36,7 @@ def test_free_word_reduction():
     F2 = free_group(2)
     s = F2.element((1,))
     s_inv = F2.element((-1,))
-    assert multiply(s, s_inv) == identity(F2)
+    assert multiply(s, s_inv) == F2.identity()
     # (s t) * (t^-1 s) -> s s
     st = F2.element((1, 2))
     t_inv_s = F2.element((-2, 1))
@@ -48,12 +47,12 @@ def test_free_inverse_reverses_word():
     F2 = free_group(2)
     st = F2.element((1, 2))
     assert inverse(st) == F2.element((-2, -1))
-    assert multiply(st, inverse(st)) == identity(F2)
+    assert multiply(st, inverse(st)) == F2.identity()
 
 
 def test_free_element_normalizes_unreduced_word():
     F2 = free_group(2)
-    assert F2.element((1, -1)) == identity(F2)
+    assert F2.element((1, -1)) == F2.identity()
     assert F2.element((1, 2, -2)) == F2.element((1,))
     with pytest.raises(GroupError):
         F2.element((3,))
@@ -62,7 +61,7 @@ def test_free_element_normalizes_unreduced_word():
 def test_finite_cyclic_inverse():
     Z3 = finite_group(cyclic_table(3))
     assert inverse(Z3.element(1)) == Z3.element(2)
-    assert multiply(Z3.element(1), Z3.element(2)) == identity(Z3)
+    assert multiply(Z3.element(1), Z3.element(2)) == Z3.identity()
     assert Z3.order == 3
 
 
@@ -70,7 +69,7 @@ def test_ball_integer_line():
     Z = integer_line()
     b1 = ball(Z, 1)
     assert sorted(g.value for g in b1) == [-1, 0, 1]
-    assert identity(Z) in b1
+    assert Z.identity() in b1
     for g in b1:
         assert inverse(g) in b1
 
@@ -79,7 +78,7 @@ def test_ball_free_two():
     F2 = free_group(2)
     b1 = ball(F2, 1)
     assert len(b1) == 5
-    assert identity(F2) in b1
+    assert F2.identity() in b1
     # radius 2: 1 + 4 + 4*3 reduced words
     b2 = ball(F2, 2)
     assert len(b2) == 17
@@ -118,7 +117,7 @@ def test_ball_product_containment():
 def test_ball_deterministic_order():
     F2 = free_group(2)
     assert ball(F2, 2) == ball(F2, 2)
-    assert ball(F2, 2)[0] == identity(F2)
+    assert ball(F2, 2)[0] == F2.identity()
 
 
 def test_associativity_randomized_words():
@@ -131,7 +130,7 @@ def test_associativity_randomized_words():
             letters = []
             for _ in range(length):
                 letters.append(rng.choice((1, 2, -1, -2)))
-            g = identity(F2)
+            g = F2.identity()
             for letter in letters:
                 g = multiply(g, F2.element((letter,)))
             return g
@@ -220,7 +219,7 @@ def test_word_format_parse_round_trip():
 
 def test_parse_word_free_syntax():
     F2 = free_group(2)
-    assert parse_word(F2, "e") == identity(F2)
+    assert parse_word(F2, "e") == F2.identity()
     assert parse_word(F2, "s1*s2^-1") == F2.element((1, -2))
     assert parse_word(F2, "s1^3") == F2.element((1, 1, 1))
     with pytest.raises(GroupError):

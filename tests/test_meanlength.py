@@ -175,7 +175,7 @@ def test_coordinate_window_contains_all_supports():
     a = FreeModuleVector.single(_t_minus_one())
     b = FreeModuleVector.single(GroupRingElement.one(Z, INTEGERS))
     pair = RelativePair(1, (a,), (b,), (Z.element(1), Z.element(2)))
-    window = coordinate_window(pair)
+    window = coordinate_window(pair.A, pair.B, pair.F)
     values = [g.value for g in window]
     assert values == sorted(values, key=lambda v: (abs(v), v))
     for g in (Z.element(0), Z.element(1), Z.element(2)):
@@ -374,7 +374,7 @@ def test_derive_rank_seed_is_stable():
 
 def test_estimate_mean_length_free_template():
     basis = FreeModuleVector.basis(Z, INTEGERS, 2)
-    est = estimate_mean_length(2, basis, [basis], [ball(Z, 1)],
+    est = estimate_mean_length(RelativePair(2, basis, basis, ball(Z, 1)),
                                SoficSchedule((4, 8)))
     assert est.quantity == "mrk"
     assert est.headline == 2
@@ -387,7 +387,7 @@ def test_estimate_mean_length_free_template():
 def test_estimate_mean_length_circulant_series():
     a = FreeModuleVector.single(_t_minus_one())
     b = FreeModuleVector.single(GroupRingElement.one(Z, INTEGERS))
-    est = estimate_mean_length(1, [a], [[b]], [[Z.element(1)]],
+    est = estimate_mean_length(RelativePair(1, [a], [b], [Z.element(1)]),
                                SoficSchedule((100, 1000)))
     assert [p.value for p in est.series] == [Fraction(99, 100), Fraction(999, 1000)]
     assert est.headline == Fraction(999, 1000)

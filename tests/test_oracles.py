@@ -197,7 +197,7 @@ def test_laurent_rank_matches_sofic_vrk_for_integer_line():
             entries.append(row)
         f = GroupRingMatrix(Z, INTEGERS, entries)
         oracle = laurent_rank(f, seed=7)
-        est = estimate_vrk_fp(f, SoficSchedule((d,)), with_defect=False)
+        est = estimate_vrk_fp(f, SoficSchedule((d,)))
         assert abs(est.headline - oracle.vrk) <= Fraction(2, d)
 
 

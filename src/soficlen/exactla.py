@@ -1,23 +1,27 @@
 """Exact sparse rank computation over prime fields and over Q.
 
-The sparse eliminator ranks a matrix modulo one or more primes at once.  It
-keeps the active entries as one int64 key array sorted by (row, col), with
-one row of residues per prime, and eliminates in rounds.  Each round takes
-the entries of minimal Markowitz score (row_nnz - 1) * (col_nnz - 1) as
-candidates, gives each the priority (i * ncols + j) * 0x9E3779B97F4A7C15 mod
-2**64 (distinct, since the multiplier is odd) and keeps those whose priority
-is the lowest among the candidates two hops away in the row/column graph, as
-in Luby's maximal independent set algorithm.  The kept pivots share no row or
-column and A[i, j'] = A[i', j] = 0 for any two of them, so their block is
-diagonal and one Schur update applies them all at once (Davis and Yew's
-parallel pivot sets).  The primes share this pattern work; only the value
-arithmetic is done per prime, and the pivot inverses come from Montgomery's
-batch inversion, one pow per prime per round.  An entry stays live while it
-is nonzero mod some prime; once a live entry vanishes mod some primes only,
-each prime goes on alone.  Before each round, an active block that is small,
-thin or dense enough goes to the dense kernel instead, one prime at a time.
-Residues are int64 below 2**31 and Python ints in object arrays above.
-Everything is deterministic: same input, same rounds, same rank.
+A SparseMatrix keeps its entries as one sorted int64 key array, row * ncols
++ col, and one value array: int64 when every value fits, Python ints in an
+object array otherwise (duplicates are summed in Python ints unless no int64
+sum can overflow).  The sparse eliminator takes both arrays as they are and
+ranks the matrix modulo one or more primes at once.  It keeps the active
+entries as one key array with one row of residues per prime, and eliminates
+in rounds.  Each round takes the entries of minimal Markowitz score
+(row_nnz - 1) * (col_nnz - 1) as candidates, gives each the priority
+(i * ncols + j) * 0x9E3779B97F4A7C15 mod 2**64 (distinct, since the
+multiplier is odd) and keeps those whose priority is the lowest among the
+candidates two hops away in the row/column graph, as in Luby's maximal
+independent set algorithm.  The kept pivots share no row or column and
+A[i, j'] = A[i', j] = 0 for any two of them, so their block is diagonal and
+one Schur update applies them all at once (Davis and Yew's parallel pivot
+sets).  The primes share this pattern work; only the value arithmetic is done
+per prime, and the pivot inverses come from Montgomery's batch inversion, one
+pow per prime per round.  An entry stays live while it is nonzero mod some
+prime; once a live entry vanishes mod some primes only, each prime goes on
+alone.  Before each round, an active block that is small, thin or dense
+enough goes to the dense kernel instead, one prime at a time.  Residues are
+int64 below 2**31 and Python ints in object arrays above.  Everything is
+deterministic: same input, same rounds, same rank.
 
 Rank over Q is certified-probabilistic: the maximum of ranks modulo
 ``_MIN_PRIMES`` to ``_MAX_PRIMES`` seeded random primes in (2**30, 2**31),
@@ -79,38 +83,52 @@ def sample_prime(rng: random.Random) -> int:
             return candidate
 
 
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _int_array(x) -> np.ndarray:
+    """Integers as an int64 array if every one fits, else as an object array."""
+    try:
+        return np.array(x, dtype=np.int64)
+    except OverflowError:
+        return np.array(x, dtype=object)
+
+
 def _indices(x) -> np.ndarray:
     """An int64 array as it is; other input as int64, or as an object array
     of the indices given if one is no integer or is beyond int64."""
     if isinstance(x, np.ndarray) and x.dtype == np.int64:
         return x
     given = np.array(x, dtype=object)
-    if all(isinstance(i, numbers.Integral) for i in given):
-        try:
-            return given.astype(np.int64)
-        except OverflowError:
-            pass
-    return given
+    return _int_array(given) if all(isinstance(i, numbers.Integral) for i in given) else given
 
 
 class SparseMatrix:
     """Immutable coordinate-format sparse matrix with exact integer entries.
 
-    ``modulus`` declares the field: None means the entries are plain integers
-    (to be ranked over Q or reduced mod a chosen prime); an integer p means
-    the entries are already residues in GF(p).  Duplicate coordinates are
-    summed on construction and explicit zeros dropped.
+    ``key`` holds the int64 keys row * ncols + col in increasing order and
+    ``data`` the nonzero value at each, int64 when every value fits and
+    Python ints in an object array otherwise; both are read-only.  ``row``,
+    ``col`` and ``val`` are tuples of ints made on access.  ``modulus``
+    declares the field: None means the entries are plain integers (to be
+    ranked over Q or reduced mod a chosen prime); an integer p means the
+    entries are already residues in GF(p).  Duplicate coordinates are summed
+    on construction and explicit zeros dropped; an int64 value array is
+    taken as it is, other values are checked to be integers one by one.
     """
 
-    __slots__ = ("nrows", "ncols", "row", "col", "val", "modulus")
+    __slots__ = ("nrows", "ncols", "key", "data", "modulus")
 
     def __init__(self, nrows: int, ncols: int, row=(), col=(), val=(), modulus=None):
-        if nrows < 0 or ncols < 0:
-            raise ExactLAError("matrix dimensions must be nonnegative")
+        if nrows < 0 or ncols < 0 or nrows * ncols > _INT64_MAX:
+            raise ExactLAError(f"a {nrows}x{ncols} matrix needs nonnegative dimensions "
+                               "and no more positions than int64 keys")
         if modulus is not None and not is_probable_prime(modulus):
             raise ExactLAError(f"modulus {modulus} is not prime")
-        row, col, given = _indices(row), _indices(col), np.array(list(val), dtype=object)
-        val = np.array([int(x) for x in given], dtype=object)
+        row, col, given = _indices(row), _indices(col), val
+        if not (isinstance(val, np.ndarray) and val.dtype == np.int64):
+            given = np.array(list(val), dtype=object)
+            val = _int_array([int(x) for x in given])
         if not (len(row) == len(col) == len(val)):
             raise ExactLAError("triplet arrays must have equal length")
         if object in (row.dtype, col.dtype):
@@ -125,28 +143,52 @@ class SparseMatrix:
         if outside.size:
             k = outside[0]
             raise ExactLAError(f"entry ({row[k]}, {col[k]}) outside {nrows}x{ncols} matrix")
+        if val.dtype == np.int64 and val.size * max(-int(val.min(initial=0)),
+                                                     int(val.max(initial=0))) > _INT64_MAX:
+            val = val.astype(object)  # a sum of duplicates might leave int64
         key, val = _merge(row * ncols + col, val)
         if modulus is not None:
-            val %= modulus
+            val = (val if modulus <= _INT64_MAX else val.astype(object)) % modulus
         live = val != 0
-        row, col = np.divmod(key[live], ncols)
-        object.__setattr__(self, "nrows", nrows)
-        object.__setattr__(self, "ncols", ncols)
-        object.__setattr__(self, "row", tuple(row.tolist()))
-        object.__setattr__(self, "col", tuple(col.tolist()))
-        object.__setattr__(self, "val", tuple(val[live].tolist()))
-        object.__setattr__(self, "modulus", modulus)
+        self._set(nrows, ncols, key[live], val[live], modulus)
+
+    def _set(self, nrows, ncols, key, data, modulus):
+        data = _int_array(data) if data.dtype == object else data
+        key.flags.writeable = data.flags.writeable = False
+        for name, value in zip(self.__slots__, (nrows, ncols, key, data, modulus)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("SparseMatrix is immutable")
 
     @property
+    def row(self) -> tuple[int, ...]:
+        return tuple((self.key // self.ncols).tolist())
+
+    @property
+    def col(self) -> tuple[int, ...]:
+        return tuple((self.key % self.ncols).tolist())
+
+    @property
+    def val(self) -> tuple[int, ...]:
+        return tuple(self.data.tolist())
+
+    @property
     def nnz(self) -> int:
-        return len(self.val)
+        return self.key.size
+
+    def first_rows(self, k: int) -> "SparseMatrix":
+        """The k x ncols matrix of the first k rows: a prefix of the entries."""
+        if not 0 <= k <= self.nrows:
+            raise ExactLAError(f"cannot take {k} rows of a {self.nrows}-row matrix")
+        cut = np.searchsorted(self.key, k * self.ncols)
+        m = object.__new__(SparseMatrix)
+        m._set(k, self.ncols, self.key[:cut], self.data[:cut], self.modulus)
+        return m
 
     def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(self.ncols, self.nrows, self.col, self.row,
-                            self.val, self.modulus)
+        row, col = np.divmod(self.key, self.ncols)
+        return SparseMatrix(self.ncols, self.nrows, col, row, self.data, self.modulus)
 
     def to_dense(self):
         out = [[0] * self.ncols for _ in range(self.nrows)]
@@ -159,8 +201,8 @@ class SparseMatrix:
             return NotImplemented
         return ((self.nrows, self.ncols, self.modulus) ==
                 (other.nrows, other.ncols, other.modulus)
-                and self.row == other.row and self.col == other.col
-                and self.val == other.val)
+                and np.array_equal(self.key, other.key)
+                and np.array_equal(self.data, other.data))
 
     def __repr__(self):
         field = "Z" if self.modulus is None else f"GF({self.modulus})"
@@ -200,17 +242,14 @@ def _merge(key, val):
     return key[first], np.add.reduceat(val.take(order, axis=-1), first, axis=-1)
 
 
-def _sparse_ranks(nrows, ncols, row, col, val, primes) -> list[int]:
-    """Ranks mod each prime of triplets sorted by (row, col) without repeats,
-    as a SparseMatrix keeps them: rounds of independent pivots shared by the
+def _sparse_ranks(nrows, ncols, key, val, primes) -> list[int]:
+    """Ranks mod each prime of a SparseMatrix's ``key`` and ``data`` arrays,
+    which it does not write to: rounds of independent pivots shared by the
     primes, then the dense kernel on what is left (see the module docstring)."""
     dtype = np.int64 if max(primes) < _kernels._INT64_MODULUS_LIMIT else object
     p = np.array(primes, dtype=dtype)[:, None]
-    try:
-        v = np.asarray(val, dtype=dtype) % p
-    except OverflowError:  # entries beyond int64, reduced as Python ints
-        v = (np.asarray(val, dtype=object) % p.astype(object)).astype(dtype)
-    key = np.asarray(row, dtype=np.int64) * ncols + np.asarray(col, dtype=np.int64)
+    v = (np.asarray(val, dtype=dtype) % p if val.dtype == np.int64
+         else (val % p.astype(object)).astype(dtype))  # beyond int64: Python ints
     rank = 0
     while True:
         nonzero = v != 0
@@ -218,7 +257,7 @@ def _sparse_ranks(nrows, ncols, row, col, val, primes) -> list[int]:
         key, v, nonzero = key[live], v.compress(live, axis=1), nonzero.compress(live, axis=1)
         r, c = np.divmod(key, ncols)
         if not nonzero.all():  # zero mod some primes only: each goes on alone
-            return [rank + _sparse_ranks(nrows, ncols, r[z], c[z], vq[z], [q])[0]
+            return [rank + _sparse_ranks(nrows, ncols, key[z], vq[z], [q])[0]
                     for vq, z, q in zip(v, nonzero, primes)]
         if not key.size:
             return [rank] * len(primes)
@@ -333,7 +372,7 @@ def rank_mod_p(m: SparseMatrix, p: int | None = None) -> RankResult:
         raise ExactLAError(f"{p} is not prime")
     if m.modulus is not None and m.modulus != p:
         raise ExactLAError(f"matrix is over GF({m.modulus}), not GF({p})")
-    rank = _sparse_ranks(m.nrows, m.ncols, m.row, m.col, m.val, [p])[0]
+    rank = _sparse_ranks(m.nrows, m.ncols, m.key, m.data, [p])[0]
     return RankResult(rank, f"GF({p})", (p,), True)
 
 
@@ -365,7 +404,7 @@ def rank_over_Q(m: SparseMatrix, *, seed: int = 0) -> RankResult:
         primes.append(p)
         if len(primes) < _MIN_PRIMES:
             continue
-        ranks += _sparse_ranks(m.nrows, m.ncols, m.row, m.col, m.val, primes[len(ranks):])
+        ranks += _sparse_ranks(m.nrows, m.ncols, m.key, m.data, primes[len(ranks):])
         if ranks.count(max(ranks)) >= 2:
             agreement = True
             break
@@ -411,7 +450,7 @@ def dense_rank_rational(a) -> int:
 
 
 def dense_rank_mod_p(a, p: int) -> int:
-    """Exact rank mod p of a dense matrix or a SparseMatrix, for any prime p."""
-    if isinstance(a, SparseMatrix):
-        a = a.to_dense()
-    return _kernels.dense_rank_mod_p(a, p)
+    """Exact rank mod p of a dense matrix or a SparseMatrix, for any prime p
+    and any integer entries."""
+    a = a.to_dense() if isinstance(a, SparseMatrix) else a
+    return _kernels.dense_rank_mod_p(np.array(a, dtype=object) % p, p)

@@ -35,7 +35,7 @@ from functools import partial
 import numpy as np
 
 from . import groups
-from .exactla import SparseMatrix, rank_mod_p, rank_over_Q
+from .exactla import SparseMatrix, _int_array, rank_mod_p, rank_over_Q
 from .groupring import CoefficientRing, GroupRingElement, GroupRingError, GroupRingMatrix
 from .groups import GroupDescriptor, GroupElement
 from .sofic import SoficMap, SoficSchedule, defect, make_sigma
@@ -178,22 +178,16 @@ def _sigma_blocks(f: GroupRingMatrix, sigma: SoficMap):
 def blocks_to_sparse(blocks, nrows, ncols, ring: CoefficientRing) -> SparseMatrix:
     """Flatten (row-array, col-array, ring-coefficient) blocks into a
     SparseMatrix, clearing rational denominators by one global lcm (global
-    scaling leaves rank invariant); GF(p) coefficients become residues mod p."""
+    scaling leaves rank invariant); GF(p) coefficients become residues mod p.
+    The values go in as one array, int64 where they fit."""
     modulus = ring.p if ring.kind == "GF" else None
-    if ring.kind == "Q":
-        denom = 1
-        for _, _, c in blocks:
-            denom = denom * c.denominator // math.gcd(denom, c.denominator)
-        scalars = [int(c * denom) for _, _, c in blocks]
-    else:
-        scalars = [int(c) for _, _, c in blocks]
+    denom = math.lcm(*(c.denominator for _, _, c in blocks)) if ring.kind == "Q" else 1
+    scalars = [int(c * denom) for _, _, c in blocks]
     if not blocks:
         return SparseMatrix(nrows, ncols, modulus=modulus)
     row_idx = np.concatenate([rows for rows, _, _ in blocks])
     col_idx = np.concatenate([cols for _, cols, _ in blocks])
-    vals = []
-    for (rows, _, _), v in zip(blocks, scalars):
-        vals.extend([v] * len(rows))
+    vals = np.repeat(_int_array(scalars), [len(rows) for rows, _, _ in blocks])
     return SparseMatrix(nrows, ncols, row_idx, col_idx, vals, modulus)
 
 
@@ -221,40 +215,37 @@ def coordinate_window(A, B, F) -> tuple[GroupElement, ...]:
     return tuple(sorted(w, key=GroupElement.sort_key))
 
 
-def _relator_triplets(B, F, sigma: SoficMap, window, n: int):
+def _vector_blocks(rows, components, at, widx, n: int, sign=1):
+    """Blocks putting sign · (coefficient of component j at g) in the
+    columns (at · |W| + index of g) · n + j of ``rows``."""
+    return [(rows, (at * len(widx) + widx[g]) * n + j, sign * c)
+            for j, comp in enumerate(components) for g, c in comp.coeffs.items()]
+
+
+def _relator_triplets(B, F, sigma: SoficMap, widx, n: int):
     """Triplet blocks of the relator matrix: rows ordered v, then B index,
     then F index; columns indexed (v, w, j) ↦ (v·|W| + w)·n + j."""
-    d = sigma.d
-    widx = {g: i for i, g in enumerate(window)}
-    nw = len(widx)
-    base = np.arange(d, dtype=np.int64)
+    base = np.arange(sigma.d, dtype=np.int64)
     nb, nf = len(B), len(F)
     blocks = []
     for bi, b in enumerate(B):
         for si, s in enumerate(F):
             rows = (base * nb + bi) * nf + si
-            perm = sigma.perm(s)
-            for j, comp in enumerate(b.components):
-                for g, c in comp.coeffs.items():
-                    cols = (base * nw + widx[g]) * n + j
-                    blocks.append((rows, cols, c))
-                for g, c in comp.translate(s).coeffs.items():
-                    cols = (perm * nw + widx[g]) * n + j
-                    blocks.append((rows, cols, -c))
-    return blocks, d * nb * nf, d * nw * n
+            blocks += _vector_blocks(rows, b.components, base, widx, n)
+            blocks += _vector_blocks(rows, [comp.translate(s) for comp in b.components],
+                                     sigma.perm(s), widx, n, -1)
+    return blocks, sigma.d * nb * nf, sigma.d * len(widx) * n
 
 
 def relators(B, F, sigma: SoficMap) -> SparseMatrix:
     """Sparse matrix whose rows are the relators δ_v b − δ_{σ_s(v)} s·b for
     v ∈ [d], b ∈ B, s ∈ F, in coordinates [d] × W × [n]."""
-    B = tuple(B)
+    B, F = tuple(B), tuple(F)
     if not B:
         raise MeanLengthError("B must be nonempty")
-    n = B[0].n
-    ring = B[0].ring
-    F = tuple(F)
-    blocks, nrows, ncols = _relator_triplets(B, F, sigma, coordinate_window((), B, F), n)
-    return blocks_to_sparse(blocks, nrows, ncols, ring)
+    widx = {g: i for i, g in enumerate(coordinate_window((), B, F))}
+    blocks, nrows, ncols = _relator_triplets(B, F, sigma, widx, B[0].n)
+    return blocks_to_sparse(blocks, nrows, ncols, B[0].ring)
 
 
 def relative_mean_length_at(pair: RelativePair, sigma: SoficMap, *,
@@ -262,28 +253,22 @@ def relative_mean_length_at(pair: RelativePair, sigma: SoficMap, *,
     """(rank(relators stacked with all δ_v a) − rank(relators)) / d.
 
     Both ranks are taken over the pair's field (GF(p) exactly, Q via the
-    certified multi-prime route with a shared prime seed).
+    certified multi-prime route with a shared prime seed).  The relator
+    matrix is the first rows of the stacked one, assembled once.
     """
     if pair.desc != sigma.desc:
         raise MeanLengthError("pair and sofic map live over different groups")
     d = sigma.d
     n = pair.n
-    window = coordinate_window(pair.A, pair.B, pair.F)
-    widx = {g: i for i, g in enumerate(window)}
-    nw = len(window)
-    rel_blocks, rel_rows, ncols = _relator_triplets(pair.B, pair.F, sigma, window, n)
+    widx = {g: i for i, g in enumerate(coordinate_window(pair.A, pair.B, pair.F))}
+    rel_blocks, rel_rows, ncols = _relator_triplets(pair.B, pair.F, sigma, widx, n)
     base = np.arange(d, dtype=np.int64)
     na = len(pair.A)
-    a_blocks = []
-    for ai, a in enumerate(pair.A):
-        rows = rel_rows + base * na + ai
-        for j, comp in enumerate(a.components):
-            for g, c in comp.coeffs.items():
-                cols = (base * nw + widx[g]) * n + j
-                a_blocks.append((rows, cols, c))
+    a_blocks = [block for ai, a in enumerate(pair.A) for block in
+                _vector_blocks(rel_rows + base * na + ai, a.components, base, widx, n)]
     ring = pair.ring
-    rel = blocks_to_sparse(rel_blocks, rel_rows, ncols, ring)
     stacked = blocks_to_sparse(rel_blocks + a_blocks, rel_rows + d * na, ncols, ring)
+    rel = stacked.first_rows(rel_rows)
     rank_rel = _rank(rel, ring, rank_seed).rank
     rank_stacked = _rank(stacked, ring, rank_seed).rank
     return Fraction(rank_stacked - rank_rel, d)

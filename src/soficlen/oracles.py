@@ -10,6 +10,7 @@ exact-rational eliminator, not the sparse mod-p one.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,10 +42,7 @@ class FolnerBox:
 
     @property
     def size(self) -> int:
-        out = 1
-        for x in self.sides:
-            out *= x
-        return out
+        return math.prod(self.sides)
 
     def elements(self, desc: GroupDescriptor) -> list[GroupElement]:
         check_box(self, desc)
@@ -86,20 +84,17 @@ def folner_mean_length(A, boxes) -> list[Fraction]:
     values = []
     for box in boxes:
         sinvs = [s.inverse() for s in box.elements(desc)]
-        window = set()
-        for sinv in sinvs:
-            for a in A:
-                window.update(sinv * g for g in a.support())
+        # (a index, component, coefficient, s⁻¹·g for each s) per term of A
+        terms = [(ai, j, c, [sinv * g for sinv in sinvs])
+                 for ai, a in enumerate(A) for j, comp in enumerate(a.components)
+                 for g, c in comp.coeffs.items()]
+        window = set().union(*(products for *_, products in terms))
         widx = {g: i for i, g in
                 enumerate(sorted(window, key=GroupElement.sort_key))}
         # row (index of s in the box) · |A| + (index of a) holds s⁻¹·a
         rows = np.arange(len(sinvs), dtype=np.int64) * len(A)
-        blocks = []
-        for ai, a in enumerate(A):
-            for j, comp in enumerate(a.components):
-                for g, c in comp.coeffs.items():
-                    cols = np.array([widx[sinv * g] for sinv in sinvs], dtype=np.int64)
-                    blocks.append((rows + ai, cols * n + j, c))
+        blocks = [(rows + ai, np.array([widx[h] for h in products], dtype=np.int64) * n + j, c)
+                  for ai, j, c, products in terms]
         m = blocks_to_sparse(blocks, len(sinvs) * len(A), len(widx) * n, ring)
         if ring.kind == "GF":
             rank = rank_mod_p(m).rank

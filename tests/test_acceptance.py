@@ -18,12 +18,10 @@ from time import perf_counter
 
 from soficlen.groups import (
     ball,
-    cyclic_table,
     finite_group,
     free_group,
     integer_line,
     lattice,
-    symmetric_table,
 )
 from soficlen.groupring import (
     INTEGERS,
@@ -54,6 +52,8 @@ from soficlen.sofic import (
     build_torus,
     build_translation,
 )
+
+from group_tables import cyclic_table, symmetric_table
 
 Z = integer_line()
 L2 = lattice(2)

@@ -20,6 +20,8 @@ from soficlen.exactla import (
     sample_prime,
 )
 from soficlen.exactla import _MAX_PRIMES, _MIN_PRIMES
+from soficlen.groupring import RATIONALS
+from soficlen.meanlength import blocks_to_sparse
 
 
 def _matrix(nrows, ncols, triplets, modulus=None):
@@ -70,6 +72,130 @@ def test_sparse_matrix_normalization():
         _matrix(2, 2, [(2, 0, 1)])
     with pytest.raises(AttributeError):
         m.row = ()
+    for stored in (m.key, m.data, m.first_rows(2).key, m.transpose().data):
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0] = 5
+
+
+def test_sparse_matrix_refuses_more_positions_than_int64_keys():
+    with pytest.raises(ExactLAError, match="no more positions than int64 keys"):
+        SparseMatrix(2**32, 2**31)
+    m = SparseMatrix(2**32, 2**31 - 1, [2**32 - 1], [2**31 - 2], [1])
+    assert (m.row, m.col, m.val) == ((2**32 - 1,), (2**31 - 2,), (1,))
+
+
+def _reference(triplets, modulus=None):
+    """(row, col, val) tuples as the matrix was normalized when it stored
+    them: Python-int sums per position, reduced mod the modulus, zeros
+    dropped, sorted by (row, col)."""
+    acc = {}
+    for i, j, v in triplets:
+        acc[int(i), int(j)] = acc.get((int(i), int(j)), 0) + int(v)
+    entries = [(i, j, v % modulus if modulus else v) for (i, j), v in sorted(acc.items())]
+    entries = [e for e in entries if e[2]]
+    return tuple(tuple(e[k] for e in entries) for k in range(3))
+
+
+def _dense(nrows, ncols, triplets):
+    out = [[0] * ncols for _ in range(nrows)]
+    for i, j, v in triplets:
+        out[i][j] += v
+    return out
+
+
+def _fits_int64(values):
+    return all(-2**63 <= v < 2**63 for v in values)
+
+
+T = 2**63
+P61 = 2**61 - 1
+
+
+@pytest.mark.parametrize("triplets, modulus", [
+    ([(0, 0, T - 1), (0, 0, T - 1), (1, 1, 1), (1, 0, T - 1)], None),  # a sum past 2**63
+    # np.abs(-2**63) is -2**63, so a bound on np.abs(val).max() misses these
+    ([(0, 0, -T), (0, 0, -T), (1, 1, 1)], None),
+    ([(0, 0, -T), (0, 0, -1), (1, 0, -T), (1, 1, 2)], None),
+    ([(0, 0, -T), (0, 1, -T), (1, 0, 1), (1, 1, 1)], None),
+    ([(0, 1, 2**70), (1, 0, -3), (0, 1, -2**70 + 5), (1, 1, 2**70)], None),
+    ([(0, 0, -5), (0, 1, -T), (1, 1, -1), (1, 1, -1), (1, 0, 7)], 7),
+    ([(0, 0, -1), (0, 1, -T), (1, 1, 5)], 2**89 - 1),  # a modulus beyond int64
+    ([(0, 0, -1), (0, 1, -2), (1, 0, -3), (1, 1, P61 - 6)], P61),
+], ids=["sum-past-2**63", "minus-2**63-twice", "minus-2**63-minus-1", "minus-2**63-alone",
+        "2**70", "negative-mod-7", "modulus-2**89-1", "negative-mod-2**61-1"])
+def test_int64_boundary_against_python_ints(triplets, modulus):
+    rows, cols, vals = zip(*triplets)
+    ref = _reference(triplets, modulus)
+    inputs = [list(vals)] + ([np.array(vals, dtype=np.int64)] if _fits_int64(vals) else [])
+    for given in inputs:
+        m = SparseMatrix(2, 2, rows, cols, given, modulus)
+        assert (m.row, m.col, m.val) == ref and m.nnz == len(ref[2])
+        assert all(type(x) is int for x in m.val)
+        assert m.data.dtype == (np.int64 if _fits_int64(ref[2]) else object)
+        if modulus is None:
+            assert rank_over_Q(m).rank == dense_rank_rational(_dense(2, 2, triplets))
+        else:
+            assert rank_mod_p(m).rank == dense_rank_mod_p(_dense(2, 2, triplets), modulus)
+
+
+def test_negative_int64_entries_at_a_prime_above_int64_products():
+    # det = -(P61 - 6) - 6 = -P61: rank 2 over Q, rank 1 mod 2**61 - 1
+    m = SparseMatrix(2, 2, [0, 0, 1, 1], [0, 1, 0, 1],
+                     np.array([-1, -2, -3, P61 - 6], dtype=np.int64))
+    assert m.data.dtype == np.int64
+    assert rank_mod_p(m, P61).rank == 1
+    assert rank_over_Q(m).rank == 2
+
+
+def test_rational_blocks_whose_scaling_leaves_int64():
+    q = 2**64 + 13  # odd, so the denominators' lcm is 2q
+    blocks = [(np.array([0, 1]), np.array([0, 1]), Fraction(1, q)),
+              (np.array([0, 1]), np.array([1, 0]), Fraction(3)),
+              (np.array([1]), np.array([1]), Fraction(-1, 2))]
+    m = blocks_to_sparse(blocks, 2, 2, RATIONALS)
+    triplets = [(i, j, int(c * 2 * q)) for rows, cols, c in blocks
+                for i, j in zip(rows.tolist(), cols.tolist())]
+    assert (m.row, m.col, m.val) == _reference(triplets)
+    assert m.data.dtype == object
+    assert rank_over_Q(m).rank == dense_rank_rational(_dense(2, 2, triplets)) == 2
+
+
+def _random_triplets(rng, nrows, ncols, count):
+    scale = rng.choice([3, 2**31, 2**62, 2**63, 2**70])
+    return [(rng.randrange(nrows), rng.randrange(ncols), rng.randrange(-scale, scale + 1))
+            for _ in range(count)]
+
+
+def test_arrays_agree_with_the_tuple_normal_form():
+    rng = random.Random(2024)
+    for trial in range(60):
+        nrows, ncols = rng.randrange(0, 12), rng.randrange(0, 12)
+        count = rng.randrange(0, nrows * ncols // 4 + 2) if nrows and ncols else 0
+        if trial % 10 == 9:  # large and sparse enough to reach the rounds
+            nrows, ncols = rng.randrange(100, 140), rng.randrange(100, 140)
+            count = rng.randrange(nrows, 3 * nrows)
+        triplets = _random_triplets(rng, nrows, ncols, count)
+        rows, cols, vals = zip(*triplets) if triplets else ((), (), ())
+        m = SparseMatrix(nrows, ncols, rows, cols, vals)
+        ref = _reference(triplets)
+        assert (m.row, m.col, m.val) == ref and m.nnz == len(ref[2])
+        if _fits_int64(vals):
+            assert SparseMatrix(nrows, ncols, np.array(rows, dtype=np.int64),
+                                np.array(cols, dtype=np.int64),
+                                np.array(vals, dtype=np.int64)) == m
+        shuffled = rng.sample(triplets, len(triplets))
+        assert _matrix(nrows, ncols, shuffled) == m
+        t = m.transpose()
+        assert (t.nrows, t.ncols) == (ncols, nrows)
+        assert (t.row, t.col, t.val) == _reference([(j, i, v) for i, j, v in triplets])
+        assert t.transpose() == m
+        if ref[2]:
+            i, j, v = ref[0][0], ref[1][0], ref[2][0]
+            assert _matrix(nrows, ncols, triplets + [(i, j, 1)]) != m
+        k = rng.randrange(nrows + 1)
+        assert m.first_rows(k) == _matrix(k, ncols, [e for e in triplets if e[0] < k])
+        result = rank_over_Q(m, seed=trial)
+        assert (result.rank, result.primes, result.agreement) == _per_prime_rank_over_q(m, trial)
 
 
 def test_sparse_matrix_refuses_non_integral_entries():
@@ -209,6 +335,8 @@ def test_dense_rank_mod_p_huge_prime():
     a = [[1, 2], [3, 4]]
     assert dense_rank_mod_p(a, p) == 2
     assert dense_rank_mod_p([[p]], p) == 0
+    # entries beyond int64 at a prime below the word-size limit
+    assert dense_rank_mod_p([[2**70, 1], [2**71, 2]], 2**31 - 1) == 1
 
 
 def test_empty_dense_matrix_has_rank_zero_at_every_prime():

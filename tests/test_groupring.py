@@ -6,7 +6,6 @@ import pytest
 
 from soficlen.groups import (
     ball,
-    cyclic_table,
     finite_group,
     free_group,
     integer_line,
@@ -29,6 +28,8 @@ from soficlen.groupring import (
     parse_ring,
     prime_field,
 )
+
+from group_tables import cyclic_table
 
 
 def _random_element(rng, desc, ring, radius=2, terms=3, bound=3):

@@ -7,14 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from soficlen import meanlength
 from soficlen.exactla import dense_rank_rational, rank_over_Q
 from soficlen.groups import (
     ball,
-    cyclic_table,
     finite_group,
     free_group,
     integer_line,
-    symmetric_table,
 )
 from soficlen.groupring import (
     INTEGERS,
@@ -49,6 +48,8 @@ from soficlen.sofic import (
     build_translation,
     restrict,
 )
+
+from group_tables import cyclic_table, symmetric_table
 
 Z = integer_line()
 F2 = free_group(2)
@@ -206,6 +207,28 @@ def test_relative_value_for_scalar_two_over_Q():
     pair = RelativePair(1, (FreeModuleVector.single(two),),
                         (FreeModuleVector.single(one),), (Z.element(1),))
     assert relative_mean_length_at(pair, build_cyclic(6)) == 1
+
+
+def test_relative_value_assembles_one_matrix_beyond_int64(monkeypatch):
+    """The relator matrix is the first rows of the one stacked matrix; here
+    A's denominator 2**64 + 13 scales B's entries beyond int64."""
+    q = 2**64 + 13
+    b = FreeModuleVector.single(GroupRingElement.one(Z, RATIONALS))
+    a = FreeModuleVector.single(GroupRingElement.from_terms(
+        Z, RATIONALS, [(Z.element(1), Fraction(1, q)), (Z.identity(), Fraction(-1, q))]))
+    pair = RelativePair(1, (a,), (b,), (Z.element(1),))
+    built = []
+    real = meanlength.blocks_to_sparse
+
+    def recorded(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(meanlength, "blocks_to_sparse", recorded)
+    for d in (3, 7):
+        assert relative_mean_length_at(pair, build_cyclic(d)) == Fraction(d - 1, d)
+        assert built[-1].data.dtype == object
+    assert len(built) == 2
 
 
 def test_relative_value_over_prime_field():

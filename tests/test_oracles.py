@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from soficlen.groups import ball, cyclic_table, finite_group, integer_line, lattice
+from soficlen.groups import ball, finite_group, integer_line, lattice
 from soficlen.groupring import (
     INTEGERS,
     RATIONALS,
@@ -28,6 +28,8 @@ from soficlen.oracles import (
     laurent_rank,
 )
 from soficlen.sofic import SoficSchedule
+
+from group_tables import cyclic_table, symmetric_table
 
 Z = integer_line()
 L2 = lattice(2)
@@ -129,7 +131,6 @@ def test_finite_group_vrk_examples():
 
 
 def test_finite_group_vrk_denominator_divides_order():
-    from soficlen.groups import symmetric_table
     S3 = finite_group(symmetric_table(3))
     rng = random.Random(15)
     elements = [S3.element(i) for i in range(6)]

@@ -9,12 +9,10 @@ import pytest
 from soficlen.groupring import INTEGERS, GroupRingElement, GroupRingMatrix
 from soficlen.groups import (
     ball,
-    cyclic_table,
     finite_group,
     free_group,
     integer_line,
     lattice,
-    symmetric_table,
 )
 from soficlen.meanlength import estimate_vrk_fp
 from soficlen.sofic import (
@@ -31,6 +29,8 @@ from soficlen.sofic import (
     perm_power,
     restrict,
 )
+
+from group_tables import cyclic_table, symmetric_table
 
 
 def test_perm_helpers():

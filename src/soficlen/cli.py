@@ -134,7 +134,8 @@ class JobError(ValueError):
 
 @dataclass
 class Job:
-    """A job file, parsed and built; pool workers receive it pickled."""
+    """A job file, parsed and built.  Pool workers never receive it, only
+    ``partial(point function, pair or matrix)`` and a schedule point."""
 
     name: str
     quantity: str

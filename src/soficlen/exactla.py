@@ -18,10 +18,10 @@ sets).  The primes share this pattern work; only the value arithmetic is done
 per prime, and the pivot inverses come from Montgomery's batch inversion, one
 pow per prime per round.  An entry stays live while it is nonzero mod some
 prime; once a live entry vanishes mod some primes only, each prime goes on
-alone.  Before each round, an active block that is small, thin or dense
-enough goes to the dense kernel instead, one prime at a time.  Residues are
-int64 below 2**31 and Python ints in object arrays above.  Everything is
-deterministic: same input, same rounds, same rank.
+alone.  Before each round, an active block that is thin or dense enough,
+and not too large, goes to the dense kernel instead, one prime at a time.
+Residues are int64 below 2**31 and Python ints in object arrays above.
+Everything is deterministic: same input, same rounds, same rank.
 
 Rank over Q is certified-probabilistic: the maximum of ranks modulo
 ``_MIN_PRIMES`` to ``_MAX_PRIMES`` seeded random primes in (2**30, 2**31),
@@ -222,9 +222,8 @@ class RankResult:
 
 # --- sparse elimination core ------------------------------------------------
 
-# dense-tail tuning: switch when the active block is tiny, thin, or at least
-# this dense, provided the dense copy stays small enough to be worth it
-_DENSE_ALWAYS_AREA = 4096
+# dense-tail tuning: switch when the active block is thin or at least this
+# dense, provided the dense copy stays small enough to be worth it
 _DENSE_MAX_AREA = 6_000_000
 _DENSE_THIN = 64
 _DENSE_FILL = 0.25
@@ -265,8 +264,8 @@ def _sparse_ranks(nrows, ncols, key, val, primes) -> list[int]:
         col_nnz = np.bincount(c, minlength=ncols)
         ra, ca = np.count_nonzero(row_nnz), np.count_nonzero(col_nnz)
         area = ra * ca
-        if area <= _DENSE_ALWAYS_AREA or (area <= _DENSE_MAX_AREA and (
-                min(ra, ca) <= _DENSE_THIN or key.size >= _DENSE_FILL * area)):
+        if area <= _DENSE_MAX_AREA and (
+                min(ra, ca) <= _DENSE_THIN or key.size >= _DENSE_FILL * area):
             return [rank + _dense_tail(r, c, vq, q) for vq, q in zip(v, primes)]
         pivots = _independent_pivots(r, c, row_nnz, col_nnz, ncols)
         rank += pivots.size

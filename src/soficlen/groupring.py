@@ -2,8 +2,10 @@
 
 Coefficient rings are Z, Q, or a prime field GF(p) with p < 2**62.  Elements
 are finitely supported coefficient dictionaries keyed by normal-form group
-elements; all arithmetic is exact (ints, Fractions, ints mod p).  Operands
-must carry identical group descriptors and rings — there is no coercion.
+elements.  Arithmetic works on plain ints and Fractions; the constructor
+brings each coefficient into the ring with ``CoefficientRing.normalize`` (an
+int over Z and GF(p), a Fraction over Q) and drops zeros.  Operands must
+carry identical group descriptors and rings — there is no coercion.
 """
 
 from __future__ import annotations
@@ -47,21 +49,6 @@ class CoefficientRing:
         if not isinstance(x, int):
             raise GroupRingError(f"bad GF({self.p}) coefficient {x!r}")
         return x % self.p
-
-    def zero(self):
-        return Fraction(0) if self.kind == "Q" else 0
-
-    def one(self):
-        return Fraction(1) if self.kind == "Q" else 1
-
-    def add(self, a, b):
-        return (a + b) % self.p if self.kind == "GF" else a + b
-
-    def mul(self, a, b):
-        return (a * b) % self.p if self.kind == "GF" else a * b
-
-    def neg(self, a):
-        return (-a) % self.p if self.kind == "GF" else -a
 
 
 INTEGERS = CoefficientRing("Z")
@@ -115,20 +102,18 @@ class GroupRingElement:
 
     @classmethod
     def one(cls, desc, ring):
-        return cls(desc, ring, {desc.identity(): ring.one()})
+        return cls(desc, ring, {desc.identity(): 1})
 
     @classmethod
     def monomial(cls, desc, ring, g: GroupElement, coef=None):
-        return cls(desc, ring, {g: ring.one() if coef is None else coef})
+        return cls(desc, ring, {g: 1 if coef is None else coef})
 
     @classmethod
     def from_terms(cls, desc, ring, terms):
         """Sum of (element, coefficient) pairs; repeats accumulate."""
         acc = {}
         for g, c in terms:
-            if g.desc != desc:
-                raise GroupRingError("support element from a different group")
-            acc[g] = ring.add(acc.get(g, ring.zero()), ring.normalize(c))
+            acc[g] = acc.get(g, 0) + ring.normalize(c)
         return cls(desc, ring, acc)
 
     def support(self) -> list[GroupElement]:
@@ -147,13 +132,12 @@ class GroupRingElement:
         self._check_mate(other)
         acc = dict(self.coeffs)
         for g, c in other.coeffs.items():
-            acc[g] = self.ring.add(acc.get(g, self.ring.zero()), c)
+            acc[g] = acc.get(g, 0) + c
         return GroupRingElement(self.desc, self.ring, acc)
 
     def __neg__(self):
-        return GroupRingElement(
-            self.desc, self.ring,
-            {g: self.ring.neg(c) for g, c in self.coeffs.items()})
+        return GroupRingElement(self.desc, self.ring,
+                                {g: -c for g, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -161,13 +145,12 @@ class GroupRingElement:
     def __mul__(self, other):
         """Convolution product: (sum c_g g)(sum d_h h) = sum c_g d_h (gh)."""
         self._check_mate(other)
-        ring = self.ring
         acc = {}
         for g, c in self.coeffs.items():
             for h, d in other.coeffs.items():
                 gh = g * h
-                acc[gh] = ring.add(acc.get(gh, ring.zero()), ring.mul(c, d))
-        return GroupRingElement(self.desc, ring, acc)
+                acc[gh] = acc.get(gh, 0) + c * d
+        return GroupRingElement(self.desc, self.ring, acc)
 
     def translate(self, g: GroupElement) -> "GroupRingElement":
         """Left translation g * self."""
@@ -256,15 +239,6 @@ class GroupRingMatrix:
         zero = GroupRingElement.zero(self.desc, self.ring)
         return all(self.entries[i][j] == (one if i == j else zero)
                    for i in range(self.m) for j in range(self.n))
-
-    def __add__(self, other):
-        if (not isinstance(other, GroupRingMatrix) or other.m != self.m
-                or other.n != self.n):
-            raise GroupRingError("matrix shape mismatch in addition")
-        return GroupRingMatrix(
-            self.desc, self.ring,
-            [[self.entries[i][j] + other.entries[i][j] for j in range(self.n)]
-             for i in range(self.m)])
 
     def __matmul__(self, other):
         return mat_mul(self, other)

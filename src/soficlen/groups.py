@@ -9,15 +9,13 @@ equality), and hashable so they can key coefficient dictionaries.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 INTEGER_LINE = "integer_line"
 LATTICE = "lattice"
 FREE = "free"
 FINITE = "finite"
-
-_FAMILIES = (INTEGER_LINE, LATTICE, FREE, FINITE)
 
 
 class GroupError(ValueError):
@@ -31,14 +29,15 @@ class GroupDescriptor:
     ``rank`` is the lattice/free rank (1 for the integer line, ignored for
     finite groups).  Finite groups carry their full multiplication table as
     a tuple of rows (``table[i][j]`` = index of g_i * g_j), the index of the
-    identity, and a precomputed inverse table.
+    identity, and a precomputed inverse table.  The tables take part in
+    equality but not in the hash, which every element hash computes.
     """
 
     family: str
     rank: int = 1
-    table: tuple[tuple[int, ...], ...] | None = None
+    table: tuple[tuple[int, ...], ...] | None = field(default=None, hash=False)
     identity_index: int = 0
-    inverse_table: tuple[int, ...] | None = None
+    inverse_table: tuple[int, ...] | None = field(default=None, hash=False)
 
     @property
     def order(self) -> int:
@@ -113,14 +112,7 @@ class GroupElement:
         return inverse(self)
 
     def is_identity(self) -> bool:
-        d = self.desc
-        if d.family == INTEGER_LINE:
-            return self.value == 0
-        if d.family == LATTICE:
-            return all(x == 0 for x in self.value)
-        if d.family == FREE:
-            return len(self.value) == 0
-        return self.value == d.identity_index
+        return self == self.desc.identity()
 
     def sort_key(self):
         """Deterministic total order within one group (used to fix the
@@ -296,16 +288,9 @@ def format_word(g: GroupElement) -> str:
     if not g.value:
         return "e"
     parts = []
-    i = 0
-    word = g.value
-    while i < len(word):
-        j = i
-        while j < len(word) and word[j] == word[i]:
-            j += 1
-        gen = abs(word[i])
-        exp = (j - i) if word[i] > 0 else -(j - i)
-        parts.append(f"s{gen}" if exp == 1 else f"s{gen}^{exp}")
-        i = j
+    for letter, run in itertools.groupby(g.value):
+        exp = len(list(run)) * (1 if letter > 0 else -1)
+        parts.append(f"s{abs(letter)}" if exp == 1 else f"s{abs(letter)}^{exp}")
     return "*".join(parts)
 
 
@@ -314,23 +299,19 @@ def parse_word(desc: GroupDescriptor, text: str) -> GroupElement:
     text = text.strip()
     if not text:
         raise GroupError("empty word")
+    if text == "e":
+        return desc.identity()
     try:
         if desc.family == INTEGER_LINE:
-            return desc.element(0 if text == "e" else int(text))
+            return desc.element(int(text))
         if desc.family == LATTICE:
-            if text == "e":
-                return desc.identity()
             return desc.element(tuple(int(x) for x in text.split(",")))
         if desc.family == FINITE:
-            if text == "e":
-                return desc.identity()
             return desc.element(int(text))
     except GroupError:
         raise
     except ValueError as exc:
         raise GroupError(f"bad word {text!r}: {exc}") from None
-    if text == "e":
-        return desc.identity()
     word: list[int] = []
     for part in text.split("*"):
         if "^" in part:

@@ -167,8 +167,7 @@ def _sigma_blocks(f: GroupRingMatrix, sigma: SoficMap):
     blocks = []
     for k in range(f.m):
         for j in range(f.n):
-            for g, c in sorted(f.entries[k][j].coeffs.items(),
-                               key=lambda kv: kv[0].sort_key()):
+            for g, c in f.entries[k][j].coeffs.items():
                 rows = k * d + sigma.perm(g)
                 cols = j * d + base
                 blocks.append((rows, cols, c))

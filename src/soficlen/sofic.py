@@ -187,7 +187,7 @@ def restrict(sigma: SoficMap, image: GroupElement) -> SoficMap:
 
 def check_size(desc: GroupDescriptor, d: int, dims) -> None:
     """Raise SoficError unless ``make_sigma`` can build a map of ``desc``
-    at size d; ``dims`` are the torus sizes of a lattice, unread otherwise."""
+    at size d; ``dims`` are the torus sizes of a lattice, None otherwise."""
     if d < 1:
         raise SoficError("d must be >= 1")
     if desc.family == groups.LATTICE:
@@ -199,6 +199,8 @@ def check_size(desc: GroupDescriptor, d: int, dims) -> None:
             raise SoficError("torus dims must be positive")
         if math.prod(dims) != d:
             raise SoficError(f"dims {dims} give d={math.prod(dims)}, schedule says {d}")
+    elif dims is not None:
+        raise SoficError("torus dims apply only to a lattice group Z^k")
     elif desc.family == groups.FREE and d < 2:
         raise SoficError("random free map needs d >= 2")
     elif desc.family == groups.FINITE and desc.order != d:

@@ -751,8 +751,13 @@ def test_jobs_an_oracle_cannot_take_exit_one_at_load(tmp_path, capsys, job, wher
     ("[job]\nquantity = defect\ngroup = Z^2\ndims = 3x3x1\n", "dims rank 3 != lattice rank 2"),
     ("[job]\nquantity = vrk-fp\ngroup = finite:z3.table\nschedule = 7\n\n"
      "[matrix]\ntext = 1 1 Z finite\n  0 0 1@0 1@1\n", "finite group has order 3"),
+    ("[job]\nquantity = defect\ngroup = F2\ndims = 2x8\n", "only to a lattice"),
+    ("[job]\nquantity = defect\ngroup = Z\nschedule = 16\ndims = 4x4\n",
+     "only to a lattice"),
+    ("[job]\nquantity = defect\ngroup = finite:z3.table\ndims = 3\n",
+     "only to a lattice"),
 ], ids=["Z-zero", "F2-one", "Z2-vrk-no-dims", "Z2-defect-no-dims", "Z2-dims-rank",
-        "finite-order"])
+        "finite-order", "F2-dims", "Z-dims", "finite-dims"])
 def test_sizes_no_sofic_map_has_exit_one_at_schedule(tmp_path, capsys, job, message):
     files = [("f.txt", T_MINUS_ONE_Z), Z3_TABLE]
     assert message in _exits_one_at(tmp_path, capsys, job, files, "[job] schedule")

@@ -1,6 +1,7 @@
 """Tests for group-ring arithmetic, matrices, and the direct-finiteness checker."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -106,6 +107,65 @@ def test_ring_axioms_randomized():
                 assert (a * b) * c == a * (b * c)
 
 
+def _random_terms(rng, support, ring):
+    """Up to six (g, c) terms on a small support, so that elements repeat
+    and sometimes cancel; c is an int or a Fraction (integral over Z)."""
+    terms = []
+    for _ in range(rng.randrange(7)):
+        g = rng.choice(support)
+        num = rng.choice((rng.randrange(-3, 4), rng.randrange(-2**70, 2**70)))
+        c = Fraction(num, 1 if ring is INTEGERS else rng.choice((1, 2, 3, 5)))
+        terms.append((g, int(c) if c.denominator == 1 and rng.random() < 0.5 else c))
+        if rng.random() < 0.2:
+            terms.append((g, -terms[-1][1]))
+    return terms
+
+
+def _in_ring(ring, reference):
+    """A dict of Fractions brought into ``ring``, zeros dropped."""
+    out = {}
+    for g, x in reference.items():
+        if ring.kind == "GF":
+            x = x.numerator * pow(x.denominator, -1, ring.p) % ring.p
+        if x != 0:
+            out[g] = x
+    return out
+
+
+def test_arithmetic_matches_a_fraction_reference():
+    rng = random.Random(2024)
+    rings = (INTEGERS, RATIONALS, prime_field(7), prime_field(2**61 - 1))
+    coef_type = {INTEGERS: int, RATIONALS: Fraction}
+    for ring in rings:
+        for desc in (free_group(2), finite_group(cyclic_table(4))):
+            support = ball(desc, 1)
+            for _ in range(30):
+                refs, elems = [], []
+                for _ in range(2):
+                    terms = _random_terms(rng, support, ring)
+                    ref = {}
+                    for g, c in terms:
+                        ref[g] = ref.get(g, Fraction(0)) + c
+                    refs.append(ref)
+                    elems.append(GroupRingElement.from_terms(desc, ring, terms))
+                (ra, rb), (a, b) = refs, elems
+                product = {}
+                for g, x in ra.items():
+                    for h, y in rb.items():
+                        product[g * h] = product.get(g * h, Fraction(0)) + x * y
+                cases = [
+                    (a, ra), (b, rb),
+                    (a + b, {g: ra.get(g, 0) + rb.get(g, 0) for g in {*ra, *rb}}),
+                    (-a, {g: -x for g, x in ra.items()}),
+                    (a - b, {g: ra.get(g, 0) - rb.get(g, 0) for g in {*ra, *rb}}),
+                    (a * b, product),
+                ]
+                for got, ref in cases:
+                    assert got.coeffs == _in_ring(ring, ref)
+                    assert all(type(c) is coef_type.get(ring, int)
+                               for c in got.coeffs.values())
+
+
 def test_support_of_product_contained_in_product_of_supports():
     rng = random.Random(5)
     F2 = free_group(2)
@@ -130,7 +190,6 @@ def test_prime_field_arithmetic():
     gf5 = prime_field(5)
     assert gf5.normalize(7) == 2
     assert gf5.normalize(-1) == 4
-    from fractions import Fraction
     assert gf5.normalize(Fraction(1, 2)) == 3  # 2^-1 = 3 mod 5
     with pytest.raises(GroupRingError):
         prime_field(4)
@@ -284,7 +343,6 @@ def test_parse_element_terms():
     assert parse_element(F2, INTEGERS, "0").is_zero()
     Z = integer_line()
     b = parse_element(Z, RATIONALS, "1/2@1 3@-2")
-    from fractions import Fraction
     assert b.coeffs[Z.element(1)] == Fraction(1, 2)
     assert b.coeffs[Z.element(-2)] == 3
 

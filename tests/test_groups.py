@@ -1,5 +1,6 @@
 """Tests for group descriptors, normal forms, and finite-subset generation."""
 
+import dataclasses
 import random
 
 import pytest
@@ -157,9 +158,35 @@ def test_inverse_involution():
     rng = random.Random(7)
     for desc in (integer_line(), lattice(3), free_group(2),
                  finite_group(symmetric_table(3))):
+        near = ball(desc, 1)
         for g in ball(desc, 2):
             assert inverse(inverse(g)) == g
+            assert multiply(g, inverse(g)).is_identity()
+            assert g.is_identity() == all(multiply(g, h) == h for h in near)
         _ = rng  # randomized coverage comes from the ball contents
+
+
+class _CountingTuple(tuple):
+    """A tuple that counts how often it is hashed."""
+
+    hashes = 0
+
+    def __hash__(self):
+        _CountingTuple.hashes += 1
+        return super().__hash__()
+
+
+def test_element_hash_leaves_the_table_unhashed():
+    S3 = finite_group(symmetric_table(3))
+    counted = dataclasses.replace(S3, table=_CountingTuple(S3.table),
+                                  inverse_table=_CountingTuple(S3.inverse_table))
+    _CountingTuple.hashes = 0
+    assert hash(counted.element(1)) == hash(S3.element(1))
+    assert _CountingTuple.hashes == 0
+    assert counted == S3
+    Z6 = finite_group(cyclic_table(6))
+    assert Z6.order == S3.order and Z6 != S3  # the tables still decide equality
+    assert Z6.element(1) != S3.element(1)
 
 
 def test_symmetric_table_is_a_group():
@@ -205,9 +232,17 @@ def test_table_file_requires_identity_first(tmp_path):
 
 def test_word_format_parse_round_trip():
     F2 = free_group(2)
-    for word in ((), (1,), (-2,), (1, 2, -1), (2, 2, 2)):
+    for word in ((), (1,), (-2,), (1, 2, -1), (2, 2, 2), (1, 1, -2, -2, -2, 1),
+                 (-1, -1, 2), (2, -1, -1, -1, -1)):
         g = F2.element(word)
         assert parse_word(F2, format_word(g)) == g
+    assert format_word(F2.element((1, 1, -2, -2, -2, 1))) == "s1^2*s2^-3*s1"
+    assert format_word(F2.element((-1, 2, 2))) == "s1^-1*s2^2"
+    for desc in (F2, integer_line(), lattice(2), finite_group(cyclic_table(6))):
+        e = parse_word(desc, "e")
+        assert e == desc.identity() and e.is_identity()
+        assert parse_word(desc, format_word(e)) == e
+    assert format_word(F2.identity()) == "e"
     Z = integer_line()
     assert parse_word(Z, format_word(Z.element(-7))) == Z.element(-7)
     L2 = lattice(2)

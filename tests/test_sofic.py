@@ -1,5 +1,6 @@
 """Tests for permutation models of groups and their quality reports."""
 
+import math
 import re
 from fractions import Fraction
 
@@ -228,6 +229,9 @@ def test_make_sigma_dispatch():
     assert make_sigma(S3, 6).d == 6
     with pytest.raises(SoficError):
         make_sigma(S3, 5)
+    for desc, dims in ((Z, (10,)), (F2, (4, 4)), (S3, (6,))):
+        with pytest.raises(SoficError, match="only to a lattice"):
+            make_sigma(desc, math.prod(dims), dims=dims)
 
 
 _S3 = finite_group(symmetric_table(3))

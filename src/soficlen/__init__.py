@@ -10,11 +10,10 @@ from .groupring import (INTEGERS, RATIONALS, CoefficientRing,
                         mat_mul, parse_matrix, prime_field)
 from .groups import (GroupDescriptor, GroupElement, ball, finite_group,
                      free_group, integer_line, lattice, load_table_file)
-from .meanlength import (FreeModuleVector, MeanLengthEstimate, RelativePair,
-                         build_sigma_bar, check_addition,
-                         estimate_mean_length, estimate_vrk_fp,
-                         principal_rank_point, relators,
-                         relative_mean_length_at, rows_of, snap_to_H)
+from .meanlength import (MeanLengthEstimate, RelativePair, build_sigma_bar,
+                         check_addition, estimate_mean_length,
+                         estimate_vrk_fp, principal_rank_point, relators,
+                         relative_mean_length_at, snap_to_H)
 from .oracles import (FolnerBox, compare, finite_group_vrk,
                       folner_mean_length, laurent_rank)
 from .sofic import (DefectReport, SoficMap, SoficSchedule, build_cyclic,

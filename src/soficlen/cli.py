@@ -41,7 +41,8 @@ Job file shape::
     [generators]                 ; for mrk-relative / folner
     n = 2
     a1 = 1@e -1@1 | 0            ; components separated by |
-    b1 = ...                     ; optional; default standard basis
+    b1 = ...                     ; optional; default the identity matrix
+                                 ; (standard basis)
 """
 
 from __future__ import annotations
@@ -66,10 +67,9 @@ from .groupring import (INTEGERS, CoefficientRing, GroupRingError,
                         format_matrix, group_token, parse_element,
                         parse_group_token, parse_matrix, parse_ring)
 from .groups import GroupDescriptor, GroupError
-from .meanlength import (AdditionReport, FreeModuleVector, MeanLengthError,
-                         RelativePair, addition_pair, addition_point,
-                         assemble_run, check_vrk_ring, estimate_run,
-                         relative_pair, run_schedule)
+from .meanlength import (AdditionReport, MeanLengthError, RelativePair,
+                         addition_pair, addition_point, assemble_run,
+                         check_vrk_ring, estimate_run, run_schedule)
 # not called here: perfbench/tracing.py patches these names on this module
 from .meanlength import (make_sigma, principal_rank_point,  # noqa: F401
                          relative_mean_length_at)
@@ -245,12 +245,17 @@ def _numbered(sec, letter: str) -> list[str]:
     return [sec[k] for k in sorted(keys, key=lambda k: int(k[1:]))]
 
 
-def _parse_vector(desc, ring, text: str, n: int) -> FreeModuleVector:
-    chunks = [c.strip() for c in text.split("|")]
-    if len(chunks) != n:
-        raise GroupRingError(
-            f"vector {text!r} has {len(chunks)} components, ambient n = {n}")
-    return FreeModuleVector(tuple(parse_element(desc, ring, c) for c in chunks))
+def _rows(desc, ring, texts, n: int) -> GroupRingMatrix:
+    """The matrix whose rows are the vectors ``texts``, each of n components
+    separated by '|'."""
+    rows = []
+    for text in texts:
+        chunks = [c.strip() for c in text.split("|")]
+        if len(chunks) != n:
+            raise GroupRingError(
+                f"vector {text!r} has {len(chunks)} components, ambient n = {n}")
+        rows.append([parse_element(desc, ring, c) for c in chunks])
+    return GroupRingMatrix(desc, ring, rows)
 
 
 def load_job(path) -> Job:
@@ -349,9 +354,11 @@ def load_job(path) -> Job:
         if job.desc is None:
             raise JobError(gwhere, "needs a group")
         with _at(gwhere):
-            A = [_parse_vector(job.desc, job.ring, t, n) for t in a_texts]
-            B = [_parse_vector(job.desc, job.ring, t, n) for t in _numbered(gens, "b")]
-            job.pair = relative_pair(n, A, job.F, B or None)
+            A = _rows(job.desc, job.ring, a_texts, n)
+            b_texts = _numbered(gens, "b")
+            B = (_rows(job.desc, job.ring, b_texts, n) if b_texts
+                 else GroupRingMatrix.identity(job.desc, job.ring, n))
+            job.pair = RelativePair(A, B, job.F)
 
     seeds = _value(jobsec, "seeds", where, _seeds, (0,))
     ds = _value(jobsec, "schedule", where, _int_list)

@@ -45,6 +45,9 @@ class CoefficientRing:
         if isinstance(x, Fraction):
             num = x.numerator % self.p
             den = x.denominator % self.p
+            if den == 0:
+                raise GroupRingError(f"{x} has a denominator divisible by {self.p}, "
+                                     f"not invertible in GF({self.p})")
             return num * pow(den, -1, self.p) % self.p
         if not isinstance(x, int):
             raise GroupRingError(f"bad GF({self.p}) coefficient {x!r}")
@@ -219,9 +222,6 @@ class GroupRingMatrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
-
-    def row(self, i) -> tuple[GroupRingElement, ...]:
-        return self.entries[i]
 
     def __eq__(self, other):
         if not isinstance(other, GroupRingMatrix):

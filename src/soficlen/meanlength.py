@@ -8,7 +8,8 @@ element s along the permutation σ_s.  Two finite models are built here:
   rank of the submodule generated by the rows of f;
 * ``relators`` + ``relative_mean_length_at``: the relator-quotient model,
   whose normalized rank difference estimates the mean length of a finite
-  piece A relative to the relators of (B, F).
+  piece A relative to the relators of (B, F).  A and B are matrices over
+  R[Γ] with n columns, and their rows are the generators.
 
 ``estimate_vrk_fp`` turns 1 - rank/d (per ambient column) into the von
 Neumann rank of the presented quotient module, checking the duality
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import groups
 from .exactla import SparseMatrix, _int_array, rank_mod_p, rank_over_Q
-from .groupring import CoefficientRing, GroupRingElement, GroupRingError, GroupRingMatrix
+from .groupring import CoefficientRing, GroupRingError, GroupRingMatrix
 from .groups import GroupDescriptor, GroupElement
 from .sofic import SoficMap, SoficSchedule, defect, make_sigma
 
@@ -50,95 +51,39 @@ class MeanRankOnlyError(MeanLengthError):
 
 
 @dataclass(frozen=True)
-class FreeModuleVector:
-    """An element of (R[Γ])^{1×n}: n group-ring components sharing one
-    group and one coefficient ring."""
-
-    components: tuple[GroupRingElement, ...]
-
-    def __post_init__(self):
-        comps = tuple(self.components)
-        if not comps:
-            raise MeanLengthError("free module vector needs at least one component")
-        desc, ring = comps[0].desc, comps[0].ring
-        for c in comps:
-            if c.desc != desc or c.ring != ring:
-                raise MeanLengthError("components from different group rings")
-        object.__setattr__(self, "components", comps)
-
-    @property
-    def n(self) -> int:
-        return len(self.components)
-
-    @property
-    def desc(self) -> GroupDescriptor:
-        return self.components[0].desc
-
-    @property
-    def ring(self) -> CoefficientRing:
-        return self.components[0].ring
-
-    def support(self) -> set[GroupElement]:
-        out = set()
-        for c in self.components:
-            out.update(c.coeffs)
-        return out
-
-    @classmethod
-    def basis(cls, desc, ring, n: int) -> list["FreeModuleVector"]:
-        one = GroupRingElement.one(desc, ring)
-        zero = GroupRingElement.zero(desc, ring)
-        return [cls(tuple(one if j == i else zero for j in range(n)))
-                for i in range(n)]
-
-    @classmethod
-    def single(cls, x: GroupRingElement) -> "FreeModuleVector":
-        return cls((x,))
-
-
-def rows_of(f: GroupRingMatrix) -> list[FreeModuleVector]:
-    return [FreeModuleVector(f.row(k)) for k in range(f.m)]
-
-
-@dataclass(frozen=True)
 class RelativePair:
-    """A finite instance of the relative mean-length data: ambient rank n,
-    generators A of the measured piece, generators B of the relator side,
-    and the group window F."""
+    """A finite instance of the relative mean-length data in (R[Γ])^{1×n}:
+    the rows of the matrix A generate the measured piece, the rows of the
+    matrix B the relator side, and F is the group window.  B has A's group
+    ring and column count n."""
 
-    n: int
-    A: tuple[FreeModuleVector, ...]
-    B: tuple[FreeModuleVector, ...]
+    A: GroupRingMatrix
+    B: GroupRingMatrix
     F: tuple[GroupElement, ...]
 
     def __post_init__(self):
-        A = tuple(self.A)
-        B = tuple(self.B)
-        F = tuple(self.F)
-        if not A or not B:
-            raise MeanLengthError("A and B must be nonempty")
-        desc, ring = A[0].desc, A[0].ring
-        for v in A + B:
-            if v.n != self.n:
-                raise MeanLengthError(f"vector has {v.n} components, ambient n = {self.n}")
-            if v.desc != desc or v.ring != ring:
-                raise MeanLengthError("A and B must share one group ring")
+        A, B, F = self.A, self.B, tuple(self.F)
+        if (B.desc, B.ring) != (A.desc, A.ring):
+            raise MeanLengthError("A and B must share one group ring")
+        if B.n != A.n:
+            raise MeanLengthError(f"B has {B.n} columns, A has {A.n}")
         if not F:
             raise MeanLengthError("F must be nonempty")
-        for s in F:
-            if s.desc != desc:
-                raise MeanLengthError("F element from a different group")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
+        if any(s.desc != A.desc for s in F):
+            raise MeanLengthError("F element from a different group")
         object.__setattr__(self, "F", F)
 
     @property
+    def n(self) -> int:
+        return self.A.n
+
+    @property
     def desc(self) -> GroupDescriptor:
-        return self.A[0].desc
+        return self.A.desc
 
     @property
     def ring(self) -> CoefficientRing:
-        return self.A[0].ring
+        return self.A.ring
 
 
 # ---------------------------------------------------------------------------
@@ -201,16 +146,15 @@ def build_sigma_bar(f: GroupRingMatrix, sigma: SoficMap) -> SparseMatrix:
                             sigma.d * f.m, sigma.d * f.n, f.ring)
 
 
-def coordinate_window(A, B, F) -> tuple[GroupElement, ...]:
+def _support(f: GroupRingMatrix) -> set[GroupElement]:
+    """The group elements in the support of some entry of ``f``."""
+    return {g for row in f.entries for x in row for g in x.coeffs}
+
+
+def coordinate_window(A: GroupRingMatrix, B: GroupRingMatrix, F) -> tuple[GroupElement, ...]:
     """W = supp(A) ∪ supp(B) ∪ F·supp(B), sorted deterministically."""
-    w = set()
-    for a in A:
-        w.update(a.support())
-    for b in B:
-        sup = b.support()
-        w.update(sup)
-        for s in F:
-            w.update(s * g for g in sup)
+    sup = _support(B)
+    w = _support(A) | sup | {s * g for s in F for g in sup}
     return tuple(sorted(w, key=GroupElement.sort_key))
 
 
@@ -221,30 +165,27 @@ def _vector_blocks(rows, components, at, widx, n: int, sign=1):
             for j, comp in enumerate(components) for g, c in comp.coeffs.items()]
 
 
-def _relator_triplets(B, F, sigma: SoficMap, widx, n: int):
-    """Triplet blocks of the relator matrix: rows ordered v, then B index,
+def _relator_triplets(B: GroupRingMatrix, F, sigma: SoficMap, widx):
+    """Triplet blocks of the relator matrix: rows ordered v, then row of B,
     then F index; columns indexed (v, w, j) ↦ (v·|W| + w)·n + j."""
     base = np.arange(sigma.d, dtype=np.int64)
-    nb, nf = len(B), len(F)
+    nb, nf, n = B.m, len(F), B.n
     blocks = []
-    for bi, b in enumerate(B):
+    for bi, b in enumerate(B.entries):
         for si, s in enumerate(F):
             rows = (base * nb + bi) * nf + si
-            blocks += _vector_blocks(rows, b.components, base, widx, n)
-            blocks += _vector_blocks(rows, [comp.translate(s) for comp in b.components],
+            blocks += _vector_blocks(rows, b, base, widx, n)
+            blocks += _vector_blocks(rows, [comp.translate(s) for comp in b],
                                      sigma.perm(s), widx, n, -1)
     return blocks, sigma.d * nb * nf, sigma.d * len(widx) * n
 
 
-def relators(B, F, sigma: SoficMap) -> SparseMatrix:
+def relators(B: GroupRingMatrix, F, sigma: SoficMap) -> SparseMatrix:
     """Sparse matrix whose rows are the relators δ_v b − δ_{σ_s(v)} s·b for
-    v ∈ [d], b ∈ B, s ∈ F, in coordinates [d] × W × [n]."""
-    B, F = tuple(B), tuple(F)
-    if not B:
-        raise MeanLengthError("B must be nonempty")
-    widx = {g: i for i, g in enumerate(coordinate_window((), B, F))}
-    blocks, nrows, ncols = _relator_triplets(B, F, sigma, widx, B[0].n)
-    return blocks_to_sparse(blocks, nrows, ncols, B[0].ring)
+    v ∈ [d], b a row of B, s ∈ F, in coordinates [d] × W × [n]."""
+    widx = {g: i for i, g in enumerate(coordinate_window(B, B, F))}
+    blocks, nrows, ncols = _relator_triplets(B, tuple(F), sigma, widx)
+    return blocks_to_sparse(blocks, nrows, ncols, B.ring)
 
 
 def relative_mean_length_at(pair: RelativePair, sigma: SoficMap, *,
@@ -258,13 +199,12 @@ def relative_mean_length_at(pair: RelativePair, sigma: SoficMap, *,
     if pair.desc != sigma.desc:
         raise MeanLengthError("pair and sofic map live over different groups")
     d = sigma.d
-    n = pair.n
     widx = {g: i for i, g in enumerate(coordinate_window(pair.A, pair.B, pair.F))}
-    rel_blocks, rel_rows, ncols = _relator_triplets(pair.B, pair.F, sigma, widx, n)
+    rel_blocks, rel_rows, ncols = _relator_triplets(pair.B, pair.F, sigma, widx)
     base = np.arange(d, dtype=np.int64)
-    na = len(pair.A)
-    a_blocks = [block for ai, a in enumerate(pair.A) for block in
-                _vector_blocks(rel_rows + base * na + ai, a.components, base, widx, n)]
+    na = pair.A.m
+    a_blocks = [block for ai, a in enumerate(pair.A.entries) for block in
+                _vector_blocks(rel_rows + base * na + ai, a, base, widx, pair.n)]
     ring = pair.ring
     stacked = blocks_to_sparse(rel_blocks + a_blocks, rel_rows + d * na, ncols, ring)
     rel = stacked.first_rows(rel_rows)
@@ -428,26 +368,14 @@ def support_window(f: GroupRingMatrix) -> tuple[GroupElement, ...]:
     """supp(f) ∪ {e}, sorted: the defect window of a vrk estimate and the
     window F of the addition pair.  (An mrk estimate reports the defect on
     its pair's F.)"""
-    window = {f.desc.identity()}
-    for k in range(f.m):
-        for j in range(f.n):
-            window.update(f.entries[k][j].coeffs)
+    window = _support(f) | {f.desc.identity()}
     return tuple(sorted(window, key=GroupElement.sort_key))
 
 
-def relative_pair(n: int, A, F, B=None) -> RelativePair:
-    """The pair (A, B, F) in (R[Γ])^{1×n}, B defaulting to the standard
-    basis of the ambient module."""
-    A = tuple(A)
-    if B is None and A:
-        B = FreeModuleVector.basis(A[0].desc, A[0].ring, n)
-    return RelativePair(n, A, tuple(B or ()), tuple(F))
-
-
 def addition_pair(f: GroupRingMatrix) -> RelativePair:
-    """The relative data of the addition check: A = rows(f), B = the
-    standard basis, F = supp(f) ∪ {e}."""
-    return relative_pair(f.n, rows_of(f), support_window(f))
+    """The relative data of the addition check: A = f, B = the identity
+    matrix (the standard basis), F = supp(f) ∪ {e}."""
+    return RelativePair(f, GroupRingMatrix.identity(f.desc, f.ring, f.n), support_window(f))
 
 
 def mrk_point(pair: RelativePair, sigma: SoficMap, point) -> SeriesPoint:

@@ -9,7 +9,6 @@ exact-rational eliminator, not the sparse mod-p one.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ import numpy as np
 from . import groups
 from .exactla import dense_rank_rational, rank_mod_p, rank_over_Q
 from .groupring import GroupRingMatrix, group_token
-from .groups import GroupDescriptor, GroupElement
+from .groups import GroupDescriptor
 from .meanlength import MeanLengthEstimate, blocks_to_sparse
 
 
@@ -44,13 +43,6 @@ class FolnerBox:
     def size(self) -> int:
         return math.prod(self.sides)
 
-    def elements(self, desc: GroupDescriptor) -> list[GroupElement]:
-        check_box(self, desc)
-        if desc.family == groups.INTEGER_LINE:
-            return [desc.element(v) for v in range(self.sides[0])]
-        return [desc.element(v) for v in
-                itertools.product(*(range(x) for x in self.sides))]
-
 
 def check_oracle_group(desc: GroupDescriptor, what: str) -> None:
     """Raise OracleError unless ``desc`` is Z or Z^k, the only groups of
@@ -67,35 +59,41 @@ def check_box(box: FolnerBox, desc: GroupDescriptor) -> None:
                           f"{group_token(desc)}")
 
 
-def folner_mean_length(A, boxes) -> list[Fraction]:
-    """rank(span{s⁻¹ a : s ∈ F, a ∈ A}) / |F| along the given boxes.
+def folner_mean_length(A: GroupRingMatrix, boxes) -> list[Fraction]:
+    """rank(span{s⁻¹ a : s ∈ F, a a row of A}) / |F| along the given boxes.
 
     The span is taken inside the coordinate window F⁻¹·supp(A) × [n]; the
     series is the Følner average whose limit is the amenable mean length,
-    and the last entry is the oracle value.
+    and the last entry is the oracle value.  In box coordinates s⁻¹·g is
+    the difference g − s, and the window is ordered lexicographically.
     """
-    A = tuple(A)
-    if not A:
-        raise OracleError("A must be nonempty")
-    desc = A[0].desc
-    ring = A[0].ring
+    desc, ring, n = A.desc, A.ring, A.n
     check_oracle_group(desc, "Følner averaging")
-    n = A[0].n
+    # (row of A, component, coefficient, g) per term of A
+    terms = [(ai, j, c, g.value)
+             for ai, row in enumerate(A.entries) for j, comp in enumerate(row)
+             for g, c in comp.coeffs.items()]
+    # coordinates relative to supp(A), exact in Python ints, so that they fit
+    # int64 wherever supp(A) itself does; a shift leaves the window order alone
+    offsets = np.array([t[3] for t in terms], dtype=object).reshape(-1, desc.rank)
+    if terms:
+        offsets = offsets - offsets.min(axis=0)
+        if offsets.max() >= 2**62:
+            raise OracleError("Følner averaging needs supp(A) to span less than "
+                              "2**62 in each coordinate")
+    offsets = offsets.astype(np.int64)
     values = []
     for box in boxes:
-        sinvs = [s.inverse() for s in box.elements(desc)]
-        # (a index, component, coefficient, s⁻¹·g for each s) per term of A
-        terms = [(ai, j, c, [sinv * g for sinv in sinvs])
-                 for ai, a in enumerate(A) for j, comp in enumerate(a.components)
-                 for g, c in comp.coeffs.items()]
-        window = set().union(*(products for *_, products in terms))
-        widx = {g: i for i, g in
-                enumerate(sorted(window, key=GroupElement.sort_key))}
-        # row (index of s in the box) · |A| + (index of a) holds s⁻¹·a
-        rows = np.arange(len(sinvs), dtype=np.int64) * len(A)
-        blocks = [(rows + ai, np.array([widx[h] for h in products], dtype=np.int64) * n + j, c)
-                  for ai, j, c, products in terms]
-        m = blocks_to_sparse(blocks, len(sinvs) * len(A), len(widx) * n, ring)
+        check_box(box, desc)
+        coords = np.indices(box.sides).reshape(desc.rank, -1).T
+        diffs = (offsets[:, None, :] - coords[None, :, :]).reshape(-1, desc.rank)
+        window, inverse = np.unique(diffs, axis=0, return_inverse=True)
+        inverse = inverse.reshape(len(terms), box.size)
+        # row (index of s in the box) · m + (row of A) holds s⁻¹·a
+        rows = np.arange(box.size, dtype=np.int64) * A.m
+        blocks = [(rows + ai, inverse[t] * n + j, c)
+                  for t, (ai, j, c, _) in enumerate(terms)]
+        m = blocks_to_sparse(blocks, box.size * A.m, len(window) * n, ring)
         if ring.kind == "GF":
             rank = rank_mod_p(m).rank
         else:

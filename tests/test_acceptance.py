@@ -30,7 +30,6 @@ from soficlen.groupring import (
     GroupRingMatrix,
 )
 from soficlen.meanlength import (
-    FreeModuleVector,
     RelativePair,
     SeriesPoint,
     assemble_estimate,
@@ -95,8 +94,8 @@ def test_criterion_01_free_module_exactness():
     for desc, sigmas in cases:
         window = tuple(ball(desc, 1))
         for n in (1, 2, 3):
-            basis = tuple(FreeModuleVector.basis(desc, INTEGERS, n))
-            pair = RelativePair(n, basis, basis, window)
+            basis = GroupRingMatrix.identity(desc, INTEGERS, n)
+            pair = RelativePair(basis, basis, window)
             for sigma in sigmas:
                 value = relative_mean_length_at(pair, sigma)
                 if value != n:
@@ -119,12 +118,11 @@ def test_criterion_02_circulant_values():
     problems = []
     gen = Z.element(1)
     diff = _difference(Z, INTEGERS, gen)
-    a = FreeModuleVector.single(diff)
-    b = FreeModuleVector.single(GroupRingElement.one(Z, INTEGERS))
     f = GroupRingMatrix(Z, INTEGERS, [[diff]])
+    b = GroupRingMatrix.identity(Z, INTEGERS, 1)
     ds = (100, 1000, 5000)
     start = perf_counter()
-    mrk_est = estimate_mean_length(RelativePair(1, [a], [b], [gen]), SoficSchedule(ds))
+    mrk_est = estimate_mean_length(RelativePair(f, b, [gen]), SoficSchedule(ds))
     vrk_points = []
     for d in ds:
         pp = principal_rank_point(
@@ -223,7 +221,7 @@ def test_criterion_05_amenable_coincidence():
     problems = []
     rng = random.Random(505)
     support = ball(Z, 2)
-    basis2 = tuple(FreeModuleVector.basis(Z, INTEGERS, 2))
+    basis2 = GroupRingMatrix.identity(Z, INTEGERS, 2)
     tol = Fraction(2, 100)
     for trial in range(10):
         vectors = []
@@ -233,11 +231,12 @@ def test_criterion_05_amenable_coincidence():
                 terms = [(rng.choice(support), rng.randrange(-3, 4))
                          for _ in range(rng.randrange(1, 4))]
                 comps.append(GroupRingElement.from_terms(Z, INTEGERS, terms))
-            vectors.append(FreeModuleVector(tuple(comps)))
+            vectors.append(comps)
+        A = GroupRingMatrix(Z, INTEGERS, vectors)
         est = estimate_mean_length(
-            RelativePair(2, vectors, basis2, ball(Z, 2)),
+            RelativePair(A, basis2, ball(Z, 2)),
             SoficSchedule((2000,)), snap_tol=None)
-        oracle = folner_mean_length(vectors, [FolnerBox((200,))])[-1]
+        oracle = folner_mean_length(A, [FolnerBox((200,))])[-1]
         gap = abs(est.headline - oracle)
         if gap > tol:
             problems.append(

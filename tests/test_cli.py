@@ -9,9 +9,9 @@ import pytest
 
 from soficlen import cli, meanlength
 from soficlen.cli import main
-from soficlen.groupring import INTEGERS, parse_element, parse_matrix
+from soficlen.groupring import INTEGERS, GroupRingMatrix, parse_element, parse_matrix
 from soficlen.groups import ball, integer_line
-from soficlen.meanlength import (FreeModuleVector, MeanLengthError, RelativePair,
+from soficlen.meanlength import (MeanLengthError, RelativePair,
                                  check_addition, derive_rank_seed,
                                  estimate_mean_length, estimate_vrk_fp)
 from soficlen.sofic import SoficSchedule, make_sigma
@@ -420,10 +420,10 @@ a2 = 1@-1 | 1@1 1@0
 """
     code, report, _ = _run(tmp_path, job, argv_extra=("--jobs", jobs))
     Z = integer_line()
-    A = [FreeModuleVector(tuple(parse_element(Z, INTEGERS, c) for c in v))
-         for v in (("1@1 -1@0", "2@0"), ("1@-1", "1@1 1@0"))]
-    B = FreeModuleVector.basis(Z, INTEGERS, 2)
-    est = estimate_mean_length(RelativePair(2, A, B, ball(Z, 1)),
+    A = GroupRingMatrix(Z, INTEGERS, [[parse_element(Z, INTEGERS, c) for c in v]
+                                      for v in (("1@1 -1@0", "2@0"), ("1@-1", "1@1 1@0"))])
+    B = GroupRingMatrix.identity(Z, INTEGERS, 2)
+    est = estimate_mean_length(RelativePair(A, B, ball(Z, 1)),
                                SoficSchedule((50, 100), (1, 2)))
     assert code == 0
     assert _report_body(report) == est.to_json_dict()

@@ -195,6 +195,20 @@ def test_prime_field_arithmetic():
         prime_field(4)
 
 
+def test_prime_field_refuses_a_denominator_divisible_by_p():
+    """1/7 and 3/14 have no residue in GF(7): the error is a GroupRingError
+    naming the coefficient and p, in the library and in the text parser."""
+    Z = integer_line()
+    gf7 = prime_field(7)
+    for c in (Fraction(1, 7), Fraction(3, 14)):
+        with pytest.raises(GroupRingError, match=f"{c} has a denominator divisible by 7"):
+            GroupRingElement.from_terms(Z, gf7, [(Z.identity(), c)])
+    with pytest.raises(GroupRingError, match="bad coefficient '1/7': 1/7 has a denominator "
+                                             r"divisible by 7, not invertible in GF\(7\)"):
+        parse_matrix("1 1 GF(7) Z\n0 0 1/7@e\n")
+    assert gf7.normalize(Fraction(7, 3)) == 0
+
+
 def test_matrix_identity_multiplication():
     Z = integer_line()
     rng = random.Random(3)
@@ -272,8 +286,8 @@ def _elementary_pair(rng, desc, ring, k):
         r = _random_element(rng, desc, ring, radius=1, terms=2, bound=1)
         fwd = GroupRingMatrix.identity(desc, ring, k)
         bwd = GroupRingMatrix.identity(desc, ring, k)
-        entries_f = [list(fwd.row(a)) for a in range(k)]
-        entries_b = [list(bwd.row(a)) for a in range(k)]
+        entries_f = [list(fwd.entries[a]) for a in range(k)]
+        entries_b = [list(bwd.entries[a]) for a in range(k)]
         entries_f[i][j] = entries_f[i][j] + r
         entries_b[i][j] = entries_b[i][j] + (-r)
         return (GroupRingMatrix(desc, ring, entries_f),

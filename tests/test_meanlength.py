@@ -23,7 +23,6 @@ from soficlen.groupring import (
     prime_field,
 )
 from soficlen.meanlength import (
-    FreeModuleVector,
     MeanLengthError,
     MeanRankOnlyError,
     RelativePair,
@@ -38,7 +37,6 @@ from soficlen.meanlength import (
     principal_rank_point,
     relative_mean_length_at,
     relators,
-    rows_of,
     snap_to_H,
 )
 from soficlen.sofic import (
@@ -58,6 +56,11 @@ F2 = free_group(2)
 def _t_minus_one(ring=INTEGERS):
     return GroupRingElement.from_terms(Z, ring, [(Z.element(1), 1),
                                                  (Z.identity(), -1)])
+
+
+def _column(*xs):
+    """The one-column matrix whose rows are the elements ``xs``."""
+    return GroupRingMatrix(xs[0].desc, xs[0].ring, [[x] for x in xs])
 
 
 def _random_matrix(rng, desc, ring, m, n, radius=2, bound=3):
@@ -150,14 +153,14 @@ def test_functoriality_of_matrix_models():
 
 
 def test_relators_with_identity_window_vanish():
-    B = FreeModuleVector.basis(Z, INTEGERS, 1)
+    B = GroupRingMatrix.identity(Z, INTEGERS, 1)
     rel = relators(B, [Z.identity()], build_cyclic(4))
     assert rel.nnz == 0
     assert rank_over_Q(rel).rank == 0
 
 
 def test_relator_structure_for_basis():
-    B = FreeModuleVector.basis(Z, INTEGERS, 2)
+    B = GroupRingMatrix.identity(Z, INTEGERS, 2)
     F = [Z.element(1)]
     rel = relators(B, F, build_cyclic(4))
     assert rel.nrows == 4 * 2 * 1
@@ -166,16 +169,16 @@ def test_relator_structure_for_basis():
 
 
 def test_relator_span_rank():
-    B = [FreeModuleVector.single(GroupRingElement.one(Z, INTEGERS))]
+    B = _column(GroupRingElement.one(Z, INTEGERS))
     rel = relators(B, [Z.element(1)], build_cyclic(3))
     assert rank_over_Q(rel).rank == 3
     assert dense_rank_rational(rel.to_dense()) == 3
 
 
 def test_coordinate_window_contains_all_supports():
-    a = FreeModuleVector.single(_t_minus_one())
-    b = FreeModuleVector.single(GroupRingElement.one(Z, INTEGERS))
-    pair = RelativePair(1, (a,), (b,), (Z.element(1), Z.element(2)))
+    a = _column(_t_minus_one())
+    b = _column(GroupRingElement.one(Z, INTEGERS))
+    pair = RelativePair(a, b, (Z.element(1), Z.element(2)))
     window = coordinate_window(pair.A, pair.B, pair.F)
     values = [g.value for g in window]
     assert values == sorted(values, key=lambda v: (abs(v), v))
@@ -183,20 +186,38 @@ def test_coordinate_window_contains_all_supports():
         assert g in window
 
 
+def test_relative_pair_refuses_mismatched_data():
+    """B must have A's group, ring and column count, and F must be a
+    nonempty window in A's group."""
+    a = _column(_t_minus_one())
+    one = _column(GroupRingElement.one(Z, INTEGERS))
+    F = (Z.element(1),)
+    cases = [(GroupRingMatrix.identity(Z, INTEGERS, 2), F, "B has 2 columns, A has 1"),
+             (GroupRingMatrix.identity(Z, RATIONALS, 1), F, "share one group ring"),
+             (GroupRingMatrix.identity(F2, INTEGERS, 1), F, "share one group ring"),
+             (one, (), "F must be nonempty"),
+             (one, (F2.element((1,)),), "F element from a different group")]
+    for B, window, message in cases:
+        with pytest.raises(MeanLengthError, match=message):
+            RelativePair(a, B, window)
+    pair = RelativePair(a, one, [Z.element(1)])
+    assert (pair.n, pair.desc, pair.ring, pair.F) == (1, Z, INTEGERS, F)
+
+
 def test_free_module_exactness_small():
     """With A = B = the standard basis the relative value is the free rank."""
     for n in (1, 2):
-        basis = FreeModuleVector.basis(Z, INTEGERS, n)
+        basis = GroupRingMatrix.identity(Z, INTEGERS, n)
         for F in ([Z.element(1)], ball(Z, 1)):
-            pair = RelativePair(n, tuple(basis), tuple(basis), tuple(F))
+            pair = RelativePair(basis, basis, tuple(F))
             for d in (3, 6):
                 assert relative_mean_length_at(pair, build_cyclic(d)) == n
 
 
 def test_relative_value_for_difference_generator():
-    b = FreeModuleVector.single(GroupRingElement.one(Z, INTEGERS))
-    a = FreeModuleVector.single(_t_minus_one())
-    pair = RelativePair(1, (a,), (b,), (Z.element(1),))
+    b = _column(GroupRingElement.one(Z, INTEGERS))
+    a = _column(_t_minus_one())
+    pair = RelativePair(a, b, (Z.element(1),))
     for d in range(2, 9):
         assert relative_mean_length_at(pair, build_cyclic(d)) == Fraction(d - 1, d)
 
@@ -204,8 +225,7 @@ def test_relative_value_for_difference_generator():
 def test_relative_value_for_scalar_two_over_Q():
     two = GroupRingElement.from_terms(Z, RATIONALS, [(Z.identity(), 2)])
     one = GroupRingElement.one(Z, RATIONALS)
-    pair = RelativePair(1, (FreeModuleVector.single(two),),
-                        (FreeModuleVector.single(one),), (Z.element(1),))
+    pair = RelativePair(_column(two), _column(one), (Z.element(1),))
     assert relative_mean_length_at(pair, build_cyclic(6)) == 1
 
 
@@ -213,10 +233,10 @@ def test_relative_value_assembles_one_matrix_beyond_int64(monkeypatch):
     """The relator matrix is the first rows of the one stacked matrix; here
     A's denominator 2**64 + 13 scales B's entries beyond int64."""
     q = 2**64 + 13
-    b = FreeModuleVector.single(GroupRingElement.one(Z, RATIONALS))
-    a = FreeModuleVector.single(GroupRingElement.from_terms(
+    b = _column(GroupRingElement.one(Z, RATIONALS))
+    a = _column(GroupRingElement.from_terms(
         Z, RATIONALS, [(Z.element(1), Fraction(1, q)), (Z.identity(), Fraction(-1, q))]))
-    pair = RelativePair(1, (a,), (b,), (Z.element(1),))
+    pair = RelativePair(a, b, (Z.element(1),))
     built = []
     real = meanlength.blocks_to_sparse
 
@@ -237,8 +257,7 @@ def test_relative_value_over_prime_field():
     assert two.is_zero()
     t1 = GroupRingElement.from_terms(Z, gf2, [(Z.element(1), 1), (Z.identity(), 1)])
     one = GroupRingElement.one(Z, gf2)
-    pair = RelativePair(1, (FreeModuleVector.single(t1),),
-                        (FreeModuleVector.single(one),), (Z.element(1),))
+    pair = RelativePair(_column(t1), _column(one), (Z.element(1),))
     value = relative_mean_length_at(pair, build_cyclic(6))
     assert value == Fraction(5, 6)
 
@@ -246,24 +265,23 @@ def test_relative_value_over_prime_field():
 def test_monotonicity_in_window_and_generators():
     sigma = build_cyclic(8)
     one = GroupRingElement.one(Z, INTEGERS)
-    b = FreeModuleVector.single(one)
-    a = FreeModuleVector.single(_t_minus_one())
+    b = _column(one)
+    a = _column(_t_minus_one())
     base = relative_mean_length_at(
-        RelativePair(1, (a,), (b,), (Z.element(1),)), sigma)
+        RelativePair(a, b, (Z.element(1),)), sigma)
 
     bigger_F = relative_mean_length_at(
-        RelativePair(1, (a,), (b,), tuple(ball(Z, 2))), sigma)
+        RelativePair(a, b, tuple(ball(Z, 2))), sigma)
     assert bigger_F <= base
 
-    t = FreeModuleVector.single(GroupRingElement.monomial(Z, INTEGERS, Z.element(1)))
+    t = GroupRingElement.monomial(Z, INTEGERS, Z.element(1))
     bigger_B = relative_mean_length_at(
-        RelativePair(1, (a,), (b, t), (Z.element(1),)), sigma)
+        RelativePair(a, _column(one, t), (Z.element(1),)), sigma)
     assert bigger_B <= base
 
-    two = FreeModuleVector.single(
-        GroupRingElement.from_terms(Z, INTEGERS, [(Z.identity(), 2)]))
+    two = GroupRingElement.from_terms(Z, INTEGERS, [(Z.identity(), 2)])
     bigger_A = relative_mean_length_at(
-        RelativePair(1, (a, two), (b,), (Z.element(1),)), sigma)
+        RelativePair(_column(_t_minus_one(), two), b, (Z.element(1),)), sigma)
     assert bigger_A >= base
 
 
@@ -271,18 +289,18 @@ def test_value_bounded_by_generator_span_rank():
     rng = random.Random(37)
     sigma = build_cyclic(7)
     one = GroupRingElement.one(Z, INTEGERS)
-    B = (FreeModuleVector.single(one),)
+    B = _column(one)
     for _ in range(6):
-        A = tuple(rows_of(_random_matrix(rng, Z, INTEGERS, rng.randrange(1, 4), 1)))
-        pair = RelativePair(1, A, B, (Z.element(1),))
+        A = _random_matrix(rng, Z, INTEGERS, rng.randrange(1, 4), 1)
+        pair = RelativePair(A, B, (Z.element(1),))
         value = relative_mean_length_at(pair, sigma)
-        support = sorted({g for a in A for g in a.support()},
+        support = sorted({g for (a,) in A.entries for g in a.coeffs},
                          key=lambda g: g.sort_key())
         index = {g: i for i, g in enumerate(support)}
         coeff_rows = []
-        for a in A:
+        for (a,) in A.entries:
             row = [0] * len(support)
-            for g, c in a.components[0].coeffs.items():
+            for g, c in a.coeffs.items():
                 row[index[g]] = c
             coeff_rows.append(row)
         assert value <= dense_rank_rational(coeff_rows)
@@ -308,9 +326,9 @@ def test_restriction_matches_cyclic_for_full_cycle_seed():
             break
     assert chosen is not None
     restricted = restrict(chosen, s)
-    b = FreeModuleVector.single(GroupRingElement.one(Z, INTEGERS))
-    a = FreeModuleVector.single(_t_minus_one())
-    pair = RelativePair(1, (a,), (b,), (Z.element(1),))
+    b = _column(GroupRingElement.one(Z, INTEGERS))
+    a = _column(_t_minus_one())
+    pair = RelativePair(a, b, (Z.element(1),))
     value_restricted = relative_mean_length_at(pair, restricted)
     value_cyclic = relative_mean_length_at(pair, build_cyclic(d))
     assert value_restricted == value_cyclic == Fraction(d - 1, d)
@@ -319,9 +337,9 @@ def test_restriction_matches_cyclic_for_full_cycle_seed():
 def test_restriction_close_to_cyclic_for_generic_seeds():
     d = 400
     s = F2.element((1,))
-    b = FreeModuleVector.single(GroupRingElement.one(Z, INTEGERS))
-    a = FreeModuleVector.single(_t_minus_one())
-    pair = RelativePair(1, (a,), (b,), (Z.element(1),))
+    b = _column(GroupRingElement.one(Z, INTEGERS))
+    a = _column(_t_minus_one())
+    pair = RelativePair(a, b, (Z.element(1),))
     cyclic_value = relative_mean_length_at(pair, build_cyclic(d))
     for seed in (1, 2, 3):
         restricted = restrict(build_random_free(2, d, seed), s)
@@ -396,8 +414,8 @@ def test_derive_rank_seed_is_stable():
 
 
 def test_estimate_mean_length_free_template():
-    basis = FreeModuleVector.basis(Z, INTEGERS, 2)
-    est = estimate_mean_length(RelativePair(2, basis, basis, ball(Z, 1)),
+    basis = GroupRingMatrix.identity(Z, INTEGERS, 2)
+    est = estimate_mean_length(RelativePair(basis, basis, ball(Z, 1)),
                                SoficSchedule((4, 8)))
     assert est.quantity == "mrk"
     assert est.headline == 2
@@ -408,9 +426,9 @@ def test_estimate_mean_length_free_template():
 
 
 def test_estimate_mean_length_circulant_series():
-    a = FreeModuleVector.single(_t_minus_one())
-    b = FreeModuleVector.single(GroupRingElement.one(Z, INTEGERS))
-    est = estimate_mean_length(RelativePair(1, [a], [b], [Z.element(1)]),
+    a = _column(_t_minus_one())
+    b = _column(GroupRingElement.one(Z, INTEGERS))
+    est = estimate_mean_length(RelativePair(a, b, [Z.element(1)]),
                                SoficSchedule((100, 1000)))
     assert [p.value for p in est.series] == [Fraction(99, 100), Fraction(999, 1000)]
     assert est.headline == Fraction(999, 1000)

@@ -14,7 +14,6 @@ from soficlen.groupring import (
     prime_field,
 )
 from soficlen.meanlength import (
-    FreeModuleVector,
     SeriesPoint,
     assemble_estimate,
     estimate_vrk_fp,
@@ -40,32 +39,36 @@ def _t_minus_one(desc=Z, ring=INTEGERS, gen=None):
     return GroupRingElement.from_terms(desc, ring, [(g, 1), (desc.identity(), -1)])
 
 
+def _column(*xs):
+    """The one-column matrix whose rows are the elements ``xs``."""
+    return GroupRingMatrix(xs[0].desc, xs[0].ring, [[x] for x in xs])
+
+
 def test_folner_translates_of_one():
-    a = FreeModuleVector.single(GroupRingElement.one(Z, INTEGERS))
-    series = folner_mean_length([a], [FolnerBox((10,))])
+    a = GroupRingMatrix.identity(Z, INTEGERS, 1)
+    series = folner_mean_length(a, [FolnerBox((10,))])
     assert series == [Fraction(1)]
 
 
 def test_folner_difference_generator():
-    a = FreeModuleVector.single(_t_minus_one())
-    series = folner_mean_length([a], [FolnerBox((4,)), FolnerBox((10,))])
+    a = _column(_t_minus_one())
+    series = folner_mean_length(a, [FolnerBox((4,)), FolnerBox((10,))])
     assert series[-1] == 1
     assert all(0 <= v <= 1 for v in series)
 
 
 def test_folner_scalar_two():
     two = GroupRingElement.from_terms(Z, INTEGERS, [(Z.identity(), 2)])
-    series = folner_mean_length([FreeModuleVector.single(two)], [FolnerBox((10,))])
+    series = folner_mean_length(_column(two), [FolnerBox((10,))])
     assert series == [Fraction(1)]
 
 
 def test_folner_lattice_boxes():
-    one = GroupRingElement.one(L2, INTEGERS)
-    a = FreeModuleVector.single(one)
-    series = folner_mean_length([a], [FolnerBox((3, 3))])
+    a = GroupRingMatrix.identity(L2, INTEGERS, 1)
+    series = folner_mean_length(a, [FolnerBox((3, 3))])
     assert series == [Fraction(1)]
-    diff = FreeModuleVector.single(_t_minus_one(L2, gen=L2.element((1, 0))))
-    series2 = folner_mean_length([diff], [FolnerBox((4, 4)), (FolnerBox((8, 8)))])
+    diff = _column(_t_minus_one(L2, gen=L2.element((1, 0))))
+    series2 = folner_mean_length(diff, [FolnerBox((4, 4)), (FolnerBox((8, 8)))])
     assert series2[-1] == 1
 
 
@@ -78,8 +81,8 @@ def test_folner_values_bounded_by_span_rank():
             terms = [(rng.choice(support), rng.randrange(-3, 4))
                      for _ in range(rng.randrange(1, 4))]
             comp = GroupRingElement.from_terms(Z, INTEGERS, terms)
-            vectors.append(FreeModuleVector((comp,)))
-        series = folner_mean_length(vectors, [FolnerBox((6,)), FolnerBox((12,))])
+            vectors.append(comp)
+        series = folner_mean_length(_column(*vectors), [FolnerBox((6,)), FolnerBox((12,))])
         for value in series:
             assert 0 <= value <= len(vectors)
 
@@ -93,27 +96,77 @@ def test_folner_clears_denominators_and_reduces_mod_p():
         for _ in range(rng.randrange(1, 3)):
             comps = [[(rng.choice(support), rng.randrange(-3, 4))
                       for _ in range(rng.randrange(1, 4))] for _ in range(2)]
-            over_z.append(FreeModuleVector(tuple(
-                GroupRingElement.from_terms(Z, INTEGERS, t) for t in comps)))
-            over_q.append(FreeModuleVector(tuple(
+            over_z.append([GroupRingElement.from_terms(Z, INTEGERS, t) for t in comps])
+            over_q.append([
                 GroupRingElement.from_terms(Z, RATIONALS, [(g, Fraction(c, 6)) for g, c in t])
-                for t in comps)))
-        assert folner_mean_length(over_q, boxes) == folner_mean_length(over_z, boxes)
+                for t in comps])
+        assert (folner_mean_length(GroupRingMatrix(Z, RATIONALS, over_q), boxes)
+                == folner_mean_length(GroupRingMatrix(Z, INTEGERS, over_z), boxes))
     # 1 + t and 1 − t: equal over GF(2), so the translates of one span the
     # box; over GF(3) they span all δ_g on its L + 1 window points
     for p, value in ((2, Fraction(1)), (3, Fraction(11, 10))):
         ring = prime_field(p)
-        A = [FreeModuleVector.single(GroupRingElement.from_terms(
-            Z, ring, [(Z.identity(), 1), (Z.element(1), c)])) for c in (1, -1)]
+        A = _column(*(GroupRingElement.from_terms(
+            Z, ring, [(Z.identity(), 1), (Z.element(1), c)]) for c in (1, -1)))
         assert folner_mean_length(A, [FolnerBox((10,))]) == [value]
+
+
+def test_folner_zero_generator_has_value_zero():
+    """A with no terms spans nothing: every box average is 0, over Z and Z²;
+    a zero row next to a nonzero one adds nothing."""
+    assert folner_mean_length(GroupRingMatrix.zeros(Z, INTEGERS, 1, 2),
+                              [FolnerBox((5,)), FolnerBox((8,))]) == [0, 0]
+    assert folner_mean_length(GroupRingMatrix.zeros(L2, INTEGERS, 2, 1),
+                              [FolnerBox((2, 3))]) == [0]
+    A = _column(GroupRingElement.zero(Z, INTEGERS), _t_minus_one())
+    assert folner_mean_length(A, [FolnerBox((4,))]) == [Fraction(1)]
+
+
+def test_folner_lattice_values_are_fixed():
+    """Random A in (R[Z²])^{1×2} on boxes 3×3, 4×6 and 7×5, against values
+    computed by the earlier oracle, which ordered the window by
+    ``GroupElement.sort_key`` and formed each s⁻¹·g as a group product."""
+    support = ball(L2, 1)
+    boxes = [FolnerBox((3, 3)), FolnerBox((4, 6)), FolnerBox((7, 5))]
+    expected = {
+        "Z": ["1", "1", "1", "26/9", "8/3", "18/7", "3", "35/12", "101/35",
+              "26/9", "8/3", "18/7"],
+        "GF(3)": ["1", "1", "1", "26/9", "8/3", "18/7", "3", "35/12", "101/35",
+                  "2", "2", "2"],
+    }
+    for ring in (INTEGERS, prime_field(3)):
+        rng = random.Random(2024)
+        values = []
+        for _ in range(4):
+            rows = [[GroupRingElement.from_terms(
+                        L2, ring, [(rng.choice(support), rng.randrange(-2, 3))
+                                   for _ in range(rng.randrange(1, 4))])
+                     for _ in range(2)] for _ in range(rng.randrange(1, 4))]
+            values += folner_mean_length(GroupRingMatrix(L2, ring, rows), boxes)
+        assert values == [Fraction(v) for v in expected[ring.label()]]
+
+
+def test_folner_takes_supports_far_from_the_origin():
+    """Box coordinates are taken relative to supp(A), so exponents beyond
+    int64 work; a support spanning 2**62 or more is refused, not wrapped."""
+    far = 10**20
+    for desc, g, h in ((Z, Z.element(far), Z.element(far - 1)),
+                       (L2, L2.element((far, -far)), L2.element((far, 1 - far)))):
+        a = _column(GroupRingElement.from_terms(desc, INTEGERS, [(g, 1), (h, -1)]))
+        box = FolnerBox((6,) * desc.rank)
+        assert folner_mean_length(a, [box]) == [Fraction(1)]
+    wide = _column(GroupRingElement.from_terms(
+        Z, INTEGERS, [(Z.element(2**62), 1), (Z.identity(), -1)]))
+    with pytest.raises(OracleError, match="2\\*\\*62"):
+        folner_mean_length(wide, [FolnerBox((4,))])
 
 
 def test_folner_rejects_unsupported_groups():
     from soficlen.groups import free_group
     F2 = free_group(2)
-    a = FreeModuleVector.single(GroupRingElement.one(F2, INTEGERS))
+    a = GroupRingMatrix.identity(F2, INTEGERS, 1)
     with pytest.raises(OracleError):
-        folner_mean_length([a], [FolnerBox((4,))])
+        folner_mean_length(a, [FolnerBox((4,))])
     with pytest.raises(OracleError):
         FolnerBox(())
     with pytest.raises(OracleError):

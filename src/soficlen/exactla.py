@@ -23,11 +23,23 @@ and not too large, goes to the dense kernel instead, one prime at a time.
 Residues are int64 below 2**31 and Python ints in object arrays above.
 Everything is deterministic: same input, same rounds, same rank.
 
+One pass also ranks nested leading row blocks, the first ``cuts[0]``,
+``cuts[1]``, ... rows.  An entry (i, j) is then a candidate only if no live
+entry of column j lies in an earlier block than row i, and the candidates are
+the allowed entries of minimal score.  Pivoting there subtracts a row only
+from rows of its own block or later ones, so the pivot rows and live rows of
+the first k blocks span what those blocks spanned at the start.  The live
+rows are zero in every pivot column, so the rank of the first k blocks is the
+number of pivots taken in them plus the rank of their live rows.  Keys are
+sorted by row, so once every live row lies in the last block the rule drops
+out; with no cuts it never applies.  The dense tail ranks the live rows of
+each block prefix that still has some.
+
 Rank over Q is certified-probabilistic: the maximum of ranks modulo
 ``_MIN_PRIMES`` to ``_MAX_PRIMES`` seeded random primes in (2**30, 2**31),
-resampling until the top rank is hit by two distinct primes.  The first
-``_MIN_PRIMES`` are eliminated together, any later one alone; elimination at
-any nonzero pivots gives the exact rank mod p.
+resampling until the top rank of every block prefix is hit by two distinct
+primes.  The first ``_MIN_PRIMES`` are eliminated together, any later one
+alone; elimination at any nonzero pivots gives the exact rank mod p.
 """
 
 from __future__ import annotations
@@ -150,9 +162,7 @@ class SparseMatrix:
         if modulus is not None:
             val = (val if modulus <= _INT64_MAX else val.astype(object)) % modulus
         live = val != 0
-        self._set(nrows, ncols, key[live], val[live], modulus)
-
-    def _set(self, nrows, ncols, key, data, modulus):
+        key, data = key[live], val[live]
         data = _int_array(data) if data.dtype == object else data
         key.flags.writeable = data.flags.writeable = False
         for name, value in zip(self.__slots__, (nrows, ncols, key, data, modulus)):
@@ -176,15 +186,6 @@ class SparseMatrix:
     @property
     def nnz(self) -> int:
         return self.key.size
-
-    def first_rows(self, k: int) -> "SparseMatrix":
-        """The k x ncols matrix of the first k rows: a prefix of the entries."""
-        if not 0 <= k <= self.nrows:
-            raise ExactLAError(f"cannot take {k} rows of a {self.nrows}-row matrix")
-        cut = np.searchsorted(self.key, k * self.ncols)
-        m = object.__new__(SparseMatrix)
-        m._set(k, self.ncols, self.key[:cut], self.data[:cut], self.modulus)
-        return m
 
     def transpose(self) -> "SparseMatrix":
         row, col = np.divmod(self.key, self.ncols)
@@ -212,12 +213,15 @@ class SparseMatrix:
 @dataclass(frozen=True)
 class RankResult:
     """Rank plus provenance: which field, which primes, and whether the
-    multi-prime agreement certificate was reached (always True mod p)."""
+    multi-prime agreement certificate was reached (always True mod p).
+    ``leading_ranks[k]`` is the rank of the first ``cuts[k]`` rows, for the
+    ``cuts`` the matrix was ranked with."""
 
     rank: int
     field: str
     primes: tuple[int, ...]
     agreement: bool
+    leading_ranks: tuple[int, ...] = ()
 
 
 # --- sparse elimination core ------------------------------------------------
@@ -241,43 +245,65 @@ def _merge(key, val):
     return key[first], np.add.reduceat(val.take(order, axis=-1), first, axis=-1)
 
 
-def _sparse_ranks(nrows, ncols, key, val, primes) -> list[int]:
-    """Ranks mod each prime of a SparseMatrix's ``key`` and ``data`` arrays,
-    which it does not write to: rounds of independent pivots shared by the
-    primes, then the dense kernel on what is left (see the module docstring)."""
+def _sparse_ranks(nrows, ncols, key, val, cuts, primes) -> list[list[int]]:
+    """Ranks mod each prime of the first ``cuts[0]``, ``cuts[1]``, ... rows
+    and of all rows of a SparseMatrix's ``key`` and ``data`` arrays, which it
+    does not write to: rounds of independent pivots shared by the primes,
+    then the dense kernel on what is left (see the module docstring)."""
     dtype = np.int64 if max(primes) < _kernels._INT64_MODULUS_LIMIT else object
     p = np.array(primes, dtype=dtype)[:, None]
     v = (np.asarray(val, dtype=dtype) % p if val.dtype == np.int64
          else (val % p.astype(object)).astype(dtype))  # beyond int64: Python ints
-    rank = 0
+    bounds = np.array([*cuts, nrows])
+    rank = np.zeros(bounds.size, dtype=np.int64)
     while True:
         nonzero = v != 0
         live = nonzero.any(axis=0)
         key, v, nonzero = key[live], v.compress(live, axis=1), nonzero.compress(live, axis=1)
         r, c = np.divmod(key, ncols)
         if not nonzero.all():  # zero mod some primes only: each goes on alone
-            return [rank + _sparse_ranks(nrows, ncols, key[z], vq[z], [q])[0]
+            return [(rank + _sparse_ranks(nrows, ncols, key[z], vq[z], cuts, [q])[0]).tolist()
                     for vq, z, q in zip(v, nonzero, primes)]
         if not key.size:
-            return [rank] * len(primes)
+            return [rank.tolist()] * len(primes)
         row_nnz = np.bincount(r, minlength=nrows)
         col_nnz = np.bincount(c, minlength=ncols)
         ra, ca = np.count_nonzero(row_nnz), np.count_nonzero(col_nnz)
         area = ra * ca
         if area <= _DENSE_MAX_AREA and (
                 min(ra, ca) <= _DENSE_THIN or key.size >= _DENSE_FILL * area):
-            return [rank + _dense_tail(r, c, vq, q) for vq, q in zip(v, primes)]
-        pivots = _independent_pivots(r, c, row_nnz, col_nnz, ncols)
-        rank += pivots.size
+            ends = np.searchsorted(r, bounds)  # the live entries above each bound
+            return [(rank + _dense_tails(r, c, vq, q, ends)).tolist()
+                    for vq, q in zip(v, primes)]
+        allowed = _allowed(r, c, cuts, ncols) if cuts and r[0] < cuts[-1] else None
+        pivots = _independent_pivots(r, c, row_nnz, col_nnz, ncols, allowed)
+        rank += np.searchsorted(r[pivots], bounds)
         key, v = _schur_update(key, v, r, c, row_nnz, pivots, ncols, p)
 
 
-def _independent_pivots(r, c, row_nnz, col_nnz, ncols):
+def _allowed(r, c, cuts, ncols):
+    """Whether each entry's column has no entry in an earlier block than its
+    row, the blocks being cut at the rows ``cuts``; r is sorted."""
+    allowed = np.ones(r.size, dtype=bool)
+    earlier = np.zeros(ncols, dtype=bool)
+    done = 0
+    for start in np.searchsorted(r, cuts):
+        if done < start < r.size:
+            earlier[c[done:start]] = True
+            allowed[start:] &= ~earlier[c[start:]]
+            done = start
+    return allowed
+
+
+def _independent_pivots(r, c, row_nnz, col_nnz, ncols, allowed):
     """Indices of the entries of minimal Markowitz score (row_nnz - 1) *
-    (col_nnz - 1) whose priority is the lowest among the candidates two hops
-    away in the row/column graph: no two share a row or a column, and the
-    entries that cross two of them, A[i, j'] and A[i', j], are zero."""
+    (col_nnz - 1), among the ``allowed`` ones if given, whose priority is the
+    lowest among the candidates two hops away in the row/column graph: no two
+    share a row or a column, and the entries that cross two of them, A[i, j']
+    and A[i', j], are zero."""
     score = (row_nnz[r] - 1) * (col_nnz[c] - 1)
+    if allowed is not None:  # every score is below nrows * ncols <= _INT64_MAX
+        score[~allowed] = _INT64_MAX
     cand = np.flatnonzero(score == score.min())
     cr, cc = r[cand], c[cand]
     prio = (cr * ncols + cc).astype(np.uint64) * _PRIORITY_MIX
@@ -353,16 +379,31 @@ def _schur_update(key, v, r, c, row_nnz, pivots, ncols, p):
     return np.insert(key, at, fill_key[~hit]), v % p
 
 
-def _dense_tail(r, c, v, p) -> int:
-    rows, ri = np.unique(r, return_inverse=True)
-    cols, ci = np.unique(c, return_inverse=True)
-    block = np.zeros((rows.size, cols.size), dtype=v.dtype)
-    block[ri, ci] = v
-    return _kernels.dense_rank_mod_p(block, p)
+def _dense_tails(r, c, v, p, ends) -> list[int]:
+    """Ranks mod p of the live entries before each of ``ends``: one kernel
+    call per distinct nonempty prefix."""
+    ranks = {0: 0}
+    for end in ends:
+        if end not in ranks:
+            rows, ri = np.unique(r[:end], return_inverse=True)
+            cols, ci = np.unique(c[:end], return_inverse=True)
+            block = np.zeros((rows.size, cols.size), dtype=v.dtype)
+            block[ri, ci] = v[:end]
+            ranks[end] = _kernels.dense_rank_mod_p(block, p)
+    return [ranks[end] for end in ends]
 
 
-def rank_mod_p(m: SparseMatrix, p: int | None = None) -> RankResult:
-    """Exact rank over GF(p).  p defaults to the matrix's own modulus."""
+def _checked_cuts(m: SparseMatrix, cuts) -> tuple[int, ...]:
+    cuts = tuple(cuts)
+    if any(not 0 <= a <= b for a, b in zip((0, *cuts), (*cuts, m.nrows))):
+        raise ExactLAError(f"cuts {cuts} are not nondecreasing row counts of a "
+                           f"{m.nrows}-row matrix")
+    return cuts
+
+
+def rank_mod_p(m: SparseMatrix, p: int | None = None, *, cuts=()) -> RankResult:
+    """Exact rank over GF(p), and of the first ``cuts[k]`` rows for each k.
+    p defaults to the matrix's own modulus."""
     if p is None:
         p = m.modulus
         if p is None:
@@ -371,30 +412,33 @@ def rank_mod_p(m: SparseMatrix, p: int | None = None) -> RankResult:
         raise ExactLAError(f"{p} is not prime")
     if m.modulus is not None and m.modulus != p:
         raise ExactLAError(f"matrix is over GF({m.modulus}), not GF({p})")
-    rank = _sparse_ranks(m.nrows, m.ncols, m.key, m.data, [p])[0]
-    return RankResult(rank, f"GF({p})", (p,), True)
+    *leading, rank = _sparse_ranks(m.nrows, m.ncols, m.key, m.data,
+                                   _checked_cuts(m, cuts), [p])[0]
+    return RankResult(rank, f"GF({p})", (p,), True, tuple(leading))
 
 
 _MIN_PRIMES = 3
 _MAX_PRIMES = 12
 
 
-def rank_over_Q(m: SparseMatrix, *, seed: int = 0) -> RankResult:
-    """Certified-probabilistic rank over Q for an integer matrix.
+def rank_over_Q(m: SparseMatrix, *, seed: int = 0, cuts=()) -> RankResult:
+    """Certified-probabilistic rank over Q for an integer matrix, and of the
+    first ``cuts[k]`` rows for each k.
 
     Ranks the matrix modulo seeded random primes; rank mod p never exceeds
     the rational rank and equals it away from finitely many primes, so the
     running maximum is a lower bound that is almost surely exact.  The first
     ``_MIN_PRIMES`` draws share one elimination; further primes are drawn and
-    ranked one at a time until two primes agree on the maximum.
-    ``agreement`` records whether that certificate was reached within
-    ``_MAX_PRIMES`` draws.
+    ranked one at a time until, for every block prefix, two primes agree on
+    its maximum.  ``agreement`` records whether that certificate was reached
+    within ``_MAX_PRIMES`` draws.
     """
     if m.modulus is not None:
         raise ExactLAError("rank_over_Q needs integer entries, not GF residues")
+    cuts = _checked_cuts(m, cuts)
     rng = random.Random(seed)
     primes: list[int] = []
-    ranks: list[int] = []
+    ranks: list[list[int]] = []  # per prime, one rank per block prefix
     agreement = False
     while len(primes) < _MAX_PRIMES:
         p = sample_prime(rng)
@@ -403,11 +447,12 @@ def rank_over_Q(m: SparseMatrix, *, seed: int = 0) -> RankResult:
         primes.append(p)
         if len(primes) < _MIN_PRIMES:
             continue
-        ranks += _sparse_ranks(m.nrows, m.ncols, m.key, m.data, primes[len(ranks):])
-        if ranks.count(max(ranks)) >= 2:
+        ranks += _sparse_ranks(m.nrows, m.ncols, m.key, m.data, cuts, primes[len(ranks):])
+        if all(prefix.count(max(prefix)) >= 2 for prefix in zip(*ranks)):
             agreement = True
             break
-    return RankResult(max(ranks), "Q", tuple(primes), agreement)
+    *leading, rank = (max(prefix) for prefix in zip(*ranks))
+    return RankResult(rank, "Q", tuple(primes), agreement, tuple(leading))
 
 
 # --- dense exact fallbacks --------------------------------------------------

@@ -36,7 +36,7 @@ from functools import partial
 import numpy as np
 
 from . import groups
-from .exactla import SparseMatrix, _int_array, rank_mod_p, rank_over_Q
+from .exactla import RankResult, SparseMatrix, _int_array, rank_mod_p, rank_over_Q
 from .groupring import CoefficientRing, GroupRingError, GroupRingMatrix
 from .groups import GroupDescriptor, GroupElement
 from .sofic import SoficMap, SoficSchedule, defect, make_sigma
@@ -89,10 +89,18 @@ class RelativePair:
 # ---------------------------------------------------------------------------
 # coefficient mapping into the elimination field
 
-def _rank(m: SparseMatrix, ring: CoefficientRing, seed: int):
+def _rank(m: SparseMatrix, ring: CoefficientRing, seed: int, d: int, cuts=()) -> RankResult:
+    """The rank of m, and of its first ``cuts[k]`` rows, over the ring's
+    field; raises MeanLengthError if they are uncertified."""
     if ring.kind == "GF":
-        return rank_mod_p(m)
-    return rank_over_Q(m, seed=seed)
+        result = rank_mod_p(m, cuts=cuts)
+    else:
+        result = rank_over_Q(m, seed=seed, cuts=cuts)
+    if not result.agreement:
+        raise MeanLengthError(
+            f"uncertified rank at d={d}, rank seed={seed}: no two of the "
+            f"{len(result.primes)} primes {result.primes} agree on the top rank")
+    return result
 
 
 def derive_rank_seed(tag: str, d: int, seed: int) -> int:
@@ -192,9 +200,14 @@ def relative_mean_length_at(pair: RelativePair, sigma: SoficMap, *,
                             rank_seed: int = 0) -> Fraction:
     """(rank(relators stacked with all δ_v a) − rank(relators)) / d.
 
-    Both ranks are taken over the pair's field (GF(p) exactly, Q via the
-    certified multi-prime route with a shared prime seed).  The relator
-    matrix is the first rows of the stacked one, assembled once.
+    The stacked matrix, relator rows first, is assembled once and ranked
+    once over the pair's field (GF(p) exactly, Q via the certified
+    multi-prime route), with the relator rows as a leading block.  The
+    eliminator takes a pivot in an A row only in a column that no relator
+    row meets any more, so no relator row is ever combined with an A row,
+    and rank(relators) is the number of pivots taken in relator rows plus
+    the rank of what is left of them.  Raises MeanLengthError if the
+    ranks are uncertified.
     """
     if pair.desc != sigma.desc:
         raise MeanLengthError("pair and sofic map live over different groups")
@@ -207,10 +220,8 @@ def relative_mean_length_at(pair: RelativePair, sigma: SoficMap, *,
                 _vector_blocks(rel_rows + base * na + ai, a, base, widx, pair.n)]
     ring = pair.ring
     stacked = blocks_to_sparse(rel_blocks + a_blocks, rel_rows + d * na, ncols, ring)
-    rel = stacked.first_rows(rel_rows)
-    rank_rel = _rank(rel, ring, rank_seed).rank
-    rank_stacked = _rank(stacked, ring, rank_seed).rank
-    return Fraction(rank_stacked - rank_rel, d)
+    ranks = _rank(stacked, ring, rank_seed, d, cuts=(rel_rows,))
+    return Fraction(ranks.rank - ranks.leading_ranks[0], d)
 
 
 # ---------------------------------------------------------------------------
@@ -347,14 +358,15 @@ def principal_rank_point(f: GroupRingMatrix, sigma: SoficMap, *, seed: int = 0,
     ``rank_seed`` and of ``rank_seed + 1``; the kernel is d·n minus the
     second rank.  The duality flag therefore checks that two independent
     draws of primes certify the same rank of the same matrix; it is not a
-    second route to the rank.
+    second route to the rank.  Raises MeanLengthError if either rank is
+    uncertified.
     """
     check_vrk_ring(f.ring)
     d = sigma.d
     n = f.n
     bar = build_sigma_bar(f, sigma)
-    rank = rank_over_Q(bar, seed=rank_seed).rank
-    kernel = d * n - rank_over_Q(bar, seed=rank_seed + 1).rank
+    rank = _rank(bar, f.ring, rank_seed, d).rank
+    kernel = d * n - _rank(bar, f.ring, rank_seed + 1, d).rank
     mrk = Fraction(rank, d)
     vrk = n - mrk
     return PrincipalPoint(d, seed, rank, kernel, mrk, vrk,

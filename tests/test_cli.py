@@ -470,6 +470,36 @@ def test_duality_failure_stops_library_and_cli_alike(tmp_path, monkeypatch, caps
     assert capsys.readouterr().err == f"error: {info.value}\n"
 
 
+MRK_JOB = "[job]\nquantity = mrk-relative\ngroup = Z\nschedule = 10\nseeds = 3\n\n" \
+    "[generators]\nn = 1\na1 = 1@1 -1@0\n"
+
+
+@pytest.mark.parametrize("quantity", ["mrk", "vrk"])
+def test_uncertified_rank_stops_library_and_cli_alike(tmp_path, monkeypatch, capsys, quantity):
+    real = meanlength.rank_over_Q
+
+    def uncertified(m, **kwargs):
+        return dataclasses.replace(real(m, **kwargs), agreement=False)
+
+    monkeypatch.setattr(meanlength, "rank_over_Q", uncertified)
+    f = parse_matrix(T_MINUS_ONE_Z)
+    schedule = SoficSchedule((10,), (3,))
+    with pytest.raises(MeanLengthError) as info:
+        if quantity == "mrk":
+            Z = integer_line()
+            pair = RelativePair(f, GroupRingMatrix.identity(Z, INTEGERS, 1), ball(Z, 1))
+            estimate_mean_length(pair, schedule)
+        else:
+            estimate_vrk_fp(f, schedule)
+    rank_seed = derive_rank_seed(quantity, 10, 3)
+    assert str(info.value).startswith(f"uncertified rank at d=10, rank seed={rank_seed}: ")
+    job = MRK_JOB if quantity == "mrk" else VRK_JOB.format(extra="seeds = 3\n")
+    code, report, _ = _run(tmp_path, job, files=[("f.txt", T_MINUS_ONE_Z)])
+    assert code == 1
+    assert report is None
+    assert capsys.readouterr().err == f"error: {info.value}\n"
+
+
 # --- a job is parsed and built once, and bad input stops it at load --------
 
 VRK_JOB = "[job]\nquantity = vrk-fp\nschedule = 10\n{extra}\n[matrix]\nfile = f.txt\n"

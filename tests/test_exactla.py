@@ -72,7 +72,7 @@ def test_sparse_matrix_normalization():
         _matrix(2, 2, [(2, 0, 1)])
     with pytest.raises(AttributeError):
         m.row = ()
-    for stored in (m.key, m.data, m.first_rows(2).key, m.transpose().data):
+    for stored in (m.key, m.data, m.transpose().data):
         with pytest.raises(ValueError, match="read-only"):
             stored[0] = 5
 
@@ -192,8 +192,6 @@ def test_arrays_agree_with_the_tuple_normal_form():
         if ref[2]:
             i, j, v = ref[0][0], ref[1][0], ref[2][0]
             assert _matrix(nrows, ncols, triplets + [(i, j, 1)]) != m
-        k = rng.randrange(nrows + 1)
-        assert m.first_rows(k) == _matrix(k, ncols, [e for e in triplets if e[0] < k])
         result = rank_over_Q(m, seed=trial)
         assert (result.rank, result.primes, result.agreement) == _per_prime_rank_over_q(m, trial)
 
@@ -420,19 +418,41 @@ def rounds(monkeypatch):
     return calls
 
 
-def _per_prime_rank_over_q(m, seed=0):
-    """rank_over_Q's prime loop with every prime ranked by the dense kernel."""
+def _leading(m, k):
+    """The first k rows of m, built from its triplets."""
+    return _matrix(k, m.ncols, [e for e in zip(m.row, m.col, m.val) if e[0] < k])
+
+
+def _dense_block_ranks(m, p, cuts):
+    """The dense kernel's ranks mod p of the first cuts[k] rows, built from
+    triplets, and of the whole matrix."""
+    ranks = {k: dense_rank_mod_p(_leading(m, k), p) for k in set(cuts)}
+    return [ranks[k] for k in cuts] + [dense_rank_mod_p(m, p)]
+
+
+def _per_prime_block_ranks(m, seed=0, cuts=()):
+    """rank_over_Q's prime loop with every prime and block prefix ranked by
+    the dense kernel; certified once two primes reach each prefix's maximum."""
     rng = random.Random(seed)
-    primes, ranks = [], []
+    primes, ranks, agreement = [], [], False
     while len(primes) < _MAX_PRIMES:
         p = sample_prime(rng)
         if p in primes:
             continue
         primes.append(p)
-        ranks.append(dense_rank_mod_p(m, p))
-        if len(primes) >= _MIN_PRIMES and ranks.count(max(ranks)) >= 2:
-            return max(ranks), tuple(primes), True
-    return max(ranks), tuple(primes), False
+        ranks.append(_dense_block_ranks(m, p, cuts))
+        if len(primes) >= _MIN_PRIMES and all(
+                prefix.count(max(prefix)) >= 2 for prefix in zip(*ranks)):
+            agreement = True
+            break
+    *leading, rank = (max(prefix) for prefix in zip(*ranks))
+    return RankResult(rank, "Q", tuple(primes), agreement, tuple(leading))
+
+
+def _per_prime_rank_over_q(m, seed=0):
+    """rank_over_Q's prime loop with every prime ranked by the dense kernel."""
+    result = _per_prime_block_ranks(m, seed)
+    return result.rank, result.primes, result.agreement
 
 
 def test_rounds_give_the_dense_rank_of_rank_deficient_products(rounds):
@@ -537,3 +557,130 @@ def test_reranking_gives_identical_results():
     for m in PRODUCTS[::25]:
         assert rank_over_Q(m, seed=3) == rank_over_Q(m, seed=3)
         assert rank_mod_p(m, 2**61 - 1) == rank_mod_p(m, 2**61 - 1)
+
+
+# --- nested row blocks: the rank of every leading block from one elimination
+
+def _random_cuts(rng, nrows):
+    """One to four nondecreasing row counts; 0, nrows and repeats are likely."""
+    picks = [0, nrows, rng.randrange(nrows + 1), rng.randrange(nrows + 1)]
+    return tuple(sorted(rng.choice(picks) for _ in range(rng.randrange(1, 5))))
+
+
+def _random_triplet_matrices(rng, count):
+    """Random sparse matrices with entries up to 2**70; every tenth is large
+    and sparse enough to reach the rounds."""
+    out = []
+    for trial in range(count):
+        nrows, ncols = rng.randrange(0, 12), rng.randrange(0, 12)
+        size = rng.randrange(0, nrows * ncols // 4 + 2) if nrows and ncols else 0
+        if trial % 10 == 9:
+            nrows, ncols = rng.randrange(100, 140), rng.randrange(100, 140)
+            size = rng.randrange(nrows, 3 * nrows)
+        triplets = _random_triplets(rng, nrows, ncols, size)
+        out.append(_matrix(nrows, ncols, triplets))
+    return out
+
+
+def test_block_ranks_equal_the_dense_ranks_of_the_leading_rows(rounds):
+    rng = random.Random(77)
+    matrices = _random_triplet_matrices(rng, 40) + PRODUCTS[::4]
+    for k, m in enumerate(matrices):
+        cuts = _random_cuts(rng, m.nrows)
+        for p in [2**31 - 1, P61] if k < 40 else [2**31 - 1]:  # P61 is slow on products
+            result = rank_mod_p(m, p, cuts=cuts)
+            assert [*result.leading_ranks, result.rank] == _dense_block_ranks(m, p, cuts)
+        if k < 40 or k % 20 == 0:
+            assert rank_over_Q(m, seed=k, cuts=cuts) == _per_prime_block_ranks(m, k, cuts)
+    assert rounds
+
+
+def test_block_ranks_when_the_primes_part_ways_mid_block(rounds, monkeypatch):
+    blocks = 60
+    p1, p2, triplets = _determinant_p2_blocks(blocks)
+    gen = random.Random(5)  # a second block under it, on the same columns
+    triplets += [(2 * blocks + gen.randrange(40), gen.randrange(2 * blocks), gen.randrange(1, 5))
+                 for _ in range(100)]
+    m = _matrix(2 * blocks + 40, 2 * blocks, triplets)
+    cut = 2 * blocks
+    calls = []  # (number of primes, rounds before the call, first block live) per call
+    real = exactla._sparse_ranks
+
+    def recorded(*args):
+        key = args[2]
+        calls.append((len(args[-1]), len(rounds), key.size > 0 and key[0] < cut * m.ncols))
+        return real(*args)
+
+    monkeypatch.setattr(exactla, "_sparse_ranks", recorded)
+    result = rank_over_Q(m, seed=0, cuts=(cut,))
+    assert result.primes[:2] == (p1, p2)
+    assert result == _per_prime_block_ranks(m, 0, (cut,))
+    assert result.leading_ranks == (2 * blocks,)
+    assert calls[0] == (3, 0, True)
+    assert calls[1:] and all(n == 1 and after >= 1 and first_block_live
+                             for n, after, first_block_live in calls[1:])
+    at_p2 = rank_mod_p(m, p2, cuts=(cut,))
+    assert [*at_p2.leading_ranks, at_p2.rank] == _dense_block_ranks(m, p2, (cut,))
+    assert at_p2.leading_ranks == (blocks,)
+
+
+def test_block_ranks_when_the_dense_tail_comes_before_the_first_block_is_done(
+        rounds, monkeypatch):
+    m = PRODUCTS[0]
+    cut = m.nrows // 2
+    shapes = []
+    real = _kernels.dense_rank_mod_p
+
+    def recorded(a, p):
+        shapes.append(np.shape(a))
+        return real(a, p)
+
+    monkeypatch.setattr(_kernels, "dense_rank_mod_p", recorded)
+    result = rank_mod_p(m, 2**31 - 1, cuts=(cut,))
+    assert rounds
+    # one kernel call for the live rows of the first block, one for all of them
+    assert len(shapes) == 2 and 0 < shapes[0][0] < shapes[1][0]
+    assert [*result.leading_ranks, result.rank] == _dense_block_ranks(m, 2**31 - 1, (cut,))
+
+
+def test_block_rule_keeps_a_later_row_from_an_earlier_block_column(monkeypatch):
+    # block 1: row i meets column i and two more; block 2: row 100 + i is the
+    # lone entry 1 in column i, of Markowitz score 0, in a column of block 1
+    gen = random.Random(6)
+    triplets = [(i, j, gen.randrange(1, 5)) for i in range(100)
+                for j in (i, gen.randrange(200), gen.randrange(200))]
+    triplets += [(100 + i, i, 1) for i in range(100)]
+    m = _matrix(200, 200, triplets)
+    seen = []
+    real = exactla._independent_pivots
+
+    def recorded(r, c, row_nnz, col_nnz, ncols, allowed=None):
+        pivots = real(r, c, row_nnz, col_nnz, ncols, allowed)
+        seen.append(((row_nnz[r] - 1) * (col_nnz[c] - 1), allowed, pivots))
+        return pivots
+
+    monkeypatch.setattr(exactla, "_independent_pivots", recorded)
+    result = rank_mod_p(m, 2**31 - 1, cuts=(100,))
+    score, allowed, pivots = seen[0]
+    assert not allowed[score == score.min()].all()
+    assert allowed[pivots].all()
+    assert [*result.leading_ranks, result.rank] == _dense_block_ranks(m, 2**31 - 1, (100,))
+
+
+def test_every_block_prefix_is_certified_by_two_primes():
+    rng = random.Random(0)
+    p1, p2 = sample_prime(rng), sample_prime(rng)
+    # the first row vanishes mod p1 and p2; the whole has rank 1 at every prime
+    m = _matrix(2, 2, [(0, 0, p1 * p2), (1, 0, 1)])
+    result = rank_over_Q(m, seed=0, cuts=(1,))
+    assert result == _per_prime_block_ranks(m, 0, (1,))
+    assert (result.leading_ranks, result.rank, len(result.primes)) == ((1,), 1, 4)
+
+
+@pytest.mark.parametrize("cuts", [(-1,), (3, 2), (6,)])
+def test_cuts_must_be_nondecreasing_row_counts(cuts):
+    m = _circulant_minus_identity(5)
+    with pytest.raises(ExactLAError, match="not nondecreasing row counts"):
+        rank_mod_p(m, 7, cuts=cuts)
+    with pytest.raises(ExactLAError, match="not nondecreasing row counts"):
+        rank_over_Q(m, cuts=cuts)

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from soficlen import meanlength
-from soficlen.exactla import dense_rank_rational, rank_over_Q
+from soficlen.exactla import dense_rank_mod_p, dense_rank_rational, rank_over_Q
 from soficlen.groups import (
     ball,
     finite_group,
     free_group,
     integer_line,
+    lattice,
 )
 from soficlen.groupring import (
     INTEGERS,
@@ -43,6 +44,7 @@ from soficlen.sofic import (
     SoficSchedule,
     build_cyclic,
     build_random_free,
+    build_torus,
     build_translation,
     restrict,
 )
@@ -230,8 +232,8 @@ def test_relative_value_for_scalar_two_over_Q():
 
 
 def test_relative_value_assembles_one_matrix_beyond_int64(monkeypatch):
-    """The relator matrix is the first rows of the one stacked matrix; here
-    A's denominator 2**64 + 13 scales B's entries beyond int64."""
+    """The relator rows lead the one stacked matrix, which is ranked once;
+    here A's denominator 2**64 + 13 scales B's entries beyond int64."""
     q = 2**64 + 13
     b = _column(GroupRingElement.one(Z, RATIONALS))
     a = _column(GroupRingElement.from_terms(
@@ -245,10 +247,62 @@ def test_relative_value_assembles_one_matrix_beyond_int64(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(meanlength, "blocks_to_sparse", recorded)
+    ranked = _recorded_ranks(monkeypatch)
     for d in (3, 7):
         assert relative_mean_length_at(pair, build_cyclic(d)) == Fraction(d - 1, d)
         assert built[-1].data.dtype == object
-    assert len(built) == 2
+        assert ranked[-1] == (built[-1], {"seed": 0, "cuts": (d,)})
+    assert len(built) == len(ranked) == 2
+
+
+def _recorded_ranks(monkeypatch):
+    """(matrix, keywords) of every call of meanlength's rank functions."""
+    calls = []
+    for name in ("rank_over_Q", "rank_mod_p"):
+        def recorded(m, real=getattr(meanlength, name), **kwargs):
+            calls.append((m, kwargs))
+            return real(m, **kwargs)
+
+        monkeypatch.setattr(meanlength, name, recorded)
+    return calls
+
+
+def _random_generators(rng, desc, ring, n):
+    """One or two random rows of length n, supported on the ball of radius
+    1; over Q each coefficient is divided by 1, 2 or 3."""
+    M = _random_matrix(rng, desc, ring, rng.randrange(1, 3), n, radius=1)
+    if ring.kind != "Q":
+        return M
+    return GroupRingMatrix(desc, ring, [[GroupRingElement.from_terms(
+        desc, ring, [(g, Fraction(c, rng.choice((1, 2, 3)))) for g, c in x.coeffs.items()])
+        for x in row] for row in M.entries])
+
+
+@pytest.mark.parametrize("ring", [INTEGERS, RATIONALS, prime_field(7)], ids=["Z", "Q", "GF7"])
+def test_relative_value_is_one_rank_of_the_stacked_matrix(monkeypatch, ring):
+    """(rank of the stacked matrix − rank of its relator rows) / d, by
+    exact dense elimination, from the one matrix the point ranks."""
+    S3, Z2 = finite_group(symmetric_table(3)), lattice(2)
+    models = [(Z, build_cyclic(5)), (Z2, build_torus((3, 3))),
+              (F2, build_random_free(2, 5, 4)), (S3, build_translation(S3))]
+    dense_rank = (dense_rank_rational if ring.kind != "GF"
+                  else lambda rows: dense_rank_mod_p(rows, ring.p))
+    rng = random.Random(11)
+    ranked = _recorded_ranks(monkeypatch)
+    for desc, sigma in models:
+        for with_b in (False, True):
+            n = rng.randrange(1, 3)
+            A = _random_generators(rng, desc, ring, n)
+            B = (_random_generators(rng, desc, ring, n) if with_b
+                 else GroupRingMatrix.identity(desc, ring, n))
+            F = tuple(rng.sample(ball(desc, 1), rng.randrange(1, 4)))
+            before = len(ranked)
+            value = relative_mean_length_at(RelativePair(A, B, F), sigma)
+            assert len(ranked) == before + 1
+            stacked, _ = ranked[-1]
+            rows = stacked.to_dense()
+            rel_rows = sigma.d * B.m * len(F)
+            assert value == Fraction(dense_rank(rows) - dense_rank(rows[:rel_rows]), sigma.d)
 
 
 def test_relative_value_over_prime_field():

@@ -24,16 +24,12 @@ Residues are int64 below 2**31 and Python ints in object arrays above.
 Everything is deterministic: same input, same rounds, same rank.
 
 One pass also ranks nested leading row blocks, the first ``cuts[0]``,
-``cuts[1]``, ... rows.  An entry (i, j) is then a candidate only if no live
-entry of column j lies in an earlier block than row i, and the candidates are
-the allowed entries of minimal score.  Pivoting there subtracts a row only
-from rows of its own block or later ones, so the pivot rows and live rows of
-the first k blocks span what those blocks spanned at the start.  The live
-rows are zero in every pivot column, so the rank of the first k blocks is the
-number of pivots taken in them plus the rank of their live rows.  Keys are
-sorted by row, so once every live row lies in the last block the rule drops
-out; with no cuts it never applies.  The dense tail ranks the live rows of
-each block prefix that still has some.
+``cuts[1]``, ... rows: the candidates of a round are the entries of the
+earliest block with a live row, which are a prefix of the sorted keys.  A
+pivot row of block b is subtracted only from rows of block b or later, so the
+rank of the first k blocks is the number of pivots taken in them plus the
+rank of their live rows, which the dense tail ranks for each such prefix.
+With no cuts the prefix is every entry.
 
 Rank over Q is certified-probabilistic: the maximum of ranks modulo
 ``_MIN_PRIMES`` to ``_MAX_PRIMES`` seeded random primes in (2**30, 2**31),
@@ -275,35 +271,22 @@ def _sparse_ranks(nrows, ncols, key, val, cuts, primes) -> list[list[int]]:
             ends = np.searchsorted(r, bounds)  # the live entries above each bound
             return [(rank + _dense_tails(r, c, vq, q, ends)).tolist()
                     for vq, q in zip(v, primes)]
-        allowed = _allowed(r, c, cuts, ncols) if cuts and r[0] < cuts[-1] else None
-        pivots = _independent_pivots(r, c, row_nnz, col_nnz, ncols, allowed)
+        end = bounds[np.searchsorted(bounds, r[0], side="right")]
+        k = np.searchsorted(r, end)  # the entries of the earliest live block
+        pivots = _independent_pivots(r[:k], c[:k], row_nnz, col_nnz, ncols)
         rank += np.searchsorted(r[pivots], bounds)
         key, v = _schur_update(key, v, r, c, row_nnz, pivots, ncols, p)
 
 
-def _allowed(r, c, cuts, ncols):
-    """Whether each entry's column has no entry in an earlier block than its
-    row, the blocks being cut at the rows ``cuts``; r is sorted."""
-    allowed = np.ones(r.size, dtype=bool)
-    earlier = np.zeros(ncols, dtype=bool)
-    done = 0
-    for start in np.searchsorted(r, cuts):
-        if done < start < r.size:
-            earlier[c[done:start]] = True
-            allowed[start:] &= ~earlier[c[start:]]
-            done = start
-    return allowed
-
-
-def _independent_pivots(r, c, row_nnz, col_nnz, ncols, allowed):
+def _independent_pivots(r, c, row_nnz, col_nnz, ncols):
     """Indices of the entries of minimal Markowitz score (row_nnz - 1) *
-    (col_nnz - 1), among the ``allowed`` ones if given, whose priority is the
-    lowest among the candidates two hops away in the row/column graph: no two
-    share a row or a column, and the entries that cross two of them, A[i, j']
-    and A[i', j], are zero."""
+    (col_nnz - 1) whose priority is the lowest among the candidates two hops
+    away in the row/column graph: no two share a row or a column, and the
+    entries that cross two of them, A[i, j'] and A[i', j], are zero.  r and c
+    hold every entry of the rows they meet: with cuts, the rows of the
+    earliest live block, as a pivot row of block b is subtracted only from
+    rows of block b or later."""
     score = (row_nnz[r] - 1) * (col_nnz[c] - 1)
-    if allowed is not None:  # every score is below nrows * ncols <= _INT64_MAX
-        score[~allowed] = _INT64_MAX
     cand = np.flatnonzero(score == score.min())
     cr, cc = r[cand], c[cand]
     prio = (cr * ncols + cc).astype(np.uint64) * _PRIORITY_MIX
@@ -496,5 +479,7 @@ def dense_rank_rational(a) -> int:
 def dense_rank_mod_p(a, p: int) -> int:
     """Exact rank mod p of a dense matrix or a SparseMatrix, for any prime p
     and any integer entries."""
+    if not is_probable_prime(p):
+        raise ExactLAError(f"{p} is not prime")
     a = a.to_dense() if isinstance(a, SparseMatrix) else a
     return _kernels.dense_rank_mod_p(np.array(a, dtype=object) % p, p)

@@ -203,11 +203,11 @@ def relative_mean_length_at(pair: RelativePair, sigma: SoficMap, *,
     The stacked matrix, relator rows first, is assembled once and ranked
     once over the pair's field (GF(p) exactly, Q via the certified
     multi-prime route), with the relator rows as a leading block.  The
-    eliminator takes a pivot in an A row only in a column that no relator
-    row meets any more, so no relator row is ever combined with an A row,
-    and rank(relators) is the number of pivots taken in relator rows plus
-    the rank of what is left of them.  Raises MeanLengthError if the
-    ranks are uncertified.
+    eliminator takes pivots in A rows only once no relator row is live, and
+    a pivot row is subtracted only from rows of its own block or later, so
+    rank(relators) is the number of pivots taken in relator rows plus the
+    rank of what is left of them.  Raises MeanLengthError if the ranks are
+    uncertified.
     """
     if pair.desc != sigma.desc:
         raise MeanLengthError("pair and sofic map live over different groups")

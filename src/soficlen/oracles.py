@@ -66,6 +66,7 @@ def folner_mean_length(A: GroupRingMatrix, boxes) -> list[Fraction]:
     series is the Følner average whose limit is the amenable mean length,
     and the last entry is the oracle value.  In box coordinates s⁻¹·g is
     the difference g − s, and the window is ordered lexicographically.
+    Raises OracleError if a rank is uncertified.
     """
     desc, ring, n = A.desc, A.ring, A.n
     check_oracle_group(desc, "Følner averaging")
@@ -94,11 +95,12 @@ def folner_mean_length(A: GroupRingMatrix, boxes) -> list[Fraction]:
         blocks = [(rows + ai, inverse[t] * n + j, c)
                   for t, (ai, j, c, _) in enumerate(terms)]
         m = blocks_to_sparse(blocks, box.size * A.m, len(window) * n, ring)
-        if ring.kind == "GF":
-            rank = rank_mod_p(m).rank
-        else:
-            rank = rank_over_Q(m, seed=box.size).rank
-        values.append(Fraction(rank, box.size))
+        result = rank_mod_p(m) if ring.kind == "GF" else rank_over_Q(m, seed=box.size)
+        if not result.agreement:
+            raise OracleError(
+                f"uncertified Følner rank at box {'x'.join(map(str, box.sides))}: no two "
+                f"of the {len(result.primes)} primes {result.primes} agree on the top rank")
+        values.append(Fraction(result.rank, box.size))
     return values
 
 

@@ -7,13 +7,14 @@ import re
 
 import pytest
 
-from soficlen import cli, meanlength
+from soficlen import cli, meanlength, oracles
 from soficlen.cli import main
 from soficlen.groupring import INTEGERS, GroupRingMatrix, parse_element, parse_matrix
 from soficlen.groups import ball, integer_line
 from soficlen.meanlength import (MeanLengthError, RelativePair,
                                  check_addition, derive_rank_seed,
                                  estimate_mean_length, estimate_vrk_fp)
+from soficlen.oracles import FolnerBox, OracleError, folner_mean_length
 from soficlen.sofic import SoficSchedule, make_sigma
 
 T_MINUS_ONE_Z = "1 1 Z Z\n0 0 1@1 -1@0\n"
@@ -472,29 +473,36 @@ def test_duality_failure_stops_library_and_cli_alike(tmp_path, monkeypatch, caps
 
 MRK_JOB = "[job]\nquantity = mrk-relative\ngroup = Z\nschedule = 10\nseeds = 3\n\n" \
     "[generators]\nn = 1\na1 = 1@1 -1@0\n"
+FOLNER_JOB = MRK_JOB.replace("mrk-relative", "folner").replace("seeds = 3", "seeds = 3\nboxes = 10")
 
 
-@pytest.mark.parametrize("quantity", ["mrk", "vrk"])
+@pytest.mark.parametrize("quantity", ["mrk", "vrk", "folner"])
 def test_uncertified_rank_stops_library_and_cli_alike(tmp_path, monkeypatch, capsys, quantity):
-    real = meanlength.rank_over_Q
+    module = oracles if quantity == "folner" else meanlength  # the Følner oracle's own ranks
+    real = module.rank_over_Q
 
     def uncertified(m, **kwargs):
         return dataclasses.replace(real(m, **kwargs), agreement=False)
 
-    monkeypatch.setattr(meanlength, "rank_over_Q", uncertified)
+    monkeypatch.setattr(module, "rank_over_Q", uncertified)
     f = parse_matrix(T_MINUS_ONE_Z)
     schedule = SoficSchedule((10,), (3,))
-    with pytest.raises(MeanLengthError) as info:
+    with pytest.raises(OracleError if quantity == "folner" else MeanLengthError) as info:
         if quantity == "mrk":
             Z = integer_line()
             pair = RelativePair(f, GroupRingMatrix.identity(Z, INTEGERS, 1), ball(Z, 1))
             estimate_mean_length(pair, schedule)
-        else:
+        elif quantity == "vrk":
             estimate_vrk_fp(f, schedule)
-    rank_seed = derive_rank_seed(quantity, 10, 3)
-    assert str(info.value).startswith(f"uncertified rank at d=10, rank seed={rank_seed}: ")
-    job = MRK_JOB if quantity == "mrk" else VRK_JOB.format(extra="seeds = 3\n")
-    code, report, _ = _run(tmp_path, job, files=[("f.txt", T_MINUS_ONE_Z)])
+        else:
+            folner_mean_length(f, [FolnerBox((10,))])
+    if quantity == "folner":
+        assert str(info.value).startswith("uncertified Følner rank at box 10: ")
+    else:
+        rank_seed = derive_rank_seed(quantity, 10, 3)
+        assert str(info.value).startswith(f"uncertified rank at d=10, rank seed={rank_seed}: ")
+    job = {"mrk": MRK_JOB, "vrk": VRK_JOB.format(extra="seeds = 3\n"), "folner": FOLNER_JOB}
+    code, report, _ = _run(tmp_path, job[quantity], files=[("f.txt", T_MINUS_ONE_Z)])
     assert code == 1
     assert report is None
     assert capsys.readouterr().err == f"error: {info.value}\n"

@@ -337,6 +337,14 @@ def test_dense_rank_mod_p_huge_prime():
     assert dense_rank_mod_p([[2**70, 1], [2**71, 2]], 2**31 - 1) == 1
 
 
+@pytest.mark.parametrize("p", [4, 1, 0, -7])
+def test_dense_rank_mod_p_refuses_a_modulus_that_is_not_prime(p):
+    # mod 4, diag(3, 3) would be rank 2 and diag(2, 2) would fail in pow
+    for a in ([[3, 0], [0, 3]], [[2, 0], [0, 2]], _matrix(2, 2, [(0, 0, 1)])):
+        with pytest.raises(ExactLAError, match=f"{p} is not prime"):
+            dense_rank_mod_p(a, p)
+
+
 def test_empty_dense_matrix_has_rank_zero_at_every_prime():
     for p in (7, 2**31 - 1, (1 << 61) - 1):
         assert dense_rank_mod_p([], p) == 0
@@ -651,19 +659,19 @@ def test_block_rule_keeps_a_later_row_from_an_earlier_block_column(monkeypatch):
                 for j in (i, gen.randrange(200), gen.randrange(200))]
     triplets += [(100 + i, i, 1) for i in range(100)]
     m = _matrix(200, 200, triplets)
-    seen = []
+    seen = []  # the rows passed in each round, and whether block 2 was live
     real = exactla._independent_pivots
 
-    def recorded(r, c, row_nnz, col_nnz, ncols, allowed=None):
-        pivots = real(r, c, row_nnz, col_nnz, ncols, allowed)
-        seen.append(((row_nnz[r] - 1) * (col_nnz[c] - 1), allowed, pivots))
-        return pivots
+    def recorded(r, c, row_nnz, col_nnz, ncols):
+        seen.append((r.copy(), row_nnz[100:].any()))
+        return real(r, c, row_nnz, col_nnz, ncols)
 
     monkeypatch.setattr(exactla, "_independent_pivots", recorded)
     result = rank_mod_p(m, 2**31 - 1, cuts=(100,))
-    score, allowed, pivots = seen[0]
-    assert not allowed[score == score.min()].all()
-    assert allowed[pivots].all()
+    # r is sorted: a row below 100 is live while r[0] is one
+    first_block_rounds = [(r, later) for r, later in seen if r[0] < 100]
+    assert first_block_rounds and first_block_rounds[0][1]
+    assert all(r[-1] < 100 for r, _ in first_block_rounds)
     assert [*result.leading_ranks, result.rank] == _dense_block_ranks(m, 2**31 - 1, (100,))
 
 

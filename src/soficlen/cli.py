@@ -54,6 +54,7 @@ import csv
 import datetime
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -541,14 +542,21 @@ def main(argv=None) -> int:
         return 1
 
     if result is None:
-        print(f"{args.spec}: ok")
-        print(f"  quantity: {job.quantity}")
-        if job.desc is not None:
-            print(f"  group: {job.desc.family}" +
-                  (f" (order {job.desc.order})" if job.desc.family == groups.FINITE else ""))
-        print(f"  ring: {job.ring.label()}")
-        if job.schedule is not None:
-            print(f"  points: {len(job.schedule.points())}")
+        try:
+            print(f"{args.spec}: ok")
+            print(f"  quantity: {job.quantity}")
+            if job.desc is not None:
+                print(f"  group: {job.desc.family}" +
+                      (f" (order {job.desc.order})" if job.desc.family == groups.FINITE else ""))
+            print(f"  ring: {job.ring.label()}")
+            if job.schedule is not None:
+                print(f"  points: {len(job.schedule.points())}")
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed stdout: Python's last flush of it goes to
+            # devnull, not to a second BrokenPipeError (Python's SIGPIPE note)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
         return 0
     json_path, csv_path = _write_artifacts(job, result, Path(args.out))
     if verbose or result.exit_code != 0:

@@ -2,8 +2,11 @@
 
 import csv
 import dataclasses
+import io
 import json
+import os
 import re
+import sys
 
 import pytest
 
@@ -298,6 +301,31 @@ file = f.txt
     out = capsys.readouterr().out
     assert "ok" in out and "points: 2" in out
     assert main(["validate", str(tmp_path / "missing.ini")]) == 1
+
+
+def test_validate_exits_one_when_stdout_is_closed(tmp_path, monkeypatch):
+    """``soficlen validate job.ini | head -1``: once the reader has closed
+    stdout, validate exits 1 without a traceback, and stdout's file
+    descriptor then writes to devnull."""
+    path = tmp_path / "check.ini"
+    path.write_text("[job]\nquantity = vrk-fp\nschedule = 10\n\n[matrix]\nfile = f.txt\n")
+    (tmp_path / "f.txt").write_text(T_MINUS_ONE_Z)
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+    class ClosedPipe(io.TextIOBase):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return fd
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    try:
+        assert main(["validate", str(path)]) == 1
+        os.write(fd, b"late output")
+    finally:
+        os.close(fd)
+    assert (tmp_path / "stdout").read_bytes() == b""
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from soficlen import meanlength
-from soficlen.exactla import dense_rank_mod_p, dense_rank_rational, rank_over_Q
+from soficlen.exactla import dense_rank_mod_p, dense_rank_rational, rank_mod_p, rank_over_Q
 from soficlen.groups import (
     ball,
     finite_group,
@@ -46,6 +46,7 @@ from soficlen.sofic import (
     build_random_free,
     build_torus,
     build_translation,
+    make_sigma,
     restrict,
 )
 
@@ -231,28 +232,55 @@ def test_relative_value_for_scalar_two_over_Q():
     assert relative_mean_length_at(pair, build_cyclic(6)) == 1
 
 
-def test_relative_value_assembles_one_matrix_beyond_int64(monkeypatch):
-    """The relator rows lead the one stacked matrix, which is ranked once;
-    here A's denominator 2**64 + 13 scales B's entries beyond int64."""
+def _unquotiented_value(pair, sigma):
+    """(rank(R ∪ A) − rank(R)) / d by exact dense elimination, R being
+    ``relators(B, F, σ)`` as it is and the rows δ_v a of A built here, both
+    in the coordinates (v, g, j)."""
+    d, n, ring = sigma.d, pair.n, pair.ring
+    rel = relators(pair.B, pair.F, sigma)
+    window = coordinate_window(pair.B, pair.B, pair.F)
+    rows = [{} for _ in range(rel.nrows)]
+    for i, col, x in zip(rel.row, rel.col, rel.val):
+        vw, j = divmod(col, n)
+        v, w = divmod(vw, len(window))
+        rows[i][(v, window[w], j)] = x
+    rows += [{(v, g, j): c for j, comp in enumerate(a) for g, c in comp.coeffs.items()}
+             for v in range(d) for a in pair.A.entries]
+    keys = sorted({key for row in rows for key in row},
+                  key=lambda key: (key[0], key[1].sort_key(), key[2]))
+    dense = [[row.get(key, 0) for key in keys] for row in rows]
+    rank = (dense_rank_rational if ring.kind != "GF"
+            else lambda m: dense_rank_mod_p(m, ring.p) if m else 0)
+    return Fraction(rank(dense) - rank(dense[:rel.nrows]), d)
+
+
+def _one_term_rows(desc, ring, n, terms):
+    """Rows of B with one term each: ``terms`` lists (column, g, c)."""
+    zero = GroupRingElement.from_terms(desc, ring, [])
+    return [[GroupRingElement.from_terms(desc, ring, [(g, c)]) if j == k else zero
+             for k in range(n)] for j, g, c in terms]
+
+
+def test_relative_value_beyond_int64_through_a_two_term_b_row(monkeypatch):
+    """A's denominator 2**64 + 13 scales the two-term relators beyond int64:
+    the one matrix ranked holds Python ints, its relator rows lead it, and
+    the value is the unquotiented one."""
     q = 2**64 + 13
-    b = _column(GroupRingElement.one(Z, RATIONALS))
+    b = _column(GroupRingElement.from_terms(Z, RATIONALS, [(Z.element(1), 1),
+                                                           (Z.identity(), 2)]))
     a = _column(GroupRingElement.from_terms(
-        Z, RATIONALS, [(Z.element(1), Fraction(1, q)), (Z.identity(), Fraction(-1, q))]))
-    pair = RelativePair(a, b, (Z.element(1),))
-    built = []
-    real = meanlength.blocks_to_sparse
-
-    def recorded(*args):
-        built.append(real(*args))
-        return built[-1]
-
-    monkeypatch.setattr(meanlength, "blocks_to_sparse", recorded)
+        Z, RATIONALS, [(Z.element(2), Fraction(1, q)), (Z.identity(), Fraction(-1, q))]))
+    pair = RelativePair(a, b, (Z.element(1), Z.element(-1)))
     ranked = _recorded_ranks(monkeypatch)
     for d in (3, 7):
-        assert relative_mean_length_at(pair, build_cyclic(d)) == Fraction(d - 1, d)
-        assert built[-1].data.dtype == object
-        assert ranked[-1] == (built[-1], {"seed": 0, "cuts": (d,)})
-    assert len(built) == len(ranked) == 2
+        sigma = build_cyclic(d)
+        value = relative_mean_length_at(pair, sigma)
+        matrix, kwargs = ranked[-1]
+        assert matrix.data.dtype == object
+        assert kwargs == {"seed": 0, "cuts": (2 * d,)}
+        assert matrix.nrows == 3 * d
+        assert value == _unquotiented_value(pair, sigma)
+    assert len(ranked) == 2
 
 
 def _recorded_ranks(monkeypatch):
@@ -267,10 +295,10 @@ def _recorded_ranks(monkeypatch):
     return calls
 
 
-def _random_generators(rng, desc, ring, n):
-    """One or two random rows of length n, supported on the ball of radius
-    1; over Q each coefficient is divided by 1, 2 or 3."""
-    M = _random_matrix(rng, desc, ring, rng.randrange(1, 3), n, radius=1)
+def _random_generators(rng, desc, ring, n, radius=1):
+    """One or two random rows of length n, supported on the ball of
+    ``radius``; over Q each coefficient is divided by 1, 2 or 3."""
+    M = _random_matrix(rng, desc, ring, rng.randrange(1, 3), n, radius=radius)
     if ring.kind != "Q":
         return M
     return GroupRingMatrix(desc, ring, [[GroupRingElement.from_terms(
@@ -278,31 +306,147 @@ def _random_generators(rng, desc, ring, n):
         for x in row] for row in M.entries])
 
 
+def _random_one_term_rows(rng, desc, ring, n):
+    """Two one-term rows on the ball of radius 1, coefficients ±2, 3 or 5
+    (units only over Q and GF(7))."""
+    support = ball(desc, 1)
+    return _one_term_rows(desc, ring, n, [
+        (rng.randrange(n), rng.choice(support), rng.choice((2, -2, 3, 5)))
+        for _ in range(2)])
+
+
 @pytest.mark.parametrize("ring", [INTEGERS, RATIONALS, prime_field(7)], ids=["Z", "Q", "GF7"])
-def test_relative_value_is_one_rank_of_the_stacked_matrix(monkeypatch, ring):
-    """(rank of the stacked matrix − rank of its relator rows) / d, by
-    exact dense elimination, from the one matrix the point ranks."""
+def test_relative_value_is_the_unquotiented_rank_difference(monkeypatch, ring):
+    """The value from the quotient matrix equals (rank(R ∪ A) − rank(R)) / d
+    of the relators as ``relators`` builds them, by exact dense elimination.
+    B is the identity, one-term rows, general rows or both together.  F is
+    either ball(1), covering A's support, with a row g − e in A so that
+    ranks drop, or a sample of ball(1) with A on ball(2), not covering it.
+    Only relators of rows with two or more terms are left as rows."""
     S3, Z2 = finite_group(symmetric_table(3)), lattice(2)
     models = [(Z, build_cyclic(5)), (Z2, build_torus((3, 3))),
               (F2, build_random_free(2, 5, 4)), (S3, build_translation(S3))]
-    dense_rank = (dense_rank_rational if ring.kind != "GF"
-                  else lambda rows: dense_rank_mod_p(rows, ring.p))
     rng = random.Random(11)
     ranked = _recorded_ranks(monkeypatch)
+    values = set()
     for desc, sigma in models:
-        for with_b in (False, True):
+        for kind, covered in itertools.product(
+                ("identity", "one-term", "general", "mixed"), (True, False)):
             n = rng.randrange(1, 3)
-            A = _random_generators(rng, desc, ring, n)
-            B = (_random_generators(rng, desc, ring, n) if with_b
-                 else GroupRingMatrix.identity(desc, ring, n))
-            F = tuple(rng.sample(ball(desc, 1), rng.randrange(1, 4)))
-            before = len(ranked)
-            value = relative_mean_length_at(RelativePair(A, B, F), sigma)
-            assert len(ranked) == before + 1
-            stacked, _ = ranked[-1]
-            rows = stacked.to_dense()
-            rel_rows = sigma.d * B.m * len(F)
-            assert value == Fraction(dense_rank(rows) - dense_rank(rows[:rel_rows]), sigma.d)
+            A = _random_generators(rng, desc, ring, n, radius=2 - covered)
+            F = tuple(ball(desc, 1) if covered else
+                      rng.sample(ball(desc, 1), rng.randrange(1, 4)))
+            if covered:
+                diff = _one_term_rows(desc, ring, n, [(0, rng.choice(desc.generators()), 1)])[0]
+                diff[0] -= GroupRingElement.one(desc, ring)
+                A = GroupRingMatrix(desc, ring, [*A.entries, diff])
+            rows = list(GroupRingMatrix.identity(desc, ring, n).entries
+                        if kind == "identity" else ())
+            if kind in ("one-term", "mixed"):
+                rows += _random_one_term_rows(rng, desc, ring, n)
+            if kind in ("general", "mixed"):
+                rows += _random_generators(rng, desc, ring, n).entries
+            B = GroupRingMatrix(desc, ring, rows)
+            pair = RelativePair(A, B, F)
+            value = relative_mean_length_at(pair, sigma)
+            assert value == _unquotiented_value(pair, sigma)
+            general = sum(sum(len(x.coeffs) for x in b) != 1 for b in rows)
+            assert ranked[-1][1]["cuts"] == (sigma.d * general * len(F),)
+            values.add(value)
+    assert any(v.denominator > 1 for v in values)
+
+
+def test_one_term_relators_closing_cycles_are_contracted():
+    """Non-unit one-term rows whose relator graph has cycles: over S₃, rows
+    2·δ_e and −3·δ_r with F = {r, r²} for r of order 3 close the triangles
+    (v, e), (σ_r(v), r), (σ_r²(v), r²); over Z², rows 2·δ_0, −3·δ_x and
+    5·δ_y with F = {x, y} close squares.  No relator row is left, the
+    relators have more nonzero rows than rank, and the value is the
+    unquotiented one."""
+    S3, Z2 = finite_group(symmetric_table(3)), lattice(2)
+    r = next(g for g in S3.generators() if g * g != S3.identity())
+    x, y = Z2.generators()
+    cases = [(S3, build_translation(S3), [(0, S3.identity(), 2), (0, r, -3)], (r, r * r)),
+             (Z2, build_torus((4, 3)), [(0, Z2.identity(), 2), (0, x, -3), (0, y, 5)],
+              (x, y))]
+    for desc, sigma, terms, F in cases:
+        B = GroupRingMatrix(desc, INTEGERS, _one_term_rows(desc, INTEGERS, 1, terms))
+        A = _random_generators(random.Random(3), desc, INTEGERS, 1, radius=2)
+        pair = RelativePair(A, B, F)
+        m, rel_rows = meanlength._relative_quotient(pair, sigma)
+        assert rel_rows == 0 and m.nrows == sigma.d * A.m
+        rel = relators(B, F, sigma)
+        assert len(set(rel.row)) > rank_over_Q(rel).rank
+        assert relative_mean_length_at(pair, sigma) == _unquotiented_value(pair, sigma)
+
+
+def _forest_rank(B, F, sigma):
+    """The rank of the relators of one-term rows of B, counted as the
+    columns their edges touch minus the components, by a plain union-find
+    on (v, g, j) labels."""
+    parent = {}
+
+    def find(u):
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        return u
+
+    for b in B.entries:
+        (j, g), = [(j, g) for j, comp in enumerate(b) for g in comp.coeffs]
+        for s in F:
+            image = sigma.perm(s).tolist()
+            for v in range(sigma.d):
+                x, y = (v, g, j), (image[v], s * g, j)
+                if x != y:
+                    parent.setdefault(x, x)
+                    parent.setdefault(y, y)
+                    parent[find(x)] = find(y)
+    return len(parent) - sum(find(u) == u for u in parent)
+
+
+@pytest.mark.parametrize("ring", [INTEGERS, prime_field(7)], ids=["Z", "GF7"])
+def test_relator_rank_is_the_forest_count(ring):
+    """rank(relators(B, F, σ)) by elimination equals the union-find count:
+    d·n·|F ∖ {e}| for B the identity, whose relators are stars, and columns
+    touched minus components for random one-term rows."""
+    S3, Z2 = finite_group(symmetric_table(3)), lattice(2)
+    models = [(Z, build_cyclic(6)), (Z2, build_torus((3, 4))),
+              (F2, build_random_free(2, 7, 2)), (S3, build_translation(S3))]
+    rank = rank_over_Q if ring.kind == "Z" else rank_mod_p
+    rng = random.Random(5)
+    for desc, sigma in models:
+        F = tuple(ball(desc, 1))
+        n = rng.randrange(1, 3)
+        identity = GroupRingMatrix.identity(desc, ring, n)
+        count = sigma.d * n * sum(not s.is_identity() for s in F)
+        assert rank(relators(identity, F, sigma)).rank == _forest_rank(identity, F, sigma) == count
+        B = GroupRingMatrix(desc, ring, _random_one_term_rows(rng, desc, ring, n))
+        assert rank(relators(B, F, sigma)).rank == _forest_rank(B, F, sigma)
+
+
+def test_addition_route_one_ranks_the_transpose_of_the_quotient(monkeypatch):
+    """Criterion 04's pairs have no relator row left, and their quotient is
+    σ̄_f renamed.  Route (i) ranks another matrix than σ̄_f, with σ̄_f's
+    column counts as its row counts; route (ii) ranks σ̄_f itself."""
+    s_minus = GroupRingElement.from_terms(F2, INTEGERS, [(F2.element((1,)), 1),
+                                                         (F2.identity(), -1)])
+    t_minus = GroupRingElement.from_terms(F2, INTEGERS, [(F2.element((2,)), 1),
+                                                         (F2.identity(), -1)])
+    cases = [(GroupRingMatrix(Z, INTEGERS, [[_t_minus_one()]]), SoficSchedule((50,))),
+             (GroupRingMatrix(F2, INTEGERS, [[s_minus], [t_minus]]),
+              SoficSchedule((60,), seeds=(1,)))]
+    for f, schedule in cases:
+        ranked = _recorded_ranks(monkeypatch)
+        report = check_addition(f, schedule)
+        (route_i, kwargs), *route_ii = ranked
+        point = schedule.points()[0]
+        bar = build_sigma_bar(f, make_sigma(f.desc, point.d, point.seed))
+        assert [m for m, _ in route_ii] == [bar, bar]
+        assert route_i != bar and kwargs["cuts"] == ()
+        assert (route_i.nrows, route_i.ncols) == (bar.ncols, bar.nrows)
+        assert (sorted(np.bincount(route_i.key // route_i.ncols, minlength=route_i.nrows))
+                == sorted(np.bincount(bar.key % bar.ncols, minlength=bar.ncols)))
+        assert report.max_residual_routes == 0
 
 
 def test_relative_value_over_prime_field():

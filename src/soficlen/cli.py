@@ -69,8 +69,8 @@ from .groupring import (INTEGERS, CoefficientRing, GroupRingError,
                         parse_group_token, parse_matrix, parse_ring)
 from .groups import GroupDescriptor, GroupError
 from .meanlength import (AdditionReport, MeanLengthError, RelativePair,
-                         addition_pair, addition_point, assemble_run,
-                         check_vrk_ring, estimate_run, run_schedule)
+                         addition_point, assemble_run, check_vrk_ring,
+                         estimate_run, run_schedule)
 # not called here: perfbench/tracing.py patches these names on this module
 from .meanlength import (make_sigma, principal_rank_point,  # noqa: F401
                          relative_mean_length_at)
@@ -231,7 +231,7 @@ def _matrix(cp, path: Path, section: str, finite_desc) -> GroupRingMatrix | None
     if "file" in sec:
         try:
             text = (path.parent / sec["file"]).resolve().read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise JobError(f"{path} [{section}] file", str(exc)) from None
     elif "text" in sec:
         text = sec["text"]
@@ -269,7 +269,7 @@ def load_job(path) -> Job:
     try:
         with open(path) as fh:
             cp.read_file(fh, source=str(path))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise JobError(str(path), f"cannot read job file: {exc}") from None
     except configparser.Error as exc:
         raise JobError(str(path), f"syntax error: {exc}") from None
@@ -344,10 +344,7 @@ def load_job(path) -> Job:
         if facts.point == "mrk" and not job.F:
             raise JobError(f"{where} radius", "the window F is empty: the ball "
                            "has no element but e, and include_identity = false")
-    if quantity == "addition-check":
-        with _at(f"{path} [matrix]"):
-            job.pair = addition_pair(job.matrix)
-    elif a_texts:
+    if a_texts:
         gwhere = f"{path} [generators]"
         n = _value(gens, "n", gwhere, int)
         if n is None:
@@ -471,7 +468,7 @@ def run_job(job: Job, jobs: int, verbose: bool) -> RunResult:
                                job.schedule, mapper)
             est = assemble_run(kind, job.desc, _echo(run, verbose), job.snap_tol)
         else:
-            evaluate = (partial(addition_point, job.matrix, job.pair)
+            evaluate = (partial(addition_point, job.matrix)
                         if kind == "addition" else partial(_defect_point, job.F))
             run = run_schedule(job.desc, job.schedule, evaluate, None, mapper)
             results = [value for _, value, _ in _echo(run, verbose)]
@@ -499,7 +496,6 @@ def run_job(job: Job, jobs: int, verbose: bool) -> RunResult:
 # entry point
 
 def _write_artifacts(job: Job, result: RunResult, out_dir: Path) -> tuple[Path, Path]:
-    out_dir.mkdir(parents=True, exist_ok=True)
     report = {"job": job.name,
               "generated_at": datetime.datetime.now(datetime.timezone.utc)
                               .isoformat(timespec="seconds")}
@@ -536,12 +532,18 @@ def main(argv=None) -> int:
     verbose = getattr(args, "verbose", False)
     try:
         job = load_job(args.spec)
-        result = run_job(job, args.jobs, verbose) if args.command == "run" else None
+        if args.command == "run":
+            out_dir = Path(args.out)
+            with _at(f"--out {out_dir}", OSError):
+                out_dir.mkdir(parents=True, exist_ok=True)
+            result = run_job(job, args.jobs, verbose)
+            with _at(f"--out {out_dir}", OSError):
+                json_path, csv_path = _write_artifacts(job, result, out_dir)
     except (JobError, *_INPUT_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    if result is None:
+    if args.command == "validate":
         try:
             print(f"{args.spec}: ok")
             print(f"  quantity: {job.quantity}")
@@ -558,7 +560,6 @@ def main(argv=None) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             return 1
         return 0
-    json_path, csv_path = _write_artifacts(job, result, Path(args.out))
     if verbose or result.exit_code != 0:
         print(f"wrote {json_path} and {csv_path}", file=sys.stderr)
     if result.exit_code == 0 and result.report.get("stabilized") is False:

@@ -221,28 +221,24 @@ def _relative_quotient(pair: RelativePair, sigma: SoficMap) -> tuple[SparseMatri
     """The matrix of a relative point and its number of relator rows.
 
     A row of B with one term c·g gives the relators c·(e_(v,g,j) −
-    e_(σ_s(v),s·g,j)), c nonzero in the field: up to that unit, edges of a
-    graph on the columns.  Quotienting by
-    them merges each connected component into one column, so these
-    relators leave no row.  The relators of the other rows of B come first,
-    with their columns merged, then the rows δ_v a of A.
+    e_(σ_s(v),s·g,j)), which ``_relator_triplets`` builds as two blocks:
+    c nonzero in the field, so up to that unit they are the edges of a
+    graph on the columns.  Quotienting by them merges each connected
+    component into one column, so these relators leave no row.  The
+    relators of the other rows of B come first, with their columns merged,
+    then the rows δ_v a of A.
     """
     if pair.desc != sigma.desc:
         raise MeanLengthError("pair and sofic map live over different groups")
     d, n = sigma.d, pair.n
     widx = {g: i for i, g in enumerate(coordinate_window(pair.A, pair.B, pair.F))}
     base = np.arange(d, dtype=np.int64)
-    x, y, general = [base[:0]], [base[:0]], []
+    one_term, general = [], []
     for b in pair.B.entries:
-        terms = [(g, j) for j, comp in enumerate(b) for g in comp.coeffs]
-        if len(terms) != 1:
-            general.append(b)
-            continue
-        (g, j), = terms
-        for s in pair.F:
-            x.append((base * len(widx) + widx[g]) * n + j)
-            y.append((sigma.perm(s) * len(widx) + widx[s * g]) * n + j)
-    label = _components(d * len(widx) * n, np.concatenate(x), np.concatenate(y))
+        (one_term if sum(len(comp.coeffs) for comp in b) == 1 else general).append(b)
+    edges = [cols for _, cols, _ in _relator_triplets(one_term, n, pair.F, sigma, widx)[0]]
+    label = _components(d * len(widx) * n, np.concatenate([base[:0], *edges[0::2]]),
+                        np.concatenate([base[:0], *edges[1::2]]))
     root = label == np.arange(label.size)
     column = (np.cumsum(root) - 1)[label]
     blocks, rel_rows = _relator_triplets(general, n, pair.F, sigma, widx)
@@ -421,16 +417,10 @@ def principal_rank_point(f: GroupRingMatrix, sigma: SoficMap, *, seed: int = 0,
 
 def support_window(f: GroupRingMatrix) -> tuple[GroupElement, ...]:
     """supp(f) ∪ {e}, sorted: the defect window of a vrk estimate and the
-    window F of the addition pair.  (An mrk estimate reports the defect on
+    window F of the addition check.  (An mrk estimate reports the defect on
     its pair's F.)"""
     window = _support(f) | {f.desc.identity()}
     return tuple(sorted(window, key=GroupElement.sort_key))
-
-
-def addition_pair(f: GroupRingMatrix) -> RelativePair:
-    """The relative data of the addition check: A = f, B = the identity
-    matrix (the standard basis), F = supp(f) ∪ {e}."""
-    return RelativePair(f, GroupRingMatrix.identity(f.desc, f.ring, f.n), support_window(f))
 
 
 def mrk_point(pair: RelativePair, sigma: SoficMap, point) -> SeriesPoint:
@@ -459,12 +449,13 @@ def vrk_point(f: GroupRingMatrix, sigma: SoficMap, point) -> SeriesPoint:
     return SeriesPoint(pp.d, point.seed, pp.vrk)
 
 
-def addition_point(f: GroupRingMatrix, pair: RelativePair, sigma: SoficMap,
-                   point) -> AdditionPoint:
-    """Both routes of the addition check at one schedule point, ``pair``
-    being ``addition_pair(f)``; raises MeanLengthError if the duality check
-    of route (ii) fails.  Route (i) ranks the transpose of the pair's
-    quotient matrix, which has no relator rows (see ``check_addition``)."""
+def addition_point(f: GroupRingMatrix, sigma: SoficMap, point) -> AdditionPoint:
+    """Both routes of the addition check at one schedule point; raises
+    MeanLengthError if the duality check of route (ii) fails.  Route (i)
+    ranks the transpose of the quotient matrix of the pair A = f, B = the
+    identity, F = supp(f) ∪ {e}, which has no relator rows (see
+    ``check_addition``)."""
+    pair = RelativePair(f, GroupRingMatrix.identity(f.desc, f.ring, f.n), support_window(f))
     m, _ = _relative_quotient(pair, sigma)
     sub = Fraction(_rank(m.transpose(), f.ring, derive_rank_seed("add-i", point.d, point.seed),
                          sigma.d).rank, sigma.d)
@@ -591,13 +582,14 @@ def check_addition(f: GroupRingMatrix, schedule: SoficSchedule) -> AdditionRepor
     """Check that submodule and quotient values add up to the ambient rank.
 
     Route (i): mean length of A = rows(f) relative to (B = basis,
-    F = supp(f) ∪ {e}) by the relator quotient, whose one-term relators
-    merge the column (u, s, j) into (σ_s⁻¹(u), e, j); the merged matrix is
-    σ̄_f renamed, so this route ranks its transpose.  Route (ii):
-    rank(σ̄_f)/d.  Route (iii): quotient value n − (ii).  Reports
-    |(i) − (ii)| and |(i) + (iii) − n| per point.
+    F = supp(f) ∪ {e}) by the relator quotient; ``addition_point`` builds
+    that pair at each point, so no pair is passed in.  Every row of B has
+    one term, so each relator is two blocks, an edge that merges the column
+    (u, s, j) into (σ_s⁻¹(u), e, j); the merged matrix is σ̄_f renamed, so
+    this route ranks its transpose.  Route (ii): rank(σ̄_f)/d.  Route (iii):
+    quotient value n − (ii).  Reports |(i) − (ii)| and |(i) + (iii) − n|
+    per point.
     """
     check_vrk_ring(f.ring)
-    run = run_schedule(f.desc, schedule, partial(addition_point, f, addition_pair(f)),
-                       None, map)
+    run = run_schedule(f.desc, schedule, partial(addition_point, f), None, map)
     return AdditionReport.from_points(f.n, [value for _, value, _ in run])

@@ -834,3 +834,51 @@ def test_sizes_no_sofic_map_has_exit_one_at_schedule(tmp_path, capsys, job, mess
 def test_bad_seed_lists_exit_one_at_seeds(tmp_path, capsys, seeds, message):
     job = DEFECT_JOB.format(extra=f"seeds = {seeds}\n")
     assert message in _exits_one_at(tmp_path, capsys, job, [], "[job] seeds")
+
+
+@pytest.mark.parametrize("job, files, where", [
+    (b"[job]\nquantity = defect\ngroup = F2\xff\nschedule = 10\n", [],
+     ": cannot read job file: "),
+    (VRK_JOB.format(extra="").encode(), [("f.txt", b"1 1 Z Z\n0 0 1@1 -1@0 \xff\n")],
+     " [matrix] file: "),
+    (FINITE_ORACLE_JOB.format(extra="").encode(), [("z2.table", b"2\n0 1\n1 0 \xff\n")],
+     " [job] group: "),
+], ids=["job-file", "matrix-file", "table-file"])
+def test_input_files_that_are_not_utf8_exit_one_at_their_path(tmp_path, capsys, job, files,
+                                                              where):
+    for fname, content in files:
+        (tmp_path / fname).write_bytes(content)
+    path = tmp_path / "bad.ini"
+    path.write_bytes(job)
+    out = tmp_path / "out"
+    for argv in (["validate", str(path)], ["run", str(path), "--out", str(out)]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}{where}")
+        assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_out_that_cannot_be_a_directory_exits_one_before_running(tmp_path, monkeypatch,
+                                                                 capsys, out):
+    (tmp_path / "afile").write_text("")
+    (tmp_path / "f.txt").write_text(T_MINUS_ONE_Z)
+    path = tmp_path / "job.ini"
+    path.write_text(VRK_JOB.format(extra=""))
+    monkeypatch.setattr(cli, "run_job", lambda *args: pytest.fail("run_job was called"))
+    assert main(["run", str(path), "--out", str(tmp_path / out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out {tmp_path / out}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_report_that_cannot_be_written_exits_one(tmp_path, capsys):
+    (tmp_path / "out" / "job.json").mkdir(parents=True)
+    (tmp_path / "f.txt").write_text(T_MINUS_ONE_Z)
+    path = tmp_path / "job.ini"
+    path.write_text(VRK_JOB.format(extra=""))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out {tmp_path / 'out'}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err

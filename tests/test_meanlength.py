@@ -361,8 +361,8 @@ def test_one_term_relators_closing_cycles_are_contracted():
     2·δ_e and −3·δ_r with F = {r, r²} for r of order 3 close the triangles
     (v, e), (σ_r(v), r), (σ_r²(v), r²); over Z², rows 2·δ_0, −3·δ_x and
     5·δ_y with F = {x, y} close squares.  No relator row is left, the
-    relators have more nonzero rows than rank, and the value is the
-    unquotiented one."""
+    relators have more nonzero rows than rank, the quotient has rank(R)
+    columns fewer than the window, and the value is the unquotiented one."""
     S3, Z2 = finite_group(symmetric_table(3)), lattice(2)
     r = next(g for g in S3.generators() if g * g != S3.identity())
     x, y = Z2.generators()
@@ -376,7 +376,9 @@ def test_one_term_relators_closing_cycles_are_contracted():
         m, rel_rows = meanlength._relative_quotient(pair, sigma)
         assert rel_rows == 0 and m.nrows == sigma.d * A.m
         rel = relators(B, F, sigma)
-        assert len(set(rel.row)) > rank_over_Q(rel).rank
+        rank = rank_over_Q(rel).rank
+        assert len(set(rel.row)) > rank
+        assert m.ncols == sigma.d * len(coordinate_window(A, B, F)) - rank
         assert relative_mean_length_at(pair, sigma) == _unquotiented_value(pair, sigma)
 
 

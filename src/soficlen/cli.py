@@ -52,6 +52,7 @@ import configparser
 import contextlib
 import csv
 import datetime
+import io
 import json
 import math
 import os
@@ -230,7 +231,7 @@ def _matrix(cp, path: Path, section: str, finite_desc) -> GroupRingMatrix | None
         raise JobError(f"{path} [{section}]", "give 'file' or 'text', not both")
     if "file" in sec:
         try:
-            text = (path.parent / sec["file"]).resolve().read_text()
+            text = (path.parent / sec["file"]).resolve().read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             raise JobError(f"{path} [{section}] file", str(exc)) from None
     elif "text" in sec:
@@ -267,12 +268,13 @@ def load_job(path) -> Job:
                                    inline_comment_prefixes=(";",))
     cp.optionxform = str
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             cp.read_file(fh, source=str(path))
     except (OSError, UnicodeDecodeError) as exc:
         raise JobError(str(path), f"cannot read job file: {exc}") from None
     except configparser.Error as exc:
-        raise JobError(str(path), f"syntax error: {exc}") from None
+        one_line = " ".join(line.strip() for line in str(exc).splitlines())
+        raise JobError(str(path), f"syntax error: {one_line}") from None
     if "job" not in cp:
         raise JobError(f"{path}", "missing [job] section")
     jobsec = cp["job"]
@@ -496,18 +498,27 @@ def run_job(job: Job, jobs: int, verbose: bool) -> RunResult:
 # entry point
 
 def _write_artifacts(job: Job, result: RunResult, out_dir: Path) -> tuple[Path, Path]:
+    """Write ``<job>.json`` and ``<job>.csv``; if a write fails, remove the
+    files this call opened and raise."""
     report = {"job": job.name,
               "generated_at": datetime.datetime.now(datetime.timezone.utc)
                               .isoformat(timespec="seconds")}
     report.update(result.report)
-    json_path = out_dir / f"{job.name}.json"
-    json_path.write_text(json.dumps(report, indent=2) + "\n")
-    csv_path = out_dir / f"{job.name}.csv"
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(result.csv_header)
-        writer.writerows(result.csv_rows)
-    return json_path, csv_path
+    table = io.StringIO()
+    csv.writer(table).writerows([result.csv_header, *result.csv_rows])
+    texts = {out_dir / f"{job.name}.json": json.dumps(report, indent=2) + "\n",
+             out_dir / f"{job.name}.csv": table.getvalue()}
+    opened = []
+    try:
+        for path, text in texts.items():
+            with open(path, "w", newline="") as fh:
+                opened.append(path)
+                fh.write(text)
+    except OSError:
+        for path in opened:
+            path.unlink(missing_ok=True)
+        raise
+    return tuple(texts)
 
 
 def main(argv=None) -> int:

@@ -15,11 +15,11 @@ independent set algorithm.  The kept pivots share no row or column and
 A[i, j'] = A[i', j] = 0 for any two of them, so their block is diagonal and
 one Schur update applies them all at once (Davis and Yew's parallel pivot
 sets).  The primes share this pattern work; only the value arithmetic is done
-per prime, and the pivot inverses come from Montgomery's batch inversion, one
-pow per prime per round.  An entry stays live while it is nonzero mod some
-prime; once a live entry vanishes mod some primes only, each prime goes on
-alone.  Before each round, an active block that is thin or dense enough,
-and not too large, goes to the dense kernel instead, one prime at a time.
+per prime, and each pivot's inverse is one pow per prime, as in the dense
+kernel.  An entry stays live while it is nonzero mod some prime; once a live
+entry vanishes mod some primes only, each prime goes on alone.  Before each
+round, an active block that is thin or dense enough, and not too large, goes
+to the dense kernel instead, one prime at a time.
 Residues are int64 below 2**31 and Python ints in object arrays above.
 Everything is deterministic: same input, same rounds, same rank.
 
@@ -301,25 +301,11 @@ def _independent_pivots(r, c, row_nnz, col_nnz, ncols):
     return cand[(prio == row_reach[cr]) & (prio == col_reach[cc])]
 
 
-def _exclusive_products(x, p):
-    """Products mod p of the entries before each one in its row, by doubling
-    (Hillis-Steele)."""
-    x, step = np.concatenate([np.ones_like(x[:, :1]), x[:, :-1]], axis=1), 1
-    while step < x.shape[1]:
-        x[:, step:] = x[:, step:] * x[:, :-step] % p
-        step *= 2
-    return x
-
-
 def _inverses(x, p):
     """x**-1 mod p, one row of nonzero residues per prime of the column p:
-    Montgomery's batch inversion, one pow per prime."""
-    if not x.shape[1]:
-        return x
-    # x[j]**-1 = (x[0] ... x[j-1]) (x[j+1] ... x[-1]) / (x[0] ... x[-1])
-    left, right = _exclusive_products(x, p), _exclusive_products(x[:, ::-1], p)[:, ::-1]
-    total = [[pow(int(a * b % q), -1, int(q))] for a, b, q in zip(left[:, -1], x[:, -1], p[:, 0])]
-    return left * right % p * np.array(total, dtype=x.dtype) % p
+    one pow per entry, as in the dense kernel, in x's dtype and shape."""
+    return np.array([[pow(a, -1, q) for a in row] for row, q in zip(x.tolist(), p[:, 0].tolist())],
+                    dtype=x.dtype).reshape(x.shape)
 
 
 def _schur_update(key, v, r, c, row_nnz, pivots, ncols, p):

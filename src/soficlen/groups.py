@@ -338,7 +338,7 @@ def parse_word(desc: GroupDescriptor, text: str) -> GroupElement:
 def load_table_file(path) -> GroupDescriptor:
     """Read a finite group table file: first line the order N, then N lines
     of N whitespace-separated element indices; the identity must be index 0."""
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8-sig")
     lines = [ln for ln in (raw.strip() for raw in text.splitlines())
              if ln and not ln.startswith("#")]
     if not lines:

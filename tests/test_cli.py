@@ -873,12 +873,45 @@ def test_out_that_cannot_be_a_directory_exits_one_before_running(tmp_path, monke
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-def test_report_that_cannot_be_written_exits_one(tmp_path, capsys):
-    (tmp_path / "out" / "job.json").mkdir(parents=True)
+@pytest.mark.parametrize("blocked", ["job.json", "job.csv"])
+def test_report_that_cannot_be_written_exits_one(tmp_path, capsys, blocked):
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
     (tmp_path / "f.txt").write_text(T_MINUS_ONE_Z)
     path = tmp_path / "job.ini"
     path.write_text(VRK_JOB.format(extra=""))
-    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert main(["run", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: --out {tmp_path / 'out'}: ")
+    assert err.startswith(f"error: --out {out}: ") and f"{out / blocked}" in err
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert [p.name for p in out.iterdir()] == [blocked]  # no report file left
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("job, files", [
+    (BOM + VRK_JOB.format(extra="").encode(), [("f.txt", T_MINUS_ONE_Z.encode())]),
+    (VRK_JOB.format(extra="").encode(), [("f.txt", BOM + T_MINUS_ONE_Z.encode())]),
+    (FINITE_ORACLE_JOB.format(extra="").encode(), [("z2.table", BOM + b"2\n0 1\n1 0\n")]),
+], ids=["job-file", "matrix-file", "table-file"])
+def test_input_files_with_a_utf8_byte_order_mark_are_read(tmp_path, capsys, job, files):
+    for fname, content in files:
+        (tmp_path / fname).write_bytes(content)
+    path = tmp_path / "job.ini"
+    path.write_bytes(job)
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("job, message", [
+    ("quantity = defect\ngroup = F2\n", "File contains no section headers. file: "),
+    ("[job]\nquantity defect\n", "Source contains parsing errors: "),
+], ids=["no-section", "no-delimiter"])
+def test_job_file_syntax_errors_exit_one_on_one_line(tmp_path, capsys, job, message):
+    path = tmp_path / "bad.ini"
+    path.write_text(job)
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: syntax error: {message}")
+    assert err.count("\n") == 1

@@ -6,20 +6,21 @@ object array otherwise (duplicates are summed in Python ints unless no int64
 sum can overflow).  The sparse eliminator takes both arrays as they are and
 ranks the matrix modulo one or more primes at once.  It keeps the active
 entries as one key array with one row of residues per prime, and eliminates
-in rounds.  Each round takes the entries of minimal Markowitz score
-(row_nnz - 1) * (col_nnz - 1) as candidates, gives each the priority
-(i * ncols + j) * 0x9E3779B97F4A7C15 mod 2**64 (distinct, since the
-multiplier is odd) and keeps those whose priority is the lowest among the
-candidates two hops away in the row/column graph, as in Luby's maximal
-independent set algorithm.  The kept pivots share no row or column and
-A[i, j'] = A[i', j] = 0 for any two of them, so their block is diagonal and
-one Schur update applies them all at once (Davis and Yew's parallel pivot
-sets).  The primes share this pattern work; only the value arithmetic is done
-per prime, and each pivot's inverse is one pow per prime, as in the dense
-kernel.  An entry stays live while it is nonzero mod some prime; once a live
-entry vanishes mod some primes only, each prime goes on alone.  Before each
-round, an active block that is thin or dense enough, and not too large, goes
-to the dense kernel instead, one prime at a time.
+in rounds.  Each round takes the entries of Markowitz score (row_nnz - 1) *
+(col_nnz - 1) at most max(2 * min, min + 2), min the least score, as
+candidates (Davis and Yew's parallel pivot sets), gives each the int64 view of
+(i * ncols + j) * 0x9E3779B97F4A7C15 mod 2**64 as its priority (distinct,
+since the multiplier is odd) and keeps those whose priority is the lowest
+among the candidates two hops away in the row/column graph, as in Luby's
+maximal independent set algorithm.  The kept pivots share no row or column
+and A[i, j'] = A[i', j] = 0 for any two of them, so their block is diagonal
+and one Schur update applies them all at once.  The primes share this
+pattern work; only the value arithmetic is done per prime, and each pivot's
+inverse is one pow per prime, as in the dense kernel.  An entry stays live
+while it is nonzero mod some prime; once a live entry vanishes mod some
+primes only, each prime goes on alone.  Before each round, an active block
+that is thin or dense enough, and not too large, goes to the dense kernel
+instead, one prime at a time.
 Residues are int64 below 2**31 and Python ints in object arrays above.
 Everything is deterministic: same input, same rounds, same rank.
 
@@ -55,11 +56,16 @@ class ExactLAError(ValueError):
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the least strong pseudoprime to all of _MR_BASES: 399165290221 * 798330580441
+_MR_EXACT_BELOW = 318665857834031151167461
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with a fixed witness set; exact for n < 3.3e24, which
-    covers every modulus this package accepts (p < 2**62)."""
+    """Miller-Rabin with a fixed witness set, exact for n < _MR_EXACT_BELOW
+    (about 3.2e23); n at or above it raises ExactLAError."""
+    if n >= _MR_EXACT_BELOW:
+        raise ExactLAError(f"modulus {n} is not below {_MR_EXACT_BELOW}, "
+                           "where the primality test is exact")
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -228,9 +234,10 @@ _DENSE_MAX_AREA = 6_000_000
 _DENSE_THIN = 64
 _DENSE_FILL = 0.25
 
-# odd, so (i * ncols + j) -> priority is a bijection mod 2**64
+# odd, so (i * ncols + j) -> priority is a bijection mod 2**64; its int64 view
+# is one too, and np.minimum.at has a fast path for int64
 _PRIORITY_MIX = np.uint64(0x9E3779B97F4A7C15)
-_NO_PRIORITY = np.iinfo(np.uint64).max
+_NO_PRIORITY = _INT64_MAX
 
 
 def _merge(key, val):
@@ -279,17 +286,18 @@ def _sparse_ranks(nrows, ncols, key, val, cuts, primes) -> list[list[int]]:
 
 
 def _independent_pivots(r, c, row_nnz, col_nnz, ncols):
-    """Indices of the entries of minimal Markowitz score (row_nnz - 1) *
-    (col_nnz - 1) whose priority is the lowest among the candidates two hops
-    away in the row/column graph: no two share a row or a column, and the
-    entries that cross two of them, A[i, j'] and A[i', j], are zero.  r and c
-    hold every entry of the rows they meet: with cuts, the rows of the
-    earliest live block, as a pivot row of block b is subtracted only from
-    rows of block b or later."""
+    """Indices of the entries of Markowitz score (row_nnz - 1) * (col_nnz -
+    1) at most max(2 * min, min + 2) whose priority is the lowest among these
+    candidates two hops away in the row/column graph: no two share a row or a
+    column, and the entries that cross two of them, A[i, j'] and A[i', j],
+    are zero.  r and c hold every entry of the rows they meet: with cuts,
+    the rows of the earliest live block, as a pivot row of block b is
+    subtracted only from rows of block b or later."""
     score = (row_nnz[r] - 1) * (col_nnz[c] - 1)
-    cand = np.flatnonzero(score == score.min())
+    least = score.min()
+    cand = np.flatnonzero(score <= max(2 * least, least + 2))
     cr, cc = r[cand], c[cand]
-    prio = (cr * ncols + cc).astype(np.uint64) * _PRIORITY_MIX
+    prio = ((cr * ncols + cc).astype(np.uint64) * _PRIORITY_MIX).view(np.int64)
     row_min = np.full(row_nnz.size, _NO_PRIORITY)
     col_min = np.full(col_nnz.size, _NO_PRIORITY)
     np.minimum.at(row_min, cr, prio)
@@ -464,7 +472,7 @@ def dense_rank_rational(a) -> int:
 
 def dense_rank_mod_p(a, p: int) -> int:
     """Exact rank mod p of a dense matrix or a SparseMatrix, for any prime p
-    and any integer entries."""
+    below _MR_EXACT_BELOW and any integer entries."""
     if not is_probable_prime(p):
         raise ExactLAError(f"{p} is not prime")
     a = a.to_dense() if isinstance(a, SparseMatrix) else a

@@ -20,8 +20,10 @@ from soficlen.exactla import (
     sample_prime,
 )
 from soficlen.exactla import _MAX_PRIMES, _MIN_PRIMES
-from soficlen.groupring import RATIONALS
-from soficlen.meanlength import blocks_to_sparse
+from soficlen.groupring import INTEGERS, RATIONALS, GroupRingElement, GroupRingMatrix
+from soficlen.groups import lattice
+from soficlen.meanlength import blocks_to_sparse, build_sigma_bar
+from soficlen.sofic import build_torus
 
 
 def _matrix(nrows, ncols, triplets, modulus=None):
@@ -119,10 +121,10 @@ P61 = 2**61 - 1
     ([(0, 0, -T), (0, 1, -T), (1, 0, 1), (1, 1, 1)], None),
     ([(0, 1, 2**70), (1, 0, -3), (0, 1, -2**70 + 5), (1, 1, 2**70)], None),
     ([(0, 0, -5), (0, 1, -T), (1, 1, -1), (1, 1, -1), (1, 0, 7)], 7),
-    ([(0, 0, -1), (0, 1, -T), (1, 1, 5)], 2**89 - 1),  # a modulus beyond int64
+    ([(0, 0, -1), (0, 1, -T), (1, 1, 5)], 2**64 - 59),  # a prime modulus beyond int64
     ([(0, 0, -1), (0, 1, -2), (1, 0, -3), (1, 1, P61 - 6)], P61),
 ], ids=["sum-past-2**63", "minus-2**63-twice", "minus-2**63-minus-1", "minus-2**63-alone",
-        "2**70", "negative-mod-7", "modulus-2**89-1", "negative-mod-2**61-1"])
+        "2**70", "negative-mod-7", "modulus-2**64-59", "negative-mod-2**61-1"])
 def test_int64_boundary_against_python_ints(triplets, modulus):
     rows, cols, vals = zip(*triplets)
     ref = _reference(triplets, modulus)
@@ -335,6 +337,26 @@ def test_dense_rank_mod_p_huge_prime():
     assert dense_rank_mod_p([[p]], p) == 0
     # entries beyond int64 at a prime below the word-size limit
     assert dense_rank_mod_p([[2**70, 1], [2**71, 2]], 2**31 - 1) == 1
+
+
+PSI_12 = 318665857834031151167461  # 399165290221 * 798330580441
+PSI_13 = 3317044064679887385961981
+
+
+@pytest.mark.parametrize("p", [PSI_12, PSI_13, 2**89 - 1])
+def test_moduli_beyond_the_exact_primality_range_are_refused(p):
+    # the first two are composite strong pseudoprimes to every witness of
+    # the primality test, the third a prime it cannot tell from them
+    with pytest.raises(ExactLAError, match=f"modulus {p} is not below {PSI_12}"):
+        is_probable_prime(p)
+    with pytest.raises(ExactLAError, match=f"modulus {p} is not below {PSI_12}"):
+        SparseMatrix(1, 1, [0], [0], [1], modulus=p)
+    with pytest.raises(ExactLAError, match=f"modulus {p} is not below {PSI_12}"):
+        rank_mod_p(_matrix(1, 1, [(0, 0, 1)]), p)
+    for a in ([[399165290221]], _matrix(1, 1, [(0, 0, 1)])):
+        with pytest.raises(ExactLAError, match=f"modulus {p} is not below {PSI_12}"):
+            dense_rank_mod_p(a, p)
+    assert is_probable_prime(2**64 - 59) and 2**64 - 59 < PSI_12
 
 
 @pytest.mark.parametrize("p", [4, 1, 0, -7])
@@ -606,11 +628,20 @@ def test_block_ranks_equal_the_dense_ranks_of_the_leading_rows(rounds):
 def test_block_ranks_when_the_primes_part_ways_mid_block(rounds, monkeypatch):
     blocks = 60
     p1, p2, triplets = _determinant_p2_blocks(blocks)
-    gen = random.Random(5)  # a second block under it, on the same columns
-    triplets += [(2 * blocks + gen.randrange(40), gen.randrange(2 * blocks), gen.randrange(1, 5))
+    gen = random.Random(5)
+    # a band of four rows in the first block, each a combination of the first
+    # rows of the 2 x 2 blocks 0..9: it adds no rank at any prime, and it
+    # raises those blocks' column counts, so that the first round leaves them
+    # live while it pivots the other blocks
+    for k in range(4):
+        for b in range(10):
+            a = gen.randrange(1, 5)
+            triplets += [(2 * blocks + k, 2 * b, 2 * a), (2 * blocks + k, 2 * b + 1, a)]
+    cut = 2 * blocks + 4
+    # a second block under it, on the same columns
+    triplets += [(cut + gen.randrange(40), gen.randrange(2 * blocks), gen.randrange(1, 5))
                  for _ in range(100)]
-    m = _matrix(2 * blocks + 40, 2 * blocks, triplets)
-    cut = 2 * blocks
+    m = _matrix(cut + 40, 2 * blocks, triplets)
     calls = []  # (number of primes, rounds before the call, first block live) per call
     real = exactla._sparse_ranks
 
@@ -692,3 +723,84 @@ def test_cuts_must_be_nondecreasing_row_counts(cuts):
         rank_mod_p(m, 7, cuts=cuts)
     with pytest.raises(ExactLAError, match="not nondecreasing row counts"):
         rank_over_Q(m, cuts=cuts)
+
+
+# --- relaxed rounds: the pivot set of each round
+
+def _torus_sigma_bar():
+    """sigma-bar of f = [[1 + x, y], [x, 1 - y]] over Z[Z^2] on the 20 x 20
+    torus: an 800 x 800 grid pattern."""
+    L2 = lattice(2)
+
+    def element(*terms):
+        return GroupRingElement.from_terms(L2, INTEGERS, [(L2.element(g), c) for g, c in terms])
+
+    f = GroupRingMatrix(L2, INTEGERS, [
+        [element(((0, 0), 1), ((1, 0), 1)), element(((0, 1), 1))],
+        [element(((1, 0), 1)), element(((0, 0), 1), ((0, 1), -1))]])
+    return build_sigma_bar(f, build_torus((20, 20)))
+
+
+def _banded(n, width, seed):
+    """An n x n band, A[i, j] nonzero for |i - j| <= width."""
+    gen = random.Random(seed)
+    return _matrix(n, n, [(i, j, gen.randrange(1, 5)) for i in range(n)
+                          for j in range(max(0, i - width), min(n, i + width + 1))])
+
+
+def test_every_round_pivots_an_independent_relaxed_set_of_the_earliest_block(monkeypatch):
+    rng = random.Random(19)
+    matrices = [*_random_triplet_matrices(rng, 30)[9::10], *PRODUCTS[::20],
+                _banded(300, 2, seed=3), _torus_sigma_bar()]
+    real = exactla._independent_pivots
+    for m in matrices:
+        for cuts in ((), _random_cuts(rng, m.nrows), (m.nrows // 3, 2 * m.nrows // 3)):
+            bounds = np.array([*cuts, m.nrows])
+            seen = []
+
+            def checked(r, c, row_nnz, col_nnz, ncols):
+                # r and c are every live entry of the earliest block with a live row
+                live = np.flatnonzero(row_nnz)
+                end = bounds[np.searchsorted(bounds, live[0], side="right")]
+                assert np.array_equal(np.bincount(r, minlength=end), row_nnz[:end])
+                pivots = real(r, c, row_nnz, col_nnz, ncols)
+                pr, pc = r[pivots], c[pivots]
+                assert pivots.size and pr.max() < end
+                assert np.unique(pr).size == np.unique(pc).size == pivots.size
+                # the entries in pivot rows and pivot columns are the pivots alone
+                crossing = np.isin(r, pr) & np.isin(c, pc)
+                assert np.array_equal(np.flatnonzero(crossing), np.sort(pivots))
+                score = (row_nnz[r] - 1) * (col_nnz[c] - 1)
+                least = score.min()
+                assert score[pivots].max() <= max(2 * least, least + 2)
+                seen.append(pivots.size)
+                return pivots
+
+            monkeypatch.setattr(exactla, "_independent_pivots", checked)
+            rank_mod_p(m, 2**31 - 1, cuts=cuts)
+            assert seen  # the matrix reached the rounds
+
+
+def test_priorities_of_keys_near_2_63_stay_distinct():
+    # the last rows of a matrix with as many positions as int64 keys allow;
+    # a full 3 x 4 grid of entries, of equal score, where any two pivots
+    # would meet in a row, a column or a crossing entry
+    nrows = 2**16
+    ncols = (2**63 - 1) // nrows
+    r = np.repeat(np.arange(nrows - 3, nrows), 4)
+    c = np.tile(np.arange(4), 3)
+    keys = [int(i) * ncols + int(j) for i, j in zip(r, c)]
+    assert min(keys) > 2**63 - 4 * ncols
+    signed = [k * 0x9E3779B97F4A7C15 % 2**64 for k in keys]
+    signed = [x - 2**64 if x >= 2**63 else x for x in signed]
+    assert len(set(signed)) == len(keys) and min(signed) < 0 < max(signed)
+    pivots = exactla._independent_pivots(r, c, np.bincount(r, minlength=nrows),
+                                         np.bincount(c, minlength=4), ncols)
+    assert pivots.tolist() == [signed.index(min(signed))]
+
+
+def test_relaxed_rounds_on_a_torus(rounds):
+    m = _torus_sigma_bar()
+    assert rank_mod_p(m, 2**31 - 1).rank == 800
+    # 62 rounds when only the entries of minimal score were candidates
+    assert len(rounds) <= 26

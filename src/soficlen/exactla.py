@@ -19,8 +19,8 @@ pattern work; only the value arithmetic is done per prime, and each pivot's
 inverse is one pow per prime, as in the dense kernel.  An entry stays live
 while it is nonzero mod some prime; once a live entry vanishes mod some
 primes only, each prime goes on alone.  Before each round, an active block
-that is thin or dense enough, and not too large, goes to the dense kernel
-instead, one prime at a time.
+that is at least a quarter nonzero, and not too large, goes to the dense
+kernel instead, one prime at a time.
 Residues are int64 below 2**31 and Python ints in object arrays above.
 Everything is deterministic: same input, same rounds, same rank.
 
@@ -228,10 +228,9 @@ class RankResult:
 
 # --- sparse elimination core ------------------------------------------------
 
-# dense-tail tuning: switch when the active block is thin or at least this
-# dense, provided the dense copy stays small enough to be worth it
+# dense-tail tuning: switch when the active block is at least this dense,
+# provided the dense copy stays small enough to be worth it
 _DENSE_MAX_AREA = 6_000_000
-_DENSE_THIN = 64
 _DENSE_FILL = 0.25
 
 # odd, so (i * ncols + j) -> priority is a bijection mod 2**64; its int64 view
@@ -273,8 +272,7 @@ def _sparse_ranks(nrows, ncols, key, val, cuts, primes) -> list[list[int]]:
         col_nnz = np.bincount(c, minlength=ncols)
         ra, ca = np.count_nonzero(row_nnz), np.count_nonzero(col_nnz)
         area = ra * ca
-        if area <= _DENSE_MAX_AREA and (
-                min(ra, ca) <= _DENSE_THIN or key.size >= _DENSE_FILL * area):
+        if area <= _DENSE_MAX_AREA and key.size >= _DENSE_FILL * area:
             ends = np.searchsorted(r, bounds)  # the live entries above each bound
             return [(rank + _dense_tails(r, c, vq, q, ends)).tolist()
                     for vq, q in zip(v, primes)]

@@ -410,8 +410,8 @@ def test_deterministic_rank_over_q_seeding():
 
 # --- the sparse eliminator: rounds of independent pivots, then the dense tail
 #
-# An active block of area <= 4096 goes straight to the dense tail, so these
-# matrices are large and sparse enough to reach the rounds.
+# An active block that is a quarter nonzero or more goes straight to the dense
+# tail, so these matrices are sparse enough to reach the rounds.
 
 def _low_rank_products(count, seed):
     """Products of a random sparse nrows x inner and inner x ncols matrix
@@ -539,9 +539,34 @@ def test_pivots_vanishing_mod_the_prime(rounds):
     assert result.rank == dense_rank_rational(m)
 
 
+def _fill_vanishing_mod_p2(n):
+    """The first two primes of seed 0, and [[I, B], [C, CB + p2 M]] with n x
+    n blocks.  B and C have entries in [1, 3] on three shifted diagonals
+    each, so CB has seven and M, of entries in [-2, 2], has CB's pattern.
+    Every entry is nonzero mod the first three primes, and the identity
+    block's Markowitz scores (9) are the only ones below 27, so the first
+    round pivots on it and leaves p2 M: zero mod p2 alone, and 7/n full."""
+    rng = random.Random(0)
+    p1, p2 = sample_prime(rng), sample_prime(rng)
+    gen = random.Random(8)
+
+    def diagonals(shifts):
+        a = np.zeros((n, n), dtype=np.int64)
+        for shift in shifts:
+            a[np.arange(n), (np.arange(n) + shift) % n] = [gen.randrange(1, 4) for _ in range(n)]
+        return a
+
+    b, c = diagonals((0, 2, 5)), diagonals((0, 1, 3))
+    cb = c @ b
+    m = np.array([[gen.choice([-2, -1, 1, 2]) if x else 0 for x in row] for row in cb])
+    a = np.block([[np.eye(n, dtype=np.int64), b], [c, cb + p2 * m]])
+    i, j = np.nonzero(a)
+    return p1, p2, list(zip(i.tolist(), j.tolist(), a[i, j].tolist()))
+
+
 def test_primes_part_ways_after_a_shared_round(rounds, monkeypatch):
-    blocks = 60
-    p1, p2, triplets = _determinant_p2_blocks(blocks)
+    blocks = 24
+    p1, p2, triplets = _fill_vanishing_mod_p2(blocks)
     m = _matrix(2 * blocks, 2 * blocks, triplets)
     calls = []  # (number of primes, rounds before the call) per call
     real = exactla._sparse_ranks
@@ -555,8 +580,9 @@ def test_primes_part_ways_after_a_shared_round(rounds, monkeypatch):
     assert result.primes[:2] == (p1, p2)
     assert (result.rank, result.primes, result.agreement) == _per_prime_rank_over_q(m, 0)
     assert result.rank == dense_rank_rational(m) == 2 * blocks
-    # the three primes share the first round, which leaves each block one
-    # entry that is zero mod p2 alone; then each prime goes on by itself
+    # the three primes share the first round, which leaves p2 M, zero mod p2
+    # alone; then each prime goes on by itself with no more rounds, as p2 M
+    # is more than a quarter full, and nothing mod p2
     assert calls == [(3, 0), (1, 1), (1, 1), (1, 1)]
     assert rank_mod_p(m, p2).rank == blocks
 
@@ -612,17 +638,49 @@ def _random_triplet_matrices(rng, count):
     return out
 
 
-def test_block_ranks_equal_the_dense_ranks_of_the_leading_rows(rounds):
+def _thin_matrices():
+    """Thin matrices with entries in [-3, 3]: 5000 x 64 at 3%, 64 x 3000 at
+    10%, a 3000 x 64 product of rank at most 12, a row and a column."""
+    rng = np.random.default_rng(21)
+
+    def sparse(nrows, ncols, density):
+        return rng.integers(-3, 4, size=(nrows, ncols)) * (rng.random((nrows, ncols)) < density)
+
+    out = []
+    for a in [sparse(5000, 64, 0.03), sparse(64, 3000, 0.1),
+              sparse(3000, 12, 0.08) @ sparse(12, 64, 0.08),
+              sparse(1, 2000, 0.05), sparse(2000, 1, 0.05)]:
+        i, j = np.nonzero(a)
+        out.append(SparseMatrix(*a.shape, i, j, a[i, j]))
+    return out
+
+
+def test_block_ranks_equal_the_dense_ranks_of_the_leading_rows(rounds, monkeypatch):
+    blocks = []  # every block the dense kernel receives
+    real = _kernels.dense_rank_mod_p
+
+    def recorded(a, p):
+        blocks.append(np.array(a))
+        return real(a, p)
+
+    monkeypatch.setattr(_kernels, "dense_rank_mod_p", recorded)
     rng = random.Random(77)
     matrices = _random_triplet_matrices(rng, 40) + PRODUCTS[::4]
-    for k, m in enumerate(matrices):
+    for k, m in enumerate(matrices + _thin_matrices()):
         cuts = _random_cuts(rng, m.nrows)
-        for p in [2**31 - 1, P61] if k < 40 else [2**31 - 1]:  # P61 is slow on products
+        live_area = len(set(m.row)) * len(set(m.col))
+        slow = 40 <= k < len(matrices)  # P61 is slow on products
+        for p in [2**31 - 1] if slow else [2**31 - 1, P61]:
             result = rank_mod_p(m, p, cuts=cuts)
             assert [*result.leading_ranks, result.rank] == _dense_block_ranks(m, p, cuts)
+            before, start = len(rounds), len(blocks)
+            assert rank_mod_p(m, p).rank == result.rank
+            # with no cuts the live block is handed over whole, and only once
+            # it is a quarter nonzero: the rounds run if it is not at the start
+            assert all(4 * np.count_nonzero(b) >= b.size for b in blocks[start:])
+            assert (len(rounds) > before) == (4 * m.nnz < live_area)
         if k < 40 or k % 20 == 0:
             assert rank_over_Q(m, seed=k, cuts=cuts) == _per_prime_block_ranks(m, k, cuts)
-    assert rounds
 
 
 def test_block_ranks_when_the_primes_part_ways_mid_block(rounds, monkeypatch):

@@ -32,11 +32,16 @@ rank of the first k blocks is the number of pivots taken in them plus the
 rank of their live rows, which the dense tail ranks for each such prefix.
 With no cuts the prefix is every entry.
 
-Rank over Q is certified-probabilistic: the maximum of ranks modulo
-``_MIN_PRIMES`` to ``_MAX_PRIMES`` seeded random primes in (2**30, 2**31),
-resampling until the top rank of every block prefix is hit by two distinct
-primes.  The first ``_MIN_PRIMES`` are eliminated together, any later one
-alone; elimination at any nonzero pivots gives the exact rank mod p.
+Rank over Q comes from seeded random primes in (2**30, 2**31); elimination
+at any nonzero pivots gives the exact rank mod p, which never exceeds the
+rank over Q.  The first prime is ranked alone.  If it meets an exact upper
+bound on every block prefix, min(R - [every column sums to 0], C - [every
+row sums to 0]) for the prefix's R nonempty rows and C nonempty columns,
+the rank is proven with that one prime.  Otherwise it is certified-
+probabilistic: the maximum of ranks modulo ``_MIN_PRIMES`` to
+``_MAX_PRIMES`` primes, resampling until the top rank of every block prefix
+is hit by two distinct primes.  Primes 2 to ``_MIN_PRIMES`` are eliminated
+together, any later one alone.
 """
 
 from __future__ import annotations
@@ -108,6 +113,15 @@ def _int_array(x) -> np.ndarray:
         return np.array(x, dtype=object)
 
 
+def _summable(val) -> np.ndarray:
+    """val as it is, unless it is int64 and a sum of its entries might leave
+    int64: then as an object array of Python ints."""
+    if val.dtype == np.int64 and val.size * max(-int(val.min(initial=0)),
+                                                 int(val.max(initial=0))) > _INT64_MAX:
+        return val.astype(object)
+    return val
+
+
 def _indices(x) -> np.ndarray:
     """An int64 array as it is; other input as int64, or as an object array
     of the indices given if one is no integer or is beyond int64."""
@@ -157,10 +171,7 @@ class SparseMatrix:
         if outside.size:
             k = outside[0]
             raise ExactLAError(f"entry ({row[k]}, {col[k]}) outside {nrows}x{ncols} matrix")
-        if val.dtype == np.int64 and val.size * max(-int(val.min(initial=0)),
-                                                     int(val.max(initial=0))) > _INT64_MAX:
-            val = val.astype(object)  # a sum of duplicates might leave int64
-        key, val = _merge(row * ncols + col, val)
+        key, val = _merge(row * ncols + col, _summable(val))
         if modulus is not None:
             val = (val if modulus <= _INT64_MAX else val.astype(object)) % modulus
         live = val != 0
@@ -214,8 +225,12 @@ class SparseMatrix:
 
 @dataclass(frozen=True)
 class RankResult:
-    """Rank plus provenance: which field, which primes, and whether the
-    multi-prime agreement certificate was reached (always True mod p).
+    """Rank plus provenance: which field, which primes, and which proof.
+    ``agreement`` says that the rank is certified, by either proof (always
+    True mod p).  ``proven`` says that it is exact with no probability left:
+    always mod p, and over Q when the first prime's ranks meet an exact
+    upper bound on every block prefix; a rank over Q certified with
+    ``proven`` False is one on which two primes agree.
     ``leading_ranks[k]`` is the rank of the first ``cuts[k]`` rows, for the
     ``cuts`` the matrix was ranked with."""
 
@@ -224,6 +239,7 @@ class RankResult:
     primes: tuple[int, ...]
     agreement: bool
     leading_ranks: tuple[int, ...] = ()
+    proven: bool = False
 
 
 # --- sparse elimination core ------------------------------------------------
@@ -389,33 +405,61 @@ def rank_mod_p(m: SparseMatrix, p: int | None = None, *, cuts=()) -> RankResult:
         raise ExactLAError(f"matrix is over GF({m.modulus}), not GF({p})")
     *leading, rank = _sparse_ranks(m.nrows, m.ncols, m.key, m.data,
                                    _checked_cuts(m, cuts), [p])[0]
-    return RankResult(rank, f"GF({p})", (p,), True, tuple(leading))
+    return RankResult(rank, f"GF({p})", (p,), True, tuple(leading), proven=True)
 
 
 _MIN_PRIMES = 3
 _MAX_PRIMES = 12
 
 
+def _lines(index, size, v) -> tuple[int, bool]:
+    """For entries v on lines ``index`` of ``size`` lines: how many lines
+    hold an entry, and whether v sums to 0 along every line."""
+    sums = np.zeros(size, dtype=v.dtype)
+    np.add.at(sums, index, v)
+    return np.count_nonzero(np.bincount(index, minlength=size)), not sums.any()
+
+
+def _rank_bounds(m: SparseMatrix, cuts) -> list[int]:
+    """Exact upper bounds on the rank over Q of the first ``cuts[0]``,
+    ``cuts[1]``, ... rows and of all rows.  A prefix with R nonempty rows
+    and C nonempty columns has rank at most min(R - [every column sums to
+    0], C - [every row sums to 0]): zero column sums put the all-ones vector
+    in the left kernel of its nonzero part, zero row sums put it in the
+    kernel.  The sums are exact, in Python ints where int64 might overflow."""
+    data = _summable(m.data)
+    bounds = []
+    for end in np.searchsorted(m.key, np.array([*cuts, m.nrows]) * m.ncols):
+        r, c = np.divmod(m.key[:end], m.ncols)
+        rows, zero_row_sums = _lines(r, m.nrows, data[:end])
+        cols, zero_col_sums = _lines(c, m.ncols, data[:end])
+        bounds.append(min(rows - zero_col_sums, cols - zero_row_sums) if rows else 0)
+    return bounds
+
+
 def rank_over_Q(m: SparseMatrix, *, seed: int = 0, cuts=()) -> RankResult:
-    """Certified-probabilistic rank over Q for an integer matrix, and of the
-    first ``cuts[k]`` rows for each k.
+    """Certified rank over Q for an integer matrix, and of the first
+    ``cuts[k]`` rows for each k.
 
     Ranks the matrix modulo seeded random primes; rank mod p never exceeds
-    the rational rank and equals it away from finitely many primes, so the
-    running maximum is a lower bound that is almost surely exact.  The first
-    ``_MIN_PRIMES`` draws share one elimination; further primes are drawn and
-    ranked one at a time until, for every block prefix, two primes agree on
-    its maximum.  ``agreement`` records whether that certificate was reached
-    within ``_MAX_PRIMES`` draws.
+    the rational rank and equals it away from finitely many primes.  The
+    first prime is ranked alone: if it meets ``_rank_bounds`` on every block
+    prefix, the rank is proven and no other prime is drawn.  Otherwise the
+    running maximum is a lower bound that is almost surely exact: primes 2
+    to ``_MIN_PRIMES`` share one elimination, and further primes are drawn
+    and ranked one at a time until, for every block prefix, two primes agree
+    on its maximum.  ``agreement`` records whether either certificate was
+    reached within ``_MAX_PRIMES`` draws, and ``proven`` whether the first
+    one was.
     """
     if m.modulus is not None:
         raise ExactLAError("rank_over_Q needs integer entries, not GF residues")
     cuts = _checked_cuts(m, cuts)
     rng = random.Random(seed)
-    primes: list[int] = []
-    ranks: list[list[int]] = []  # per prime, one rank per block prefix
-    agreement = False
-    while len(primes) < _MAX_PRIMES:
+    primes = [sample_prime(rng)]
+    ranks = _sparse_ranks(m.nrows, m.ncols, m.key, m.data, cuts, primes)  # per prime, per prefix
+    proven = agreement = ranks[0] == _rank_bounds(m, cuts)
+    while not agreement and len(primes) < _MAX_PRIMES:
         p = sample_prime(rng)
         if p in primes:
             continue
@@ -423,11 +467,9 @@ def rank_over_Q(m: SparseMatrix, *, seed: int = 0, cuts=()) -> RankResult:
         if len(primes) < _MIN_PRIMES:
             continue
         ranks += _sparse_ranks(m.nrows, m.ncols, m.key, m.data, cuts, primes[len(ranks):])
-        if all(prefix.count(max(prefix)) >= 2 for prefix in zip(*ranks)):
-            agreement = True
-            break
+        agreement = all(prefix.count(max(prefix)) >= 2 for prefix in zip(*ranks))
     *leading, rank = (max(prefix) for prefix in zip(*ranks))
-    return RankResult(rank, "Q", tuple(primes), agreement, tuple(leading))
+    return RankResult(rank, "Q", tuple(primes), agreement, tuple(leading), proven)
 
 
 # --- dense exact fallbacks --------------------------------------------------

@@ -395,10 +395,11 @@ def principal_rank_point(f: GroupRingMatrix, sigma: SoficMap, *, seed: int = 0,
 
     σ̄_f is assembled once and ranked twice over Q, with the primes of
     ``rank_seed`` and of ``rank_seed + 1``; the kernel is d·n minus the
-    second rank.  The duality flag therefore checks that two independent
-    draws of primes certify the same rank of the same matrix; it is not a
-    second route to the rank.  Raises MeanLengthError if either rank is
-    uncertified.
+    second rank.  Each rank is settled by its first prime alone when that
+    prime meets the exact upper bound of ``exactla.rank_over_Q``, and by two
+    agreeing primes otherwise.  The duality flag still compares two draws of
+    primes on the same matrix; it is not a second route to the rank.  Raises
+    MeanLengthError if either rank is uncertified.
     """
     check_vrk_ring(f.ring)
     d = sigma.d

@@ -194,8 +194,7 @@ def test_arrays_agree_with_the_tuple_normal_form():
         if ref[2]:
             i, j, v = ref[0][0], ref[1][0], ref[2][0]
             assert _matrix(nrows, ncols, triplets + [(i, j, 1)]) != m
-        result = rank_over_Q(m, seed=trial)
-        assert (result.rank, result.primes, result.agreement) == _per_prime_rank_over_q(m, trial)
+        assert rank_over_Q(m, seed=trial) == _per_prime_block_ranks(m, trial)
 
 
 def test_sparse_matrix_refuses_non_integral_entries():
@@ -266,7 +265,10 @@ def test_rank_depends_on_the_prime():
 
 
 def test_diagonal_rank():
-    diag = _matrix(5, 5, [(i, i, i + 1) for i in range(5)])
+    # the last entry is a multiple of seed 0's first prime, whose rank 4
+    # misses the bound 5, so that primes 2 and 3 are drawn
+    p1 = sample_prime(random.Random(0))
+    diag = _matrix(5, 5, [(i, i, i + 1) for i in range(4)] + [(4, 4, 5 * p1)])
     result = rank_over_Q(diag)
     assert result.rank == 5
     assert len(result.primes) >= 3
@@ -460,29 +462,38 @@ def _dense_block_ranks(m, p, cuts):
     return [ranks[k] for k in cuts] + [dense_rank_mod_p(m, p)]
 
 
+def _dense_rank_bounds(m, cuts):
+    """min(R - [every column sums to 0], C - [every row sums to 0]) for the
+    R nonzero rows and C nonzero columns of the first cuts[k] rows and of
+    all rows, summed in Python ints from the dense matrix."""
+    dense = m.to_dense()
+    bounds = []
+    for k in [*cuts, m.nrows]:
+        rows = [row for row in dense[:k] if any(row)]
+        cols = [col for col in zip(*rows) if any(col)]
+        bounds.append(min(len(rows) - all(sum(col) == 0 for col in cols),
+                          len(cols) - all(sum(row) == 0 for row in rows)) if rows else 0)
+    return bounds
+
+
 def _per_prime_block_ranks(m, seed=0, cuts=()):
     """rank_over_Q's prime loop with every prime and block prefix ranked by
-    the dense kernel; certified once two primes reach each prefix's maximum."""
+    the dense kernel: proven if the first prime meets every prefix's bound,
+    else certified once two primes reach each prefix's maximum."""
     rng = random.Random(seed)
-    primes, ranks, agreement = [], [], False
-    while len(primes) < _MAX_PRIMES:
+    primes = [sample_prime(rng)]
+    ranks = [_dense_block_ranks(m, primes[0], cuts)]
+    proven = agreement = ranks[0] == _dense_rank_bounds(m, cuts)
+    while not agreement and len(primes) < _MAX_PRIMES:
         p = sample_prime(rng)
         if p in primes:
             continue
         primes.append(p)
         ranks.append(_dense_block_ranks(m, p, cuts))
-        if len(primes) >= _MIN_PRIMES and all(
-                prefix.count(max(prefix)) >= 2 for prefix in zip(*ranks)):
-            agreement = True
-            break
+        agreement = len(primes) >= _MIN_PRIMES and all(
+            prefix.count(max(prefix)) >= 2 for prefix in zip(*ranks))
     *leading, rank = (max(prefix) for prefix in zip(*ranks))
-    return RankResult(rank, "Q", tuple(primes), agreement, tuple(leading))
-
-
-def _per_prime_rank_over_q(m, seed=0):
-    """rank_over_Q's prime loop with every prime ranked by the dense kernel."""
-    result = _per_prime_block_ranks(m, seed)
-    return result.rank, result.primes, result.agreement
+    return RankResult(rank, "Q", tuple(primes), agreement, tuple(leading), proven)
 
 
 def test_rounds_give_the_dense_rank_of_rank_deficient_products(rounds):
@@ -517,6 +528,15 @@ def _determinant_p2_blocks(blocks):
     return p1, p2, triplets
 
 
+def _copy_row_and_column(nrows, ncols, triplets, i, j):
+    """The matrix with row i copied into a new last row and column j into a
+    new last column: its rank is the same at every prime, and it has one
+    more nonempty row and column, so a rank that met min(R, C) misses it."""
+    row = [(nrows, c, v) for r, c, v in triplets if r == i]
+    col = [(r, ncols, v) for r, c, v in triplets + row if c == j]
+    return _matrix(nrows + 1, ncols + 1, triplets + row + col)
+
+
 def test_pivots_vanishing_mod_the_prime(rounds):
     blocks = 60
     p1, p2, triplets = _determinant_p2_blocks(blocks)
@@ -528,14 +548,17 @@ def test_pivots_vanishing_mod_the_prime(rounds):
             if gen.random() < 0.1:
                 triplets.append((i, j, gen.randrange(1, 5)))
     side = 2 * blocks + 30
-    m = _matrix(side, side, triplets)
+    # the row and column of the random part's first entry copied, so that
+    # the first prime's rank misses the bound and primes 2 and 3 are drawn
+    i, j, _ = triplets[4 * blocks + 1]
+    m = _copy_row_and_column(side, side, triplets, i, j)
     assert rank_mod_p(m, p2).rank == dense_rank_mod_p(m, p2)
     assert rounds
     assert rank_mod_p(m, p1).rank == dense_rank_mod_p(m, p1) == dense_rank_rational(m)
     assert rank_mod_p(m, p2).rank == rank_mod_p(m, p1).rank - blocks - 1
     result = rank_over_Q(m, seed=0)
     assert result.primes[:2] == (p1, p2)
-    assert (result.rank, result.primes, result.agreement) == _per_prime_rank_over_q(m, 0)
+    assert result == _per_prime_block_ranks(m, 0)
     assert result.rank == dense_rank_rational(m)
 
 
@@ -567,7 +590,10 @@ def _fill_vanishing_mod_p2(n):
 def test_primes_part_ways_after_a_shared_round(rounds, monkeypatch):
     blocks = 24
     p1, p2, triplets = _fill_vanishing_mod_p2(blocks)
-    m = _matrix(2 * blocks, 2 * blocks, triplets)
+    # row and column 0 copied: rank 2 * blocks misses the bound 2 * blocks + 1,
+    # and the copies' entries at rows and columns 0 and 2 * blocks score 16,
+    # so the first round pivots on one of them with the identity block
+    m = _copy_row_and_column(2 * blocks, 2 * blocks, triplets, 0, 0)
     calls = []  # (number of primes, rounds before the call) per call
     real = exactla._sparse_ranks
 
@@ -578,12 +604,14 @@ def test_primes_part_ways_after_a_shared_round(rounds, monkeypatch):
     monkeypatch.setattr(exactla, "_sparse_ranks", recorded)
     result = rank_over_Q(m, seed=0)
     assert result.primes[:2] == (p1, p2)
-    assert (result.rank, result.primes, result.agreement) == _per_prime_rank_over_q(m, 0)
+    assert result == _per_prime_block_ranks(m, 0)
     assert result.rank == dense_rank_rational(m) == 2 * blocks
-    # the three primes share the first round, which leaves p2 M, zero mod p2
-    # alone; then each prime goes on by itself with no more rounds, as p2 M
-    # is more than a quarter full, and nothing mod p2
-    assert calls == [(3, 0), (1, 1), (1, 1), (1, 1)]
+    assert result.agreement and not result.proven
+    # the first prime takes that round alone and misses the bound; primes 2
+    # and 3 share it, and it leaves p2 M, zero mod p2 alone; then each prime
+    # goes on by itself with no more rounds, as p2 M is more than a quarter
+    # full, and nothing mod p2
+    assert calls == [(1, 0), (2, 1), (1, 2), (1, 2)]
     assert rank_mod_p(m, p2).rank == blocks
 
 
@@ -604,9 +632,7 @@ def test_batch_inverses_equal_pow():
 def test_rank_over_q_equals_the_per_prime_loop():
     for m in PRODUCTS[:12]:
         for seed in (0, 1):
-            result = rank_over_Q(m, seed=seed)
-            assert (result.rank, result.primes, result.agreement) == \
-                _per_prime_rank_over_q(m, seed)
+            assert rank_over_Q(m, seed=seed) == _per_prime_block_ranks(m, seed)
 
 
 def test_reranking_gives_identical_results():
@@ -699,7 +725,10 @@ def test_block_ranks_when_the_primes_part_ways_mid_block(rounds, monkeypatch):
     # a second block under it, on the same columns
     triplets += [(cut + gen.randrange(40), gen.randrange(2 * blocks), gen.randrange(1, 5))
                  for _ in range(100)]
-    m = _matrix(cut + 40, 2 * blocks, triplets)
+    # the last 2 x 2 block's first row and column copied, the row into the
+    # second block: the first block's rank 2 * blocks misses its bound
+    # 2 * blocks + 1, so that primes 2 and 3 are drawn
+    m = _copy_row_and_column(cut + 40, 2 * blocks, triplets, 2 * blocks - 2, 2 * blocks - 2)
     calls = []  # (number of primes, rounds before the call, first block live) per call
     real = exactla._sparse_ranks
 
@@ -713,9 +742,13 @@ def test_block_ranks_when_the_primes_part_ways_mid_block(rounds, monkeypatch):
     assert result.primes[:2] == (p1, p2)
     assert result == _per_prime_block_ranks(m, 0, (cut,))
     assert result.leading_ranks == (2 * blocks,)
-    assert calls[0] == (3, 0, True)
-    assert calls[1:] and all(n == 1 and after >= 1 and first_block_live
-                             for n, after, first_block_live in calls[1:])
+    assert result.agreement and not result.proven
+    # the first prime alone, then primes 2 and 3 together until they part
+    # ways after a shared round, with the first block still live
+    assert calls[0] == (1, 0, True)
+    assert calls[1][0] == 2 and calls[1][2]
+    assert calls[2:] and all(n == 1 and after > calls[1][1] and first_block_live
+                             for n, after, first_block_live in calls[2:])
     at_p2 = rank_mod_p(m, p2, cuts=(cut,))
     assert [*at_p2.leading_ranks, at_p2.rank] == _dense_block_ranks(m, p2, (cut,))
     assert at_p2.leading_ranks == (blocks,)
@@ -785,18 +818,21 @@ def test_cuts_must_be_nondecreasing_row_counts(cuts):
 
 # --- relaxed rounds: the pivot set of each round
 
+def _lattice_sigma_bar(entries, dims):
+    """sigma-bar over Z[Z^2] on the dims torus of the matrix whose entries
+    are lists of (group element, coefficient) terms."""
+    L2 = lattice(2)
+    f = GroupRingMatrix(L2, INTEGERS, [
+        [GroupRingElement.from_terms(L2, INTEGERS, [(L2.element(g), c) for g, c in terms])
+         for terms in row] for row in entries])
+    return build_sigma_bar(f, build_torus(dims))
+
+
 def _torus_sigma_bar():
     """sigma-bar of f = [[1 + x, y], [x, 1 - y]] over Z[Z^2] on the 20 x 20
     torus: an 800 x 800 grid pattern."""
-    L2 = lattice(2)
-
-    def element(*terms):
-        return GroupRingElement.from_terms(L2, INTEGERS, [(L2.element(g), c) for g, c in terms])
-
-    f = GroupRingMatrix(L2, INTEGERS, [
-        [element(((0, 0), 1), ((1, 0), 1)), element(((0, 1), 1))],
-        [element(((1, 0), 1)), element(((0, 0), 1), ((0, 1), -1))]])
-    return build_sigma_bar(f, build_torus((20, 20)))
+    return _lattice_sigma_bar([[[((0, 0), 1), ((1, 0), 1)], [((0, 1), 1)]],
+                               [[((1, 0), 1)], [((0, 0), 1), ((0, 1), -1)]]], (20, 20))
 
 
 def _banded(n, width, seed):
@@ -862,3 +898,84 @@ def test_relaxed_rounds_on_a_torus(rounds):
     assert rank_mod_p(m, 2**31 - 1).rank == 800
     # 62 rounds when only the entries of minimal score were candidates
     assert len(rounds) <= 26
+
+
+# --- proven ranks: the first prime against an exact upper bound
+
+def _with_zero_sums(m, rows, cols):
+    """m with a last column of minus each row's sum if ``rows``, then a last
+    row of minus each column's sum if ``cols``: every row, or every column,
+    then sums to 0."""
+    dense = m.to_dense()
+    ncols = m.ncols + rows
+    if rows:
+        dense = [row + [-sum(row)] for row in dense]
+    if cols:
+        dense.append([-sum(col) for col in zip(*dense)] if dense else [0] * ncols)
+    return _matrix(len(dense), ncols, [(i, j, v) for i, row in enumerate(dense)
+                                       for j, v in enumerate(row) if v])
+
+
+def test_rank_bounds_are_at_least_the_rational_ranks():
+    rng = random.Random(404)
+    matrices = [m for m in _random_triplet_matrices(rng, 40) if m.nrows < 100]
+    matrices += [_with_zero_sums(m, rows, cols) for m in matrices[:30]
+                 for rows, cols in ((True, False), (False, True), (True, True))]
+    # int64 entries whose int64 row and column sums wrap to 0, and a zero matrix
+    a = 2**63 - 1
+    wrapped = _matrix(3, 3, [(i, (i + k) % 3, v) for i in range(3)
+                             for k, v in enumerate((a, a, 2))])
+    assert wrapped.data.dtype == np.int64 and int(wrapped.data.sum()) == 0
+    matrices += [wrapped, SparseMatrix(3, 4)]
+    lowered = 0  # matrices whose zero sums lower their bound below min(R, C)
+    for m in matrices:
+        cuts = (0, *_random_cuts(rng, m.nrows))
+        bounds = exactla._rank_bounds(m, cuts)
+        assert bounds == _dense_rank_bounds(m, cuts)
+        assert all(bound >= dense_rank_rational(_leading(m, k))
+                   for bound, k in zip(bounds, [*cuts, m.nrows]))
+        assert bounds[0] == 0
+        lowered += bounds[-1] < min(len(set(m.row)), len(set(m.col)))
+    assert lowered >= 30
+    assert exactla._rank_bounds(wrapped, ()) == [3] == [dense_rank_rational(wrapped)]
+    assert exactla._rank_bounds(SparseMatrix(3, 4), (0, 2)) == [0, 0, 0]
+
+
+def test_a_proven_rank_takes_the_first_prime_alone():
+    # full rank, and rank 8 = C - 1 with every row summing to 0
+    for m, seed, rank in ((_matrix(5, 5, [(i, i, i + 1) for i in range(5)]), 0, 5),
+                          (_torus_sigma_bar(), 7, 800), (_circulant_minus_identity(9), 3, 8)):
+        result = rank_over_Q(m, seed=seed, cuts=(m.nrows // 2,))
+        assert result.primes == (sample_prime(random.Random(seed)),)
+        assert result.proven and result.agreement and result.rank == rank
+        assert result == _per_prime_block_ranks(m, seed, (m.nrows // 2,))
+        assert rank_mod_p(m, 2**31 - 1).proven
+
+
+def test_a_rank_below_the_bound_takes_the_agreement_path():
+    # f = 1 + x + y on the 21 x 21 torus: 1 + w^a + w^b vanishes at the two
+    # characters with {w^a, w^b} = {w3, w3^2}, so the rank is d - 2, while
+    # the bound is d
+    m = _lattice_sigma_bar([[[((0, 0), 1), ((1, 0), 1), ((0, 1), 1)]]], (21, 21))
+    d = 21 * 21
+    assert exactla._rank_bounds(m, ()) == [d]
+    result = rank_over_Q(m, seed=5)
+    assert result.rank == d - 2
+    assert len(result.primes) >= 3 and result.agreement and not result.proven
+
+
+def test_a_first_prime_that_divides_a_minor_falls_back_to_agreement(monkeypatch):
+    p1 = 2**31 - 1
+    real = exactla.sample_prime
+    drawn = []
+
+    def first_p1(rng):
+        drawn.append(p1 if not drawn else real(rng))
+        return drawn[-1]
+
+    monkeypatch.setattr(exactla, "sample_prime", first_p1)
+    m = _matrix(2, 2, [(0, 0, p1), (1, 1, 1)])
+    result = rank_over_Q(m, cuts=(1,))
+    assert result.primes[0] == p1 and len(result.primes) >= 3
+    assert (result.leading_ranks, result.rank) == ((1,), 2)
+    assert result.agreement and not result.proven

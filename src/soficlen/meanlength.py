@@ -17,10 +17,10 @@ element s along the permutation σ_s.  Two finite models are built here:
 
 ``estimate_vrk_fp`` turns 1 - rank/d (per ambient column) into the von
 Neumann rank of the presented quotient module, checking the duality
-rank(σ̄_f) + ker(σ̄_f) = d·n on every evaluation, where the kernel comes from
-a second rank of σ̄_f with its own primes.  All reported values are exact
-rationals at each finite size; limits are replaced by a schedule of sizes
-with spread/stabilization reporting.
+rank(σ̄_f) + ker(σ̄_f) = d·n on every evaluation: a proven rank's kernel is
+d·n − rank, an unproven one's comes from a rank of σ̄_fᵀ with its own primes.
+All reported values are exact rationals at each finite size; limits are
+replaced by a schedule of sizes with spread/stabilization reporting.
 
 Each schedule point is evaluated by one function per quantity
 (``mrk_point``, ``vrk_point``, ``addition_point``).  ``run_schedule`` is the
@@ -368,9 +368,9 @@ def assemble_estimate(quantity: str, series, desc: GroupDescriptor, *,
 @dataclass(frozen=True)
 class PrincipalPoint:
     """One schedule evaluation of the presented module (R[Γ]^{1×n}) / rows(f):
-    the rank of σ̄_f, the kernel dimension d·n − rank from a second rank of
-    σ̄_f, and the derived mean-rank/vrk values.
-    duality = (kernel + rank == d·n)."""
+    the rank of σ̄_f, the kernel dimension (d·n − rank when the rank is
+    proven, else d·n minus the rank of σ̄_fᵀ), and the derived mean-rank/vrk
+    values.  duality = (kernel + rank == d·n)."""
 
     d: int
     seed: int
@@ -393,20 +393,23 @@ def principal_rank_point(f: GroupRingMatrix, sigma: SoficMap, *, seed: int = 0,
                          rank_seed: int = 0) -> PrincipalPoint:
     """Rank σ̄_f and kernel σ_f at one σ.
 
-    σ̄_f is assembled once and ranked twice over Q, with the primes of
-    ``rank_seed`` and of ``rank_seed + 1``; the kernel is d·n minus the
-    second rank.  Each rank is settled by its first prime alone when that
-    prime meets the exact upper bound of ``exactla.rank_over_Q``, and by two
-    agreeing primes otherwise.  The duality flag still compares two draws of
-    primes on the same matrix; it is not a second route to the rank.  Raises
-    MeanLengthError if either rank is uncertified.
+    σ̄_f is assembled once and ranked over Q with the primes of
+    ``rank_seed``.  A rank that its first prime proves (it meets the exact
+    upper bound of ``exactla.rank_over_Q``) gives the kernel d·n − rank by
+    rank–nullity.  An unproven rank, settled by two agreeing primes, is
+    checked on the transpose σ̄_{f*} = σ̄_fᵀ: the kernel is d·n minus its
+    rank with the primes of ``rank_seed + 1``, a different matrix with its
+    own pivot sequence, so the duality flag is a real check there.  Raises
+    MeanLengthError if a rank is uncertified.
     """
     check_vrk_ring(f.ring)
     d = sigma.d
     n = f.n
     bar = build_sigma_bar(f, sigma)
-    rank = _rank(bar, f.ring, rank_seed, d).rank
-    kernel = d * n - _rank(bar, f.ring, rank_seed + 1, d).rank
+    result = _rank(bar, f.ring, rank_seed, d)
+    rank = result.rank
+    kernel = d * n - (rank if result.proven else
+                      _rank(bar.transpose(), f.ring, rank_seed + 1, d).rank)
     mrk = Fraction(rank, d)
     vrk = n - mrk
     return PrincipalPoint(d, seed, rank, kernel, mrk, vrk,

@@ -478,22 +478,25 @@ file = f.txt
 
 
 def test_duality_failure_stops_library_and_cli_alike(tmp_path, monkeypatch, capsys):
+    # t^2 - 1 has rank 18 at d = 20, below the bound 19, so the rank is not
+    # proven and principal_rank_point takes the kernel from the rank of the
+    # transpose at rank_seed + 1
+    t_squared_minus_one = "1 1 Z Z\n0 0 1@2 -1@0\n"
     real = meanlength.rank_over_Q
     second_seed = derive_rank_seed("vrk", 20, 3) + 1
 
-    def second_rank_short(m, *, seed=0, **kwargs):
-        # principal_rank_point takes the kernel from a rank at rank_seed + 1
+    def transpose_rank_short(m, *, seed=0, **kwargs):
         result = real(m, seed=seed, **kwargs)
         if seed == second_seed:
             return dataclasses.replace(result, rank=result.rank - 1)
         return result
 
-    monkeypatch.setattr(meanlength, "rank_over_Q", second_rank_short)
+    monkeypatch.setattr(meanlength, "rank_over_Q", transpose_rank_short)
     with pytest.raises(MeanLengthError) as info:
-        estimate_vrk_fp(parse_matrix(T_MINUS_ONE_Z), SoficSchedule((20,), (3,)))
+        estimate_vrk_fp(parse_matrix(t_squared_minus_one), SoficSchedule((20,), (3,)))
     assert "duality violation at d=20, seed=3" in str(info.value)
     job = "[job]\nquantity = vrk-fp\nschedule = 20\nseeds = 3\n\n[matrix]\nfile = f.txt\n"
-    code, report, _ = _run(tmp_path, job, files=[("f.txt", T_MINUS_ONE_Z)])
+    code, report, _ = _run(tmp_path, job, files=[("f.txt", t_squared_minus_one)])
     assert code == 1
     assert report is None
     assert capsys.readouterr().err == f"error: {info.value}\n"

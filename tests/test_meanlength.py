@@ -443,7 +443,8 @@ def test_addition_route_one_ranks_the_transpose_of_the_quotient(monkeypatch):
         (route_i, kwargs), *route_ii = ranked
         point = schedule.points()[0]
         bar = build_sigma_bar(f, make_sigma(f.desc, point.d, point.seed))
-        assert [m for m, _ in route_ii] == [bar, bar]
+        # both ranks are proven, so route (ii) ranks σ̄_f once
+        assert [m for m, _ in route_ii] == [bar]
         assert route_i != bar and kwargs["cuts"] == ()
         assert (route_i.nrows, route_i.ncols) == (bar.ncols, bar.nrows)
         assert (sorted(np.bincount(route_i.key // route_i.ncols, minlength=route_i.nrows))
@@ -671,6 +672,85 @@ def test_principal_rank_point_duality_flag():
     assert pp.kernel == 1
     assert pp.duality
     assert pp.mrk + pp.vrk == 1
+
+
+def test_principal_rank_point_ranks_a_proven_rank_once_and_an_unproven_one_twice(monkeypatch):
+    """A proven rank gives the kernel d·n − rank with no second rank; an
+    unproven one takes the kernel from the rank of σ̄_fᵀ."""
+    f = GroupRingMatrix(Z, INTEGERS, [[_t_minus_one()]])
+    sigma = build_cyclic(12)
+    ranked = _recorded_ranks(monkeypatch)
+    pp = principal_rank_point(f, sigma, rank_seed=4)
+    assert [(m, kwargs["seed"]) for m, kwargs in ranked] == [(build_sigma_bar(f, sigma), 4)]
+    assert (pp.rank, pp.kernel, pp.duality) == (11, 1, True)
+
+    # rank d − 2 on the 21×21 torus, below the bound d: 1 + ω^a + ω^b
+    # vanishes at the two characters with {ω^a, ω^b} = {ω₃, ω₃²}
+    L2 = lattice(2)
+    f = GroupRingMatrix(L2, INTEGERS, [[GroupRingElement.from_terms(
+        L2, INTEGERS, [(L2.identity(), 1), (L2.element((1, 0)), 1), (L2.element((0, 1)), 1)])]])
+    sigma = build_torus((21, 21))
+    bar = build_sigma_bar(f, sigma)
+    ranked = _recorded_ranks(monkeypatch)
+    pp = principal_rank_point(f, sigma, rank_seed=4)
+    assert [(m, kwargs["seed"]) for m, kwargs in ranked] == [(bar, 4), (bar.transpose(), 5)]
+    assert (pp.rank, pp.kernel, pp.duality) == (21 * 21 - 2, 2, True)
+
+
+def _orbit_count(d, perms):
+    """The orbits of the group the permutations generate on range(d), by a
+    plain union-find."""
+    parent = list(range(d))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for perm in perms:
+        for v in range(d):
+            parent[find(v)] = find(int(perm[v]))
+    return sum(find(v) == v for v in range(d))
+
+
+def _character_kernel(f, dims):
+    """Σ_χ (n − rank f(χ)) over the characters of the dims torus, f(χ) in
+    complex floating point: the kernel of σ̄_f, counted without σ̄_f."""
+    total = 0
+    for angles in itertools.product(*[range(k) for k in dims]):
+        chi = [np.exp(2j * np.pi * a / k) for a, k in zip(angles, dims)]
+        value = np.array([[sum(c * np.prod([z ** e for z, e in zip(chi, g.value)])
+                               for g, c in x.coeffs.items()) for x in row] for row in f.entries])
+        total += f.n - np.linalg.matrix_rank(value, tol=1e-9)
+    return total
+
+
+def test_proven_kernels_match_independent_counts():
+    """Criterion 08's kernel + rank = d·n is rank–nullity on a proven rank,
+    so its kernels are checked here against counts that share no code with
+    the eliminator."""
+    s_minus, t_minus = (GroupRingElement.from_terms(
+        F2, INTEGERS, [(F2.element((k,)), 1), (F2.identity(), -1)]) for k in (1, 2))
+    f = GroupRingMatrix(F2, INTEGERS, [[s_minus], [t_minus]])
+    kernels = []
+    for d, seed in [(4, 3), (6, 7), (8, 1), (12, 7), (30, 2)]:
+        sigma = build_random_free(2, d, seed)
+        assert rank_over_Q(build_sigma_bar(f, sigma)).proven
+        pp = principal_rank_point(f, sigma)
+        kernels.append(pp.kernel)
+        assert pp.kernel == _orbit_count(d, [sigma.perm(F2.element((k,))) for k in (1, 2)])
+    assert set(kernels) == {1, 2}
+
+    L2 = lattice(2)
+    x, y, e = L2.element((1, 0)), L2.element((0, 1)), L2.identity()
+    f = GroupRingMatrix(L2, INTEGERS, [[GroupRingElement.from_terms(L2, INTEGERS, [(x, 1), (e, -1)]),
+                                        GroupRingElement.from_terms(L2, INTEGERS, [(y, 1), (e, -1)])]])
+    for dims in [(4, 6), (5, 5)]:
+        sigma = build_torus(dims)
+        assert rank_over_Q(build_sigma_bar(f, sigma)).proven
+        pp = principal_rank_point(f, sigma)
+        assert pp.kernel == _character_kernel(f, dims) == sigma.d + 1
 
 
 def test_finite_translation_vrk_exact():

@@ -4,23 +4,20 @@ A SparseMatrix keeps its entries as one sorted int64 key array, row * ncols
 + col, and one value array: int64 when every value fits, Python ints in an
 object array otherwise (duplicates are summed in Python ints unless no int64
 sum can overflow).  The sparse eliminator takes both arrays as they are and
-ranks the matrix modulo one or more primes at once.  It keeps the active
-entries as one key array with one row of residues per prime, and eliminates
-in rounds.  Each round takes the entries of Markowitz score (row_nnz - 1) *
-(col_nnz - 1) at most max(2 * min, min + 2), min the least score, as
-candidates (Davis and Yew's parallel pivot sets), gives each the int64 view of
-(i * ncols + j) * 0x9E3779B97F4A7C15 mod 2**64 as its priority (distinct,
-since the multiplier is odd) and keeps those whose priority is the lowest
-among the candidates two hops away in the row/column graph, as in Luby's
-maximal independent set algorithm.  The kept pivots share no row or column
-and A[i, j'] = A[i', j] = 0 for any two of them, so their block is diagonal
-and one Schur update applies them all at once.  The primes share this
-pattern work; only the value arithmetic is done per prime, and each pivot's
-inverse is one pow per prime, as in the dense kernel.  An entry stays live
-while it is nonzero mod some prime; once a live entry vanishes mod some
-primes only, each prime goes on alone.  Before each round, an active block
-that is at least a quarter nonzero, and not too large, goes to the dense
-kernel instead, one prime at a time.
+ranks the matrix modulo one prime.  It keeps the active entries as one key
+array and one residue array, and eliminates in rounds, dropping the entries
+that vanish at the start of each.  Each round takes the entries of Markowitz
+score (row_nnz - 1) * (col_nnz - 1) at most max(2 * min, min + 2), min the
+least score, as candidates (Davis and Yew's parallel pivot sets), gives each
+the int64 view of (i * ncols + j) * 0x9E3779B97F4A7C15 mod 2**64 as its
+priority (distinct, since the multiplier is odd) and keeps those whose
+priority is the lowest among the candidates two hops away in the row/column
+graph, as in Luby's maximal independent set algorithm.  The kept pivots
+share no row or column and A[i, j'] = A[i', j] = 0 for any two of them, so
+their block is diagonal and one Schur update applies them all at once, with
+one pow per pivot for its inverse, as in the dense kernel.  Before each
+round, an active block that is at least a quarter nonzero, and not too
+large, goes to the dense kernel instead.
 Residues are int64 below 2**31 and Python ints in object arrays above.
 Everything is deterministic: same input, same rounds, same rank.
 
@@ -34,14 +31,13 @@ With no cuts the prefix is every entry.
 
 Rank over Q comes from seeded random primes in (2**30, 2**31); elimination
 at any nonzero pivots gives the exact rank mod p, which never exceeds the
-rank over Q.  The first prime is ranked alone.  If it meets an exact upper
-bound on every block prefix, min(R - [every column sums to 0], C - [every
-row sums to 0]) for the prefix's R nonempty rows and C nonempty columns,
-the rank is proven with that one prime.  Otherwise it is certified-
-probabilistic: the maximum of ranks modulo ``_MIN_PRIMES`` to
-``_MAX_PRIMES`` primes, resampling until the top rank of every block prefix
-is hit by two distinct primes.  Primes 2 to ``_MIN_PRIMES`` are eliminated
-together, any later one alone.
+rank over Q.  If the first prime's ranks meet an exact upper bound on every
+block prefix, min(R - [every column sums to 0], C - [every row sums to 0])
+for the prefix's R nonempty rows and C nonempty columns, the rank is proven
+with that one prime.  Otherwise it is certified-probabilistic: the maximum
+of ranks modulo ``_MIN_PRIMES`` to ``_MAX_PRIMES`` primes, each eliminated
+in a pass of its own, resampling until the top rank of every block prefix is
+hit by two distinct primes.
 """
 
 from __future__ import annotations
@@ -256,42 +252,35 @@ _NO_PRIORITY = _INT64_MAX
 
 
 def _merge(key, val):
-    """Sort entries by key and sum the values (last axis) that share a key."""
+    """Sort entries by key and sum the values that share a key."""
     order = np.argsort(key)
     key = key[order]
     first = np.flatnonzero(np.diff(key, prepend=-1))
-    return key[first], np.add.reduceat(val.take(order, axis=-1), first, axis=-1)
+    return key[first], np.add.reduceat(val[order], first)
 
 
-def _sparse_ranks(nrows, ncols, key, val, cuts, primes) -> list[list[int]]:
-    """Ranks mod each prime of the first ``cuts[0]``, ``cuts[1]``, ... rows
-    and of all rows of a SparseMatrix's ``key`` and ``data`` arrays, which it
-    does not write to: rounds of independent pivots shared by the primes,
-    then the dense kernel on what is left (see the module docstring)."""
-    dtype = np.int64 if max(primes) < _kernels._INT64_MODULUS_LIMIT else object
-    p = np.array(primes, dtype=dtype)[:, None]
-    v = (np.asarray(val, dtype=dtype) % p if val.dtype == np.int64
-         else (val % p.astype(object)).astype(dtype))  # beyond int64: Python ints
+def _sparse_ranks(nrows, ncols, key, val, cuts, p) -> list[int]:
+    """Ranks mod p of the first ``cuts[0]``, ``cuts[1]``, ... rows and of all
+    rows of a SparseMatrix's ``key`` and ``data`` arrays, which it does not
+    write to: rounds of independent pivots, then the dense kernel on what is
+    left (see the module docstring)."""
+    dtype = np.int64 if p < _kernels._INT64_MODULUS_LIMIT else object
+    v = val % p if val.dtype == dtype else (val.astype(object) % p).astype(dtype)
     bounds = np.array([*cuts, nrows])
     rank = np.zeros(bounds.size, dtype=np.int64)
     while True:
-        nonzero = v != 0
-        live = nonzero.any(axis=0)
-        key, v, nonzero = key[live], v.compress(live, axis=1), nonzero.compress(live, axis=1)
-        r, c = np.divmod(key, ncols)
-        if not nonzero.all():  # zero mod some primes only: each goes on alone
-            return [(rank + _sparse_ranks(nrows, ncols, key[z], vq[z], cuts, [q])[0]).tolist()
-                    for vq, z, q in zip(v, nonzero, primes)]
+        live = v != 0
+        key, v = key[live], v[live]
         if not key.size:
-            return [rank.tolist()] * len(primes)
+            return rank.tolist()
+        r, c = np.divmod(key, ncols)
         row_nnz = np.bincount(r, minlength=nrows)
         col_nnz = np.bincount(c, minlength=ncols)
         ra, ca = np.count_nonzero(row_nnz), np.count_nonzero(col_nnz)
         area = ra * ca
         if area <= _DENSE_MAX_AREA and key.size >= _DENSE_FILL * area:
             ends = np.searchsorted(r, bounds)  # the live entries above each bound
-            return [(rank + _dense_tails(r, c, vq, q, ends)).tolist()
-                    for vq, q in zip(v, primes)]
+            return (rank + _dense_tails(r, c, v, p, ends)).tolist()
         end = bounds[np.searchsorted(bounds, r[0], side="right")]
         k = np.searchsorted(r, end)  # the entries of the earliest live block
         pivots = _independent_pivots(r[:k], c[:k], row_nnz, col_nnz, ncols)
@@ -323,21 +312,15 @@ def _independent_pivots(r, c, row_nnz, col_nnz, ncols):
     return cand[(prio == row_reach[cr]) & (prio == col_reach[cc])]
 
 
-def _inverses(x, p):
-    """x**-1 mod p, one row of nonzero residues per prime of the column p:
-    one pow per entry, as in the dense kernel, in x's dtype and shape."""
-    return np.array([[pow(a, -1, q) for a in row] for row, q in zip(x.tolist(), p[:, 0].tolist())],
-                    dtype=x.dtype).reshape(x.shape)
-
-
 def _schur_update(key, v, r, c, row_nnz, pivots, ncols, p):
-    """Entries of the Schur complement A[I', J'] - A[I', J] D^-1 A[I, J'],
-    sorted by key, for independent pivots at (I, J), whose block D = A[I, J]
-    is diagonal; I' and J' are the other rows and columns.  Each row's
-    entries are contiguous in the sorted arrays.  v has one row of values per
-    prime of the column p; the values that come out may be zero."""
+    """Entries of the Schur complement A[I', J'] - A[I', J] D^-1 A[I, J'] mod
+    p, sorted by key, for independent pivots at (I, J), whose block D =
+    A[I, J] is diagonal; I' and J' are the other rows and columns.  Each
+    row's entries are contiguous in the sorted arrays.  Each pivot's inverse
+    is one pow, as in the dense kernel; the values that come out may be
+    zero."""
     pr, pc = r[pivots], c[pivots]
-    inv = _inverses(v.take(pivots, axis=1), p)
+    inv = np.array([pow(a, -1, p) for a in v[pivots].tolist()], dtype=v.dtype)
     pivot_of_col = np.full(ncols, -1)
     pivot_of_col[pc] = np.arange(pivots.size)
     in_pivot_row = np.zeros(row_nnz.size, dtype=bool)
@@ -352,22 +335,19 @@ def _schur_update(key, v, r, c, row_nnz, pivots, ncols, p):
     row_start = (np.cumsum(row_nnz) - row_nnz)[pr[t]]
     source = np.repeat(row_start - ends + reps, reps) + np.arange(reps.sum())
     target = np.repeat(lower, reps)
-    factor = np.repeat(v.take(lower, axis=1) * inv.take(t, axis=1) % p, reps, axis=1)
+    factor = np.repeat(v[lower] * inv[t] % p, reps)
     # the pivot row meets J in its pivot alone, whose column is eliminated
     off = pivot_of_col[c[source]] < 0
-    source, target, factor = source[off], target[off], factor.compress(off, axis=1)
-    fill_key, fill = _merge(r[target] * ncols + c[source], -factor * v.take(source, axis=1) % p)
-    key, v = key[rest], v.compress(rest, axis=1)
+    source, target, factor = source[off], target[off], factor[off]
+    fill_key, fill = _merge(r[target] * ncols + c[source], -factor * v[source] % p)
+    key, v = key[rest], v[rest]
     pos = np.searchsorted(key, fill_key)
     hit = np.zeros(pos.size, dtype=bool)
     inside = pos < key.size
     hit[inside] = key[pos[inside]] == fill_key[inside]
-    v[:, pos[hit]] += fill.compress(hit, axis=1)
+    v[pos[hit]] += fill[hit]
     at = pos[~hit]
-    # one flat insert for all primes: row q of v starts at q * key.size
-    flat_at = (at + key.size * np.arange(len(v))[:, None]).ravel()
-    v = np.insert(v.ravel(), flat_at, fill.compress(~hit, axis=1).ravel()).reshape(len(v), -1)
-    return np.insert(key, at, fill_key[~hit]), v % p
+    return np.insert(key, at, fill_key[~hit]), np.insert(v, at, fill[~hit]) % p
 
 
 def _dense_tails(r, c, v, p, ends) -> list[int]:
@@ -403,8 +383,7 @@ def rank_mod_p(m: SparseMatrix, p: int | None = None, *, cuts=()) -> RankResult:
         raise ExactLAError(f"{p} is not prime")
     if m.modulus is not None and m.modulus != p:
         raise ExactLAError(f"matrix is over GF({m.modulus}), not GF({p})")
-    *leading, rank = _sparse_ranks(m.nrows, m.ncols, m.key, m.data,
-                                   _checked_cuts(m, cuts), [p])[0]
+    *leading, rank = _sparse_ranks(m.nrows, m.ncols, m.key, m.data, _checked_cuts(m, cuts), p)
     return RankResult(rank, f"GF({p})", (p,), True, tuple(leading), proven=True)
 
 
@@ -443,12 +422,12 @@ def rank_over_Q(m: SparseMatrix, *, seed: int = 0, cuts=()) -> RankResult:
 
     Ranks the matrix modulo seeded random primes; rank mod p never exceeds
     the rational rank and equals it away from finitely many primes.  The
-    first prime is ranked alone: if it meets ``_rank_bounds`` on every block
-    prefix, the rank is proven and no other prime is drawn.  Otherwise the
-    running maximum is a lower bound that is almost surely exact: primes 2
-    to ``_MIN_PRIMES`` share one elimination, and further primes are drawn
-    and ranked one at a time until, for every block prefix, two primes agree
-    on its maximum.  ``agreement`` records whether either certificate was
+    first prime's ranks are checked against ``_rank_bounds``: if they meet
+    the bound on every block prefix, the rank is proven and no other prime is
+    drawn.  Otherwise the running maximum is a lower bound that is almost
+    surely exact: further primes are drawn and ranked one at a time, and
+    from the ``_MIN_PRIMES``-th on, the loop stops once two primes agree on
+    the maximum of every block prefix.  ``agreement`` records whether either certificate was
     reached within ``_MAX_PRIMES`` draws, and ``proven`` whether the first
     one was.
     """
@@ -457,17 +436,16 @@ def rank_over_Q(m: SparseMatrix, *, seed: int = 0, cuts=()) -> RankResult:
     cuts = _checked_cuts(m, cuts)
     rng = random.Random(seed)
     primes = [sample_prime(rng)]
-    ranks = _sparse_ranks(m.nrows, m.ncols, m.key, m.data, cuts, primes)  # per prime, per prefix
+    ranks = [_sparse_ranks(m.nrows, m.ncols, m.key, m.data, cuts, primes[0])]  # [prime][prefix]
     proven = agreement = ranks[0] == _rank_bounds(m, cuts)
     while not agreement and len(primes) < _MAX_PRIMES:
         p = sample_prime(rng)
         if p in primes:
             continue
         primes.append(p)
-        if len(primes) < _MIN_PRIMES:
-            continue
-        ranks += _sparse_ranks(m.nrows, m.ncols, m.key, m.data, cuts, primes[len(ranks):])
-        agreement = all(prefix.count(max(prefix)) >= 2 for prefix in zip(*ranks))
+        ranks.append(_sparse_ranks(m.nrows, m.ncols, m.key, m.data, cuts, p))
+        agreement = len(primes) >= _MIN_PRIMES and all(
+            prefix.count(max(prefix)) >= 2 for prefix in zip(*ranks))
     *leading, rank = (max(prefix) for prefix in zip(*ranks))
     return RankResult(rank, "Q", tuple(primes), agreement, tuple(leading), proven)
 

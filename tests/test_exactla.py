@@ -1,5 +1,8 @@
 """Tests for exact sparse/dense rank computation over GF(p) and over the rationals."""
 
+import collections
+import itertools
+import operator
 import random
 import re
 from fractions import Fraction
@@ -481,11 +484,11 @@ def _per_prime_block_ranks(m, seed=0, cuts=()):
     the dense kernel: proven if the first prime meets every prefix's bound,
     else certified once two primes reach each prefix's maximum."""
     rng = random.Random(seed)
-    primes = [sample_prime(rng)]
+    primes = [exactla.sample_prime(rng)]
     ranks = [_dense_block_ranks(m, primes[0], cuts)]
     proven = agreement = ranks[0] == _dense_rank_bounds(m, cuts)
     while not agreement and len(primes) < _MAX_PRIMES:
-        p = sample_prime(rng)
+        p = exactla.sample_prime(rng)
         if p in primes:
             continue
         primes.append(p)
@@ -497,11 +500,12 @@ def _per_prime_block_ranks(m, seed=0, cuts=()):
 
 
 def test_rounds_give_the_dense_rank_of_rank_deficient_products(rounds):
-    p = 2**31 - 1
-    for m in PRODUCTS:
-        before = len(rounds)
-        assert rank_mod_p(m, p).rank == dense_rank_mod_p(m, p) < min(m.nrows, m.ncols)
-        assert len(rounds) > before  # the matrix reached the rounds
+    # fill vanishes most often mod 2 and 3
+    for p, products in ((2**31 - 1, PRODUCTS), (2, PRODUCTS[::10]), (3, PRODUCTS[::10])):
+        for m in products:
+            before = len(rounds)
+            assert rank_mod_p(m, p).rank == dense_rank_mod_p(m, p) < min(m.nrows, m.ncols)
+            assert len(rounds) > before  # the matrix reached the rounds
     small = sorted(PRODUCTS, key=lambda m: m.nrows * m.ncols * m.nnz)[:2]
     for m in small:
         assert rank_over_Q(m).rank == dense_rank_rational(m)
@@ -594,11 +598,11 @@ def test_primes_part_ways_after_a_shared_round(rounds, monkeypatch):
     # and the copies' entries at rows and columns 0 and 2 * blocks score 16,
     # so the first round pivots on one of them with the identity block
     m = _copy_row_and_column(2 * blocks, 2 * blocks, triplets, 0, 0)
-    calls = []  # (number of primes, rounds before the call) per call
+    calls = []  # (prime, rounds before the call) per call
     real = exactla._sparse_ranks
 
     def recorded(*args):
-        calls.append((len(args[-1]), len(rounds)))
+        calls.append((args[-1], len(rounds)))
         return real(*args)
 
     monkeypatch.setattr(exactla, "_sparse_ranks", recorded)
@@ -607,26 +611,50 @@ def test_primes_part_ways_after_a_shared_round(rounds, monkeypatch):
     assert result == _per_prime_block_ranks(m, 0)
     assert result.rank == dense_rank_rational(m) == 2 * blocks
     assert result.agreement and not result.proven
-    # the first prime takes that round alone and misses the bound; primes 2
-    # and 3 share it, and it leaves p2 M, zero mod p2 alone; then each prime
-    # goes on by itself with no more rounds, as p2 M is more than a quarter
-    # full, and nothing mod p2
-    assert calls == [(1, 0), (2, 1), (1, 2), (1, 2)]
+    # one call per drawn prime, in draw order, each taking that round alone:
+    # the first misses the bound; mod p2 the round leaves p2 M, zero mod p2
+    # alone, so nothing is live; mod the others p2 M goes to the dense
+    # kernel with no more rounds, as it is more than a quarter full
+    assert calls == [(p1, 0), (p2, 1), (result.primes[2], 2)]
     assert rank_mod_p(m, p2).rank == blocks
 
 
-def test_batch_inverses_equal_pow():
-    rng = random.Random(12)
-    fields = (([sample_prime(rng) for _ in range(3)], np.int64), ([2**61 - 1], object))
-    for length in [*range(10), 1000]:
-        for primes, dtype in fields:
-            x = [[rng.randrange(1, q) for _ in range(length)] for q in primes]
-            column = np.array(primes, dtype=dtype)[:, None]
-            inv = exactla._inverses(np.array(x, dtype=dtype).reshape(len(primes), length), column)
-            assert inv.dtype == dtype and inv.shape == (len(primes), length)
-            assert inv.tolist() == [[pow(a, -1, q) for a in row] for row, q in zip(x, primes)]
-            assert all(a * b % q == 1 for row, irow, q in zip(x, inv.tolist(), primes)
-                       for a, b in zip(row, irow))
+def test_a_schur_round_equals_the_complement_in_python_ints():
+    # 9 x 10 matrices of residues, 60% nonzero, with four independent pivots
+    # whose rows and columns cross in zeros only
+    gen = random.Random(12)
+    nrows, ncols = 9, 10
+    pivots = {1: 6, 4: 2, 5: 0, 8: 9}  # row: column
+    other_rows = set(range(nrows)) - set(pivots)
+    other_cols = set(range(ncols)) - set(pivots.values())
+    for p, dtype in ((2**31 - 1, np.int64), (P61, object)):
+        dense = [[gen.randrange(1, p) if gen.random() < 0.6 else 0 for _ in range(ncols)]
+                 for _ in range(nrows)]
+        for i in pivots:
+            for j in pivots.values():
+                dense[i][j] = gen.randrange(1, p) if pivots[i] == j else 0
+        entries = [(i * ncols + j, x) for i, row in enumerate(dense)
+                   for j, x in enumerate(row) if x]
+        key = np.array([k for k, _ in entries])
+        r, c = np.divmod(key, ncols)
+        at = np.flatnonzero(np.isin(key, [i * ncols + j for i, j in pivots.items()]))
+        out_key, out_v = exactla._schur_update(
+            key, np.array([x for _, x in entries], dtype=dtype), r, c,
+            np.bincount(r, minlength=nrows), at, ncols, p)
+        assert out_v.dtype == dtype and np.all(np.diff(out_key) > 0)
+        assert all(0 <= x < p for x in out_v.tolist())
+        expected = {}
+        for i in other_rows:
+            for j in other_cols:
+                x = dense[i][j] - sum(dense[i][pj] * pow(dense[pi][pj], -1, p) * dense[pi][j]
+                                      for pi, pj in pivots.items())
+                if x % p:
+                    expected[i * ncols + j] = x % p
+        assert {k: x for k, x in zip(out_key.tolist(), out_v.tolist()) if x} == expected
+        # the round fills zeros and updates nonzeros, some from several pivots
+        assert set(expected) - set(key.tolist()) and set(expected) & set(key.tolist())
+        assert any(sum(1 for pi, pj in pivots.items() if dense[i][pj] and dense[pi][j]) > 1
+                   for i in other_rows for j in other_cols)
 
 
 def test_rank_over_q_equals_the_per_prime_loop():
@@ -729,12 +757,11 @@ def test_block_ranks_when_the_primes_part_ways_mid_block(rounds, monkeypatch):
     # second block: the first block's rank 2 * blocks misses its bound
     # 2 * blocks + 1, so that primes 2 and 3 are drawn
     m = _copy_row_and_column(cut + 40, 2 * blocks, triplets, 2 * blocks - 2, 2 * blocks - 2)
-    calls = []  # (number of primes, rounds before the call, first block live) per call
+    calls = []  # the prime of each call
     real = exactla._sparse_ranks
 
     def recorded(*args):
-        key = args[2]
-        calls.append((len(args[-1]), len(rounds), key.size > 0 and key[0] < cut * m.ncols))
+        calls.append(args[-1])
         return real(*args)
 
     monkeypatch.setattr(exactla, "_sparse_ranks", recorded)
@@ -743,12 +770,8 @@ def test_block_ranks_when_the_primes_part_ways_mid_block(rounds, monkeypatch):
     assert result == _per_prime_block_ranks(m, 0, (cut,))
     assert result.leading_ranks == (2 * blocks,)
     assert result.agreement and not result.proven
-    # the first prime alone, then primes 2 and 3 together until they part
-    # ways after a shared round, with the first block still live
-    assert calls[0] == (1, 0, True)
-    assert calls[1][0] == 2 and calls[1][2]
-    assert calls[2:] and all(n == 1 and after > calls[1][1] and first_block_live
-                             for n, after, first_block_live in calls[2:])
+    # one call per drawn prime, each passed that prime alone, in draw order
+    assert calls == list(result.primes)
     at_p2 = rank_mod_p(m, p2, cuts=(cut,))
     assert [*at_p2.leading_ranks, at_p2.rank] == _dense_block_ranks(m, p2, (cut,))
     assert at_p2.leading_ranks == (blocks,)
@@ -979,3 +1002,41 @@ def test_a_first_prime_that_divides_a_minor_falls_back_to_agreement(monkeypatch)
     assert result.primes[0] == p1 and len(result.primes) >= 3
     assert (result.leading_ranks, result.rank) == ((1,), 2)
     assert result.agreement and not result.proven
+
+
+def test_the_prime_loop_skips_a_repeated_draw_and_stops_after_the_last_prime(monkeypatch):
+    gen = random.Random(31)
+    distinct = []  # q_1, ..., q_12
+    while len(distinct) < _MAX_PRIMES:
+        q = sample_prime(gen)
+        if q not in distinct:
+            distinct.append(q)
+    sequence = [distinct[0], *distinct]  # q_1 drawn twice in a row
+    draws = collections.Counter()  # per generator
+
+    def drawn(rng):
+        draws[rng] += 1
+        return sequence[draws[rng] - 1]
+
+    # diag(d_1, ..., d_12) with d_j = q_1 ... q_j: mod q_i the first i - 1
+    # entries alone are nonzero, so q_12 alone reaches the maximum 11, below
+    # the bound 12, and no two primes agree on it
+    m = _matrix(12, 12, [(j, j, d) for j, d in enumerate(itertools.accumulate(
+        distinct, operator.mul))])
+    assert exactla._rank_bounds(m, ()) == [12]
+    monkeypatch.setattr(exactla, "sample_prime", drawn)
+    ranked = []  # the primes of each call on the matrix's own arrays
+    real = exactla._sparse_ranks
+
+    def recorded(*args):
+        if args[2] is m.key:
+            ranked.extend(np.ravel(args[-1]).tolist())
+        return real(*args)
+
+    monkeypatch.setattr(exactla, "_sparse_ranks", recorded)
+    result = rank_over_Q(m)
+    assert list(draws.values()) == [_MAX_PRIMES + 1]
+    assert ranked == distinct  # each drawn prime ranked once, in draw order
+    assert result.primes == tuple(distinct)
+    assert (result.rank, result.agreement, result.proven) == (11, False, False)
+    assert result == _per_prime_block_ranks(m)

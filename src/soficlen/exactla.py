@@ -43,6 +43,7 @@ hit by two distinct primes.
 from __future__ import annotations
 
 import numbers
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,7 +64,10 @@ _MR_EXACT_BELOW = 318665857834031151167461
 
 def is_probable_prime(n: int) -> bool:
     """Miller-Rabin with a fixed witness set, exact for n < _MR_EXACT_BELOW
-    (about 3.2e23); n at or above it raises ExactLAError."""
+    (about 3.2e23); n at or above it, or not an integer, raises ExactLAError."""
+    if not isinstance(n, numbers.Integral):
+        raise ExactLAError(f"modulus {n!r} is not an integer")
+    n = operator.index(n)
     if n >= _MR_EXACT_BELOW:
         raise ExactLAError(f"modulus {n} is not below {_MR_EXACT_BELOW}, "
                            "where the primality test is exact")
@@ -88,6 +92,15 @@ def is_probable_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _prime(p, modulus=None) -> int:
+    """p as a Python int; ExactLAError unless p is prime and ``modulus`` is None or p."""
+    if not is_probable_prime(p):
+        raise ExactLAError(f"modulus {p} is not prime")
+    if modulus not in (None, p):
+        raise ExactLAError(f"matrix is over GF({modulus}), not GF({p})")
+    return operator.index(p)
 
 
 def sample_prime(rng: random.Random) -> int:
@@ -147,8 +160,7 @@ class SparseMatrix:
         if nrows < 0 or ncols < 0 or nrows * ncols > _INT64_MAX:
             raise ExactLAError(f"a {nrows}x{ncols} matrix needs nonnegative dimensions "
                                "and no more positions than int64 keys")
-        if modulus is not None and not is_probable_prime(modulus):
-            raise ExactLAError(f"modulus {modulus} is not prime")
+        modulus = None if modulus is None else _prime(modulus)
         row, col, given = _indices(row), _indices(col), val
         if not (isinstance(val, np.ndarray) and val.dtype == np.int64):
             given = np.array(list(val), dtype=object)
@@ -375,14 +387,9 @@ def _checked_cuts(m: SparseMatrix, cuts) -> tuple[int, ...]:
 def rank_mod_p(m: SparseMatrix, p: int | None = None, *, cuts=()) -> RankResult:
     """Exact rank over GF(p), and of the first ``cuts[k]`` rows for each k.
     p defaults to the matrix's own modulus."""
-    if p is None:
-        p = m.modulus
-        if p is None:
-            raise ExactLAError("rank_mod_p needs a modulus (matrix has none)")
-    if not is_probable_prime(p):
-        raise ExactLAError(f"{p} is not prime")
-    if m.modulus is not None and m.modulus != p:
-        raise ExactLAError(f"matrix is over GF({m.modulus}), not GF({p})")
+    if p is None and m.modulus is None:
+        raise ExactLAError("rank_mod_p needs a modulus (matrix has none)")
+    p = _prime(m.modulus if p is None else p, m.modulus)
     *leading, rank = _sparse_ranks(m.nrows, m.ncols, m.key, m.data, _checked_cuts(m, cuts), p)
     return RankResult(rank, f"GF({p})", (p,), True, tuple(leading), proven=True)
 
@@ -489,9 +496,8 @@ def dense_rank_rational(a) -> int:
 
 
 def dense_rank_mod_p(a, p: int) -> int:
-    """Exact rank mod p of a dense matrix or a SparseMatrix, for any prime p
-    below _MR_EXACT_BELOW and any integer entries."""
-    if not is_probable_prime(p):
-        raise ExactLAError(f"{p} is not prime")
+    """Exact rank mod p of a dense matrix or a SparseMatrix (of integers or
+    over GF(p)), for any prime p below _MR_EXACT_BELOW and integer entries."""
+    p = _prime(p, a.modulus if isinstance(a, SparseMatrix) else None)
     a = a.to_dense() if isinstance(a, SparseMatrix) else a
     return _kernels.dense_rank_mod_p(np.array(a, dtype=object) % p, p)

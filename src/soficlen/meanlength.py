@@ -18,7 +18,8 @@ element s along the permutation σ_s.  Two finite models are built here:
 ``estimate_vrk_fp`` turns 1 - rank/d (per ambient column) into the von
 Neumann rank of the presented quotient module, checking the duality
 rank(σ̄_f) + ker(σ̄_f) = d·n on every evaluation: a proven rank's kernel is
-d·n − rank, an unproven one's comes from a rank of σ̄_fᵀ with its own primes.
+d·n − rank, an unproven one's from a rank of σ̄_fᵀ with its own primes: at
+an addition-check point, the rank of route (i)'s matrix, σ̄_fᵀ renamed.
 All reported values are exact rationals at each finite size; limits are
 replaced by a schedule of sizes with spread/stabilization reporting.
 
@@ -96,10 +97,8 @@ class RelativePair:
 def _rank(m: SparseMatrix, ring: CoefficientRing, seed: int, d: int, cuts=()) -> RankResult:
     """The rank of m, and of its first ``cuts[k]`` rows, over the ring's
     field; raises MeanLengthError if they are uncertified."""
-    if ring.kind == "GF":
-        result = rank_mod_p(m, cuts=cuts)
-    else:
-        result = rank_over_Q(m, seed=seed, cuts=cuts)
+    result = (rank_mod_p(m, cuts=cuts) if ring.kind == "GF"
+              else rank_over_Q(m, seed=seed, cuts=cuts))
     if not result.agreement:
         raise MeanLengthError(
             f"uncertified rank at d={d}, rank seed={seed}: no two of the "
@@ -403,16 +402,14 @@ def principal_rank_point(f: GroupRingMatrix, sigma: SoficMap, *, seed: int = 0,
     MeanLengthError if a rank is uncertified.
     """
     check_vrk_ring(f.ring)
-    d = sigma.d
-    n = f.n
+    d, n = sigma.d, f.n
     bar = build_sigma_bar(f, sigma)
     result = _rank(bar, f.ring, rank_seed, d)
     rank = result.rank
     kernel = d * n - (rank if result.proven else
                       _rank(bar.transpose(), f.ring, rank_seed + 1, d).rank)
     mrk = Fraction(rank, d)
-    vrk = n - mrk
-    return PrincipalPoint(d, seed, rank, kernel, mrk, vrk,
+    return PrincipalPoint(d, seed, rank, kernel, mrk, n - mrk,
                           duality=(kernel + rank == d * n))
 
 
@@ -434,39 +431,38 @@ def mrk_point(pair: RelativePair, sigma: SoficMap, point) -> SeriesPoint:
     return SeriesPoint(sigma.d, point.seed, value)
 
 
-def _checked_principal_point(f: GroupRingMatrix, sigma: SoficMap, point,
-                             tag: str) -> PrincipalPoint:
-    pp = principal_rank_point(
-        f, sigma, seed=point.seed,
-        rank_seed=derive_rank_seed(tag, point.d, point.seed))
-    if not pp.duality:
-        raise MeanLengthError(
-            f"duality violation at d={pp.d}, seed={pp.seed}: "
-            f"kernel {pp.kernel} + rank {pp.rank} != {pp.d * f.n}")
-    return pp
+def _check_duality(d: int, seed: int, rank: int, kernel: int, n: int) -> None:
+    if kernel + rank != d * n:
+        raise MeanLengthError(f"duality violation at d={d}, seed={seed}: "
+                              f"kernel {kernel} + rank {rank} != {d * n}")
 
 
 def vrk_point(f: GroupRingMatrix, sigma: SoficMap, point) -> SeriesPoint:
     """n − rank(σ̄_f)/d at one schedule point; raises MeanLengthError if
     the duality check fails."""
-    pp = _checked_principal_point(f, sigma, point, "vrk")
+    pp = principal_rank_point(f, sigma, seed=point.seed,
+                              rank_seed=derive_rank_seed("vrk", point.d, point.seed))
+    _check_duality(pp.d, pp.seed, pp.rank, pp.kernel, f.n)
     return SeriesPoint(pp.d, point.seed, pp.vrk)
 
 
 def addition_point(f: GroupRingMatrix, sigma: SoficMap, point) -> AdditionPoint:
-    """Both routes of the addition check at one schedule point; raises
-    MeanLengthError if the duality check of route (ii) fails.  Route (i)
-    ranks the transpose of the quotient matrix of the pair A = f, B = the
-    identity, F = supp(f) ∪ {e}, which has no relator rows (see
-    ``check_addition``)."""
-    pair = RelativePair(f, GroupRingMatrix.identity(f.desc, f.ring, f.n), support_window(f))
+    """Both routes of the addition check at one schedule point, one rank
+    each: route (i)'s matrix, σ̄_fᵀ renamed (see ``check_addition``), and
+    route (ii)'s σ̄_f.  An unproven rank of σ̄_f takes its kernel from route
+    (i)'s rank; raises MeanLengthError if the duality check fails."""
+    check_vrk_ring(f.ring)
+    d, n = sigma.d, f.n
+    pair = RelativePair(f, GroupRingMatrix.identity(f.desc, f.ring, n), support_window(f))
     m, _ = _relative_quotient(pair, sigma)
-    sub = Fraction(_rank(m.transpose(), f.ring, derive_rank_seed("add-i", point.d, point.seed),
-                         sigma.d).rank, sigma.d)
-    pp = _checked_principal_point(f, sigma, point, "add-ii")
-    quot = f.n - pp.mrk
-    return AdditionPoint(sigma.d, point.seed, sub, pp.mrk, quot,
-                         abs(sub - pp.mrk), abs(sub + quot - f.n))
+    route_i = _rank(m.transpose(), f.ring, derive_rank_seed("add-i", point.d, point.seed), d)
+    route_ii = _rank(build_sigma_bar(f, sigma), f.ring,
+                     derive_rank_seed("add-ii", point.d, point.seed), d)
+    rank = route_ii.rank
+    _check_duality(d, point.seed, rank, d * n - (rank if route_ii.proven else route_i.rank), n)
+    sub, mrk = Fraction(route_i.rank, d), Fraction(rank, d)
+    quot = n - mrk
+    return AdditionPoint(d, point.seed, sub, mrk, quot, abs(sub - mrk), abs(sub + quot - n))
 
 
 # ---------------------------------------------------------------------------
@@ -586,14 +582,12 @@ def check_addition(f: GroupRingMatrix, schedule: SoficSchedule) -> AdditionRepor
     """Check that submodule and quotient values add up to the ambient rank.
 
     Route (i): mean length of A = rows(f) relative to (B = basis,
-    F = supp(f) ∪ {e}) by the relator quotient; ``addition_point`` builds
-    that pair at each point, so no pair is passed in.  Every row of B has
-    one term, so each relator is two blocks, an edge that merges the column
-    (u, s, j) into (σ_s⁻¹(u), e, j); the merged matrix is σ̄_f renamed, so
-    this route ranks its transpose.  Route (ii): rank(σ̄_f)/d.  Route (iii):
-    quotient value n − (ii).  Reports |(i) − (ii)| and |(i) + (iii) − n|
-    per point.
+    F = supp(f) ∪ {e}) by the relator quotient, built at each point.  Every
+    row of B has one term, so each relator is an edge that merges the column
+    (u, s, j) into (σ_s⁻¹(u), e, j); the merged matrix is σ̄_f renamed, and
+    route (i) ranks its transpose, which is also the kernel check of a route
+    (ii) rank that is not proven.  Route (ii): rank(σ̄_f)/d.  Route (iii):
+    quotient value n − (ii).  Reports |(i) − (ii)| and |(i) + (iii) − n|.
     """
-    check_vrk_ring(f.ring)
     run = run_schedule(f.desc, schedule, partial(addition_point, f), None, map)
     return AdditionReport.from_points(f.n, [value for _, value, _ in run])

@@ -502,6 +502,30 @@ def test_duality_failure_stops_library_and_cli_alike(tmp_path, monkeypatch, caps
     assert capsys.readouterr().err == f"error: {info.value}\n"
 
 
+def test_addition_duality_failure_stops_library_and_cli_alike(tmp_path, monkeypatch, capsys):
+    # t^2 - 1 has rank 18 at d = 20, below the bound 19, so route (ii)'s
+    # kernel comes from route (i)'s rank, the rank of the transposed quotient
+    t_squared_minus_one = "1 1 Z Z\n0 0 1@2 -1@0\n"
+    real = meanlength.rank_over_Q
+    route_i_seed = derive_rank_seed("add-i", 20, 3)
+
+    def route_i_rank_short(m, *, seed=0, **kwargs):
+        result = real(m, seed=seed, **kwargs)
+        if seed == route_i_seed:
+            return dataclasses.replace(result, rank=result.rank - 1)
+        return result
+
+    monkeypatch.setattr(meanlength, "rank_over_Q", route_i_rank_short)
+    with pytest.raises(MeanLengthError) as info:
+        check_addition(parse_matrix(t_squared_minus_one), SoficSchedule((20,), (3,)))
+    assert "duality violation at d=20, seed=3" in str(info.value)
+    job = "[job]\nquantity = addition-check\nschedule = 20\nseeds = 3\n\n[matrix]\nfile = f.txt\n"
+    code, report, _ = _run(tmp_path, job, files=[("f.txt", t_squared_minus_one)])
+    assert code == 1
+    assert report is None
+    assert capsys.readouterr().err == f"error: {info.value}\n"
+
+
 MRK_JOB = "[job]\nquantity = mrk-relative\ngroup = Z\nschedule = 10\nseeds = 3\n\n" \
     "[generators]\nn = 1\na1 = 1@1 -1@0\n"
 FOLNER_JOB = MRK_JOB.replace("mrk-relative", "folner").replace("seeds = 3", "seeds = 3\nboxes = 10")

@@ -372,6 +372,41 @@ def test_dense_rank_mod_p_refuses_a_modulus_that_is_not_prime(p):
             dense_rank_mod_p(a, p)
 
 
+def test_a_numpy_integer_modulus_acts_as_the_python_int():
+    m = _matrix(3, 3, [(0, 0, 1), (0, 1, 2), (1, 1, 3), (2, 0, 1), (2, 1, 5)])
+    a = [[1, 2, 0], [0, 3, 0], [1, 5, 0]]
+    for p in (7, 1000003, 2**61 - 1):
+        for q in (np.int64(p), np.uint64(p)):
+            assert is_probable_prime(q)
+            result = rank_mod_p(m, q)
+            assert result == rank_mod_p(m, p) and type(result.primes[0]) is int
+            assert dense_rank_mod_p(a, q) == dense_rank_mod_p(m, q) == dense_rank_mod_p(a, p)
+            reduced = SparseMatrix(3, 3, m.row, m.col, m.val, modulus=q)
+            assert type(reduced.modulus) is int
+            assert reduced == SparseMatrix(3, 3, m.row, m.col, m.val, modulus=p)
+            assert rank_mod_p(reduced) == rank_mod_p(m, p)
+
+
+@pytest.mark.parametrize("p", [7.0, "7", np.float64(7), Fraction(7)],
+                         ids=["float", "str", "numpy-float", "fraction"])
+def test_a_modulus_that_is_not_an_integer_is_refused(p):
+    m = _matrix(1, 1, [(0, 0, 1)])
+    for refused in (lambda: is_probable_prime(p), lambda: rank_mod_p(m, p),
+                    lambda: dense_rank_mod_p([[1]], p), lambda: dense_rank_mod_p(m, p),
+                    lambda: SparseMatrix(1, 1, [0], [0], [1], modulus=p)):
+        with pytest.raises(ExactLAError, match=re.escape(f"modulus {p!r} is not an integer")):
+            refused()
+
+
+def test_dense_rank_mod_p_refuses_a_matrix_over_another_field():
+    m = _matrix(2, 2, [(0, 0, 1), (1, 1, 2)], modulus=3)
+    for rank in (rank_mod_p, dense_rank_mod_p):
+        with pytest.raises(ExactLAError, match=re.escape("matrix is over GF(3), not GF(2)")):
+            rank(m, 2)
+    assert dense_rank_mod_p(m, 3) == rank_mod_p(m, 3).rank == 2
+    assert dense_rank_mod_p(m.to_dense(), 2) == 1
+
+
 def test_empty_dense_matrix_has_rank_zero_at_every_prime():
     for p in (7, 2**31 - 1, (1 << 61) - 1):
         assert dense_rank_mod_p([], p) == 0

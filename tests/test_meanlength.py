@@ -429,23 +429,32 @@ def test_relator_rank_is_the_forest_count(ring):
 def test_addition_route_one_ranks_the_transpose_of_the_quotient(monkeypatch):
     """Criterion 04's pairs have no relator row left, and their quotient is
     σ̄_f renamed.  Route (i) ranks another matrix than σ̄_f, with σ̄_f's
-    column counts as its row counts; route (ii) ranks σ̄_f itself."""
+    column counts as its row counts; route (ii) ranks σ̄_f itself.  Each is
+    ranked once, also when σ̄_f's rank misses its bound and its kernel comes
+    from route (i)'s rank."""
     s_minus = GroupRingElement.from_terms(F2, INTEGERS, [(F2.element((1,)), 1),
                                                          (F2.identity(), -1)])
     t_minus = GroupRingElement.from_terms(F2, INTEGERS, [(F2.element((2,)), 1),
                                                          (F2.identity(), -1)])
-    cases = [(GroupRingMatrix(Z, INTEGERS, [[_t_minus_one()]]), SoficSchedule((50,))),
+    t_squared_minus_one = GroupRingElement.from_terms(Z, INTEGERS, [(Z.element(2), 1),
+                                                                    (Z.identity(), -1)])
+    cases = [(GroupRingMatrix(Z, INTEGERS, [[_t_minus_one()]]), SoficSchedule((50,)), True),
              (GroupRingMatrix(F2, INTEGERS, [[s_minus], [t_minus]]),
-              SoficSchedule((60,), seeds=(1,)))]
-    for f, schedule in cases:
+              SoficSchedule((60,), seeds=(1,)), True),
+             # rank 18 on build_cyclic(20), below the bound 19
+             (GroupRingMatrix(Z, INTEGERS, [[t_squared_minus_one]]),
+              SoficSchedule((20,), seeds=(3,)), False)]
+    for f, schedule, proven in cases:
         ranked = _recorded_ranks(monkeypatch)
         report = check_addition(f, schedule)
-        (route_i, kwargs), *route_ii = ranked
         point = schedule.points()[0]
         bar = build_sigma_bar(f, make_sigma(f.desc, point.d, point.seed))
-        # both ranks are proven, so route (ii) ranks σ̄_f once
-        assert [m for m, _ in route_ii] == [bar]
-        assert route_i != bar and kwargs["cuts"] == ()
+        seed_i, seed_ii = (derive_rank_seed(tag, point.d, point.seed) for tag in ("add-i", "add-ii"))
+        assert rank_over_Q(bar, seed=seed_ii).proven is proven
+        (route_i, kwargs_i), (route_ii, kwargs_ii) = ranked
+        assert (kwargs_i, kwargs_ii) == ({"seed": seed_i, "cuts": ()}, {"seed": seed_ii, "cuts": ()})
+        assert route_ii == bar
+        assert route_i != bar
         assert (route_i.nrows, route_i.ncols) == (bar.ncols, bar.nrows)
         assert (sorted(np.bincount(route_i.key // route_i.ncols, minlength=route_i.nrows))
                 == sorted(np.bincount(bar.key % bar.ncols, minlength=bar.ncols)))

@@ -12,7 +12,7 @@ from .groups import (GroupDescriptor, GroupElement, ball, finite_group,
                      free_group, integer_line, lattice, load_table_file)
 from .meanlength import (MeanLengthEstimate, RelativePair, build_sigma_bar,
                          check_addition, estimate_mean_length,
-                         estimate_vrk_fp, principal_rank_point, relators,
+                         estimate_vrk_fp, principal_rank_point,
                          relative_mean_length_at, snap_to_H)
 from .oracles import (FolnerBox, compare, finite_group_vrk,
                       folner_mean_length, laurent_rank)

@@ -1,27 +1,17 @@
 """Dense mod-p elimination kernel, vectorized with numpy.
 
-Residues are int64 for p < 2**31, so that the product of two fits; larger
-moduli run the same loop on an object array of Python ints.
+It works in place on the 2-D residue arrays that ``exactla`` prepares,
+entries in [0, p): int64 for p < 2**31, so that the product of two fits,
+and Python ints in an object array for larger moduli.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_INT64_MODULUS_LIMIT = 2**31
-
 
 def dense_rank_mod_p(a, p) -> int:
-    """Rank of an integer matrix mod p (p prime); ``[]`` has rank 0."""
-    if p < _INT64_MODULUS_LIMIT:
-        a = np.array(a, dtype=np.int64)
-    else:  # Python ints, whose products cannot overflow
-        a = np.frompyfunc(int, 1, 1)(np.array(a, dtype=object))
-    if a.shape == (0,):
-        return 0
-    if a.ndim != 2:
-        raise ValueError("dense kernel expects a 2-d array")
-    np.mod(a, p, out=a)
+    """Rank mod p (p prime) of the 2-D residue array a, which it overwrites."""
     m, n = a.shape
     rank = 0
     for col in range(n):

@@ -69,9 +69,9 @@ from .groupring import (INTEGERS, CoefficientRing, GroupRingError,
                         format_matrix, group_token, parse_element,
                         parse_group_token, parse_matrix, parse_ring)
 from .groups import GroupDescriptor, GroupError
-from .meanlength import (AdditionReport, MeanLengthError, RelativePair,
-                         addition_point, assemble_run, check_vrk_ring,
-                         estimate_run, run_schedule)
+from .meanlength import (MeanLengthError, RelativePair, check_addition,
+                         check_vrk_ring, estimate_mean_length, estimate_vrk_fp,
+                         run_schedule)
 # not called here: perfbench/tracing.py patches these names on this module
 from .meanlength import (make_sigma, principal_rank_point,  # noqa: F401
                          relative_mean_length_at)
@@ -400,14 +400,13 @@ def _defect_point(F, sigma, point) -> dict:
             "pairs": pairs}
 
 
-def _echo(results, verbose: bool):
-    """Pass the runner's results on; under -v print each as it arrives."""
-    for point, value, summary in results:
-        if verbose:
-            shown = getattr(value, "value", None)
-            shown = "done" if shown is None else f"{shown.numerator}/{shown.denominator}"
-            print(f"  d={point.d} seed={point.seed}: {shown}", file=sys.stderr)
-        yield point, value, summary
+def _echo(mapper, fn, points, *rest):
+    """``mapper(fn, points, *rest)``, printing each point's -v line as it arrives."""
+    for point, (value, summary) in zip(points, mapper(fn, points, *rest)):
+        shown = getattr(value, "value", None)
+        shown = "done" if shown is None else f"{shown.numerator}/{shown.denominator}"
+        print(f"  d={point.d} seed={point.seed}: {shown}", file=sys.stderr)
+        yield value, summary
 
 
 # ---------------------------------------------------------------------------
@@ -465,17 +464,18 @@ def run_job(job: Job, jobs: int, verbose: bool) -> RunResult:
     with contextlib.ExitStack() as stack:
         mapper = map if workers < 2 else stack.enter_context(
             ProcessPoolExecutor(max_workers=workers)).map
-        if kind in ("mrk", "vrk"):
-            run = estimate_run(kind, job.pair if kind == "mrk" else job.matrix,
-                               job.schedule, mapper)
-            est = assemble_run(kind, job.desc, _echo(run, verbose), job.snap_tol)
+        mapper = partial(_echo, mapper) if verbose else mapper
+        if kind == "mrk":
+            est = estimate_mean_length(job.pair, job.schedule, snap_tol=job.snap_tol,
+                                       mapper=mapper)
+        elif kind == "vrk":
+            est = estimate_vrk_fp(job.matrix, job.schedule, snap_tol=job.snap_tol, mapper=mapper)
+        elif kind == "addition":
+            rep = check_addition(job.matrix, job.schedule, mapper=mapper)
         else:
-            evaluate = (partial(addition_point, job.matrix)
-                        if kind == "addition" else partial(_defect_point, job.F))
-            run = run_schedule(job.desc, job.schedule, evaluate, None, mapper)
-            results = [value for _, value, _ in _echo(run, verbose)]
+            run = run_schedule(job.desc, job.schedule, partial(_defect_point, job.F), None, mapper)
+            results = [value for _, value, _ in run]
     if kind == "addition":
-        rep = AdditionReport.from_points(job.matrix.n, results)
         code = 0 if rep.max_residual_routes <= Fraction(job.tolerance) else 2
         return RunResult(code, rep.to_json_dict(),
                          ["d", "seed", "submodule_num", "submodule_den",

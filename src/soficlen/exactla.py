@@ -18,8 +18,10 @@ their block is diagonal and one Schur update applies them all at once, with
 one pow per pivot for its inverse, as in the dense kernel.  Before each
 round, an active block that is at least a quarter nonzero, and not too
 large, goes to the dense kernel instead.
-Residues are int64 below 2**31 and Python ints in object arrays above.
-Everything is deterministic: same input, same rounds, same rank.
+Residues are int64 below 2**31 and Python ints in object arrays above
+(``_field_dtype``); each dense block is prepared once, here, and the kernel
+eliminates it in place.  Everything is deterministic: same input, same
+rounds, same rank.
 
 One pass also ranks nested leading row blocks, the first ``cuts[0]``,
 ``cuts[1]``, ... rows: the candidates of a round are the entries of the
@@ -114,6 +116,12 @@ def sample_prime(rng: random.Random) -> int:
 _INT64_MAX = np.iinfo(np.int64).max
 
 
+def _field_dtype(p: int):
+    """The dtype of residues mod p: int64 below 2**31, where the product of
+    two fits, and object (Python ints) from 2**31 on."""
+    return np.int64 if p < 2**31 else object
+
+
 def _int_array(x) -> np.ndarray:
     """Integers as an int64 array if every one fits, else as an object array."""
     try:
@@ -171,8 +179,7 @@ class SparseMatrix:
             for entry in zip(row.tolist(), col.tolist()):
                 if not all(isinstance(i, numbers.Integral) for i in entry):
                     raise ExactLAError(f"entry {entry!r} has an index that is not an integer")
-        wrong = np.flatnonzero(val != given)
-        if wrong.size:
+        if given is not val and (wrong := np.flatnonzero(val != given)).size:
             k = wrong[0]
             raise ExactLAError(f"entry ({row[k]}, {col[k]}) is not an integer: {given[k]}")
         outside = np.flatnonzero((row < 0) | (row >= nrows) | (col < 0) | (col >= ncols))
@@ -276,7 +283,7 @@ def _sparse_ranks(nrows, ncols, key, val, cuts, p) -> list[int]:
     rows of a SparseMatrix's ``key`` and ``data`` arrays, which it does not
     write to: rounds of independent pivots, then the dense kernel on what is
     left (see the module docstring)."""
-    dtype = np.int64 if p < _kernels._INT64_MODULUS_LIMIT else object
+    dtype = _field_dtype(p)
     v = val % p if val.dtype == dtype else (val.astype(object) % p).astype(dtype)
     bounds = np.array([*cuts, nrows])
     rank = np.zeros(bounds.size, dtype=np.int64)
@@ -497,7 +504,12 @@ def dense_rank_rational(a) -> int:
 
 def dense_rank_mod_p(a, p: int) -> int:
     """Exact rank mod p of a dense matrix or a SparseMatrix (of integers or
-    over GF(p)), for any prime p below _MR_EXACT_BELOW and integer entries."""
+    over GF(p)), for any prime p below _MR_EXACT_BELOW and integer entries;
+    ``[]`` has rank 0, and a flat list is one row.  The entries are reduced
+    in Python ints, then go to the kernel as residues of the field's dtype."""
     p = _prime(p, a.modulus if isinstance(a, SparseMatrix) else None)
     a = a.to_dense() if isinstance(a, SparseMatrix) else a
-    return _kernels.dense_rank_mod_p(np.array(a, dtype=object) % p, p)
+    a = np.frompyfunc(int, 1, 1)(np.array(a, dtype=object, ndmin=2)) % p
+    if a.ndim != 2:
+        raise ExactLAError(f"a dense matrix has 2 dimensions, not {a.ndim}")
+    return _kernels.dense_rank_mod_p(a.astype(_field_dtype(p)), p)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .groups import GroupDescriptor, GroupElement, GroupError, format_word, parse_word
-from . import groups
+from . import exactla, groups
 
 
 class GroupRingError(ValueError):
@@ -59,11 +59,14 @@ RATIONALS = CoefficientRing("Q")
 
 
 def prime_field(p: int) -> CoefficientRing:
-    if not isinstance(p, int) or p < 2 or p >= 2**62:
-        raise GroupRingError(f"prime field modulus must be a prime below 2**62, got {p!r}")
-    from .exactla import is_probable_prime
-    if not is_probable_prime(p):
-        raise GroupRingError(f"{p} is not prime")
+    """GF(p) for a prime p below 2**62, of any integer type: ``exactla``
+    decides what is a prime modulus, and gives p as a Python int."""
+    try:
+        p = exactla._prime(p)
+    except exactla.ExactLAError as exc:
+        raise GroupRingError(str(exc)) from None
+    if p >= 2**62:
+        raise GroupRingError(f"prime field modulus must be a prime below 2**62, got {p}")
     return CoefficientRing("GF", p)
 
 

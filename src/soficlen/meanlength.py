@@ -6,9 +6,9 @@ element s along the permutation σ_s.  Two finite models are built here:
 
 * ``build_sigma_bar``: the dm × dn matrix whose rank/d estimates the mean
   rank of the submodule generated by the rows of f;
-* ``relators`` + ``relative_mean_length_at``: the relator-quotient model,
-  whose normalized rank difference estimates the mean length of a finite
-  piece A relative to the relators of (B, F).  A and B are matrices over
+* ``relative_mean_length_at``: the relator-quotient model, whose
+  normalized rank difference estimates the mean length of a finite piece A
+  relative to the relators of (B, F).  A and B are matrices over
   R[Γ] with n columns, and their rows are the generators.  The relators of
   a one-term row of B join two columns, and the quotient by them merges
   each connected component into one column, so only relators of rows with
@@ -26,8 +26,9 @@ replaced by a schedule of sizes with spread/stabilization reporting.
 Each schedule point is evaluated by one function per quantity
 (``mrk_point``, ``vrk_point``, ``addition_point``).  ``run_schedule`` is the
 one loop over a schedule: it builds σ once per point and evaluates the point
-there, serially or through a process pool's ``map``.  The estimators here and
-the command-line runner both call it.
+there, through the ``mapper`` that each estimator takes (builtin ``map``, or
+a process pool's).  The command-line runner calls the three estimators, and
+``run_schedule`` itself only for defect jobs.
 """
 
 from __future__ import annotations
@@ -190,14 +191,6 @@ def _relator_triplets(rows, n: int, F, sigma: SoficMap, widx):
             blocks += _vector_blocks(at, [comp.translate(s) for comp in b],
                                      sigma.perm(s), widx, n, -1)
     return blocks, sigma.d * nb * nf
-
-
-def relators(B: GroupRingMatrix, F, sigma: SoficMap) -> SparseMatrix:
-    """Sparse matrix whose rows are the relators δ_v b − δ_{σ_s(v)} s·b for
-    v ∈ [d], b a row of B, s ∈ F, in coordinates [d] × W × [n]."""
-    widx = {g: i for i, g in enumerate(coordinate_window(B, B, F))}
-    blocks, nrows = _relator_triplets(B.entries, B.n, tuple(F), sigma, widx)
-    return blocks_to_sparse(blocks, nrows, sigma.d * len(widx) * B.n, B.ring)
 
 
 def _components(size: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -490,41 +483,31 @@ def run_schedule(desc: GroupDescriptor, schedule: SoficSchedule, evaluate, windo
         yield point, value, summary
 
 
-def estimate_run(quantity: str, subject, schedule: SoficSchedule, mapper):
-    """``run_schedule`` for an estimate: ``"mrk"`` of a RelativePair, with
-    the defect on the pair's F, or ``"vrk"`` of a matrix f, with the defect
-    on supp(f) ∪ {e}."""
-    if quantity == "mrk":
-        evaluate, window = partial(mrk_point, subject), subject.F
-    else:
-        evaluate, window = partial(vrk_point, subject), support_window(subject)
-    return run_schedule(subject.desc, schedule, evaluate, window, mapper)
-
-
-def assemble_run(quantity: str, desc: GroupDescriptor, results,
-                 snap_tol) -> MeanLengthEstimate:
+def _estimate(quantity: str, desc: GroupDescriptor, results, snap_tol) -> MeanLengthEstimate:
     """The estimate from the ``(point, value, summary)`` results of
-    ``estimate_run``, with the defect summary of the last point."""
+    ``run_schedule``, with the defect summary of the last point."""
     results = list(results)
     return assemble_estimate(quantity, [value for _, value, _ in results], desc,
                              snap_tol=snap_tol, defect_summary=results[-1][2])
 
 
 def estimate_mean_length(pair: RelativePair, schedule: SoficSchedule, *,
-                         snap_tol: float = 0.05) -> MeanLengthEstimate:
+                         snap_tol: float = 0.05, mapper=map) -> MeanLengthEstimate:
     """Relative mean length of the span of ``pair.A`` against the relators
-    of (``pair.B``, ``pair.F``) across the schedule.  Monotonicity in B and
-    F makes the largest affordable pair the best finite surrogate for the
-    infimum."""
-    return assemble_run("mrk", pair.desc, estimate_run("mrk", pair, schedule, map),
-                        snap_tol)
+    of (``pair.B``, ``pair.F``) across the schedule, with the defect on F.
+    Monotonicity in B and F makes the largest affordable pair the best
+    finite surrogate for the infimum."""
+    run = run_schedule(pair.desc, schedule, partial(mrk_point, pair), pair.F, mapper)
+    return _estimate("mrk", pair.desc, run, snap_tol)
 
 
 def estimate_vrk_fp(f: GroupRingMatrix, schedule: SoficSchedule, *,
-                    snap_tol: float = 0.05) -> MeanLengthEstimate:
+                    snap_tol: float = 0.05, mapper=map) -> MeanLengthEstimate:
     """vrk of (R[Γ])^{1×n} / (R[Γ])^{1×m} f across the schedule: series of
-    n − rank(σ̄_f)/d, the duality check asserted at every point."""
-    return assemble_run("vrk", f.desc, estimate_run("vrk", f, schedule, map), snap_tol)
+    n − rank(σ̄_f)/d, the duality check asserted at every point, with the
+    defect on supp(f) ∪ {e}."""
+    run = run_schedule(f.desc, schedule, partial(vrk_point, f), support_window(f), mapper)
+    return _estimate("vrk", f.desc, run, snap_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -547,12 +530,6 @@ class AdditionReport:
     points: tuple[AdditionPoint, ...]
     max_residual_routes: Fraction
     max_residual_addition: Fraction
-
-    @classmethod
-    def from_points(cls, n: int, points) -> "AdditionReport":
-        points = tuple(points)
-        return cls(n, points, max(p.residual_routes for p in points),
-                   max(p.residual_addition for p in points))
 
     def to_json_dict(self) -> dict:
         return {
@@ -578,7 +555,8 @@ class AdditionReport:
                  float(p.residual_routes)] for p in self.points]
 
 
-def check_addition(f: GroupRingMatrix, schedule: SoficSchedule) -> AdditionReport:
+def check_addition(f: GroupRingMatrix, schedule: SoficSchedule, *,
+                   mapper=map) -> AdditionReport:
     """Check that submodule and quotient values add up to the ambient rank.
 
     Route (i): mean length of A = rows(f) relative to (B = basis,
@@ -589,5 +567,7 @@ def check_addition(f: GroupRingMatrix, schedule: SoficSchedule) -> AdditionRepor
     (ii) rank that is not proven.  Route (ii): rank(σ̄_f)/d.  Route (iii):
     quotient value n − (ii).  Reports |(i) − (ii)| and |(i) + (iii) − n|.
     """
-    run = run_schedule(f.desc, schedule, partial(addition_point, f), None, map)
-    return AdditionReport.from_points(f.n, [value for _, value, _ in run])
+    run = run_schedule(f.desc, schedule, partial(addition_point, f), None, mapper)
+    points = tuple(value for _, value, _ in run)
+    return AdditionReport(f.n, points, max(p.residual_routes for p in points),
+                          max(p.residual_addition for p in points))

@@ -619,17 +619,41 @@ def test_jobs_start_at_most_one_worker_per_point(tmp_path, serial_pool):
     assert pooled[2] == serial[2]
 
 
-def test_verbose_pooled_run_prints_every_point(tmp_path, serial_pool, capsys):
-    job = ("[job]\nquantity = vrk-fp\nschedule = 10,20\nseeds = 1,2\n\n"
-           "[matrix]\nfile = f.txt\n")
-    _run(tmp_path, job, files=[("f.txt", T_MINUS_ONE_Z)], name="serial", argv_extra=("-v",))
-    serial = capsys.readouterr().err
-    _run(tmp_path, job, name="pooled", argv_extra=("-v", "--jobs", "2"))
-    pooled = capsys.readouterr().err
-    assert serial_pool == [2]
-    lines = [ln for ln in serial.splitlines() if ln.startswith("  d=")]
-    assert len(lines) == 4
-    assert [ln for ln in pooled.splitlines() if ln.startswith("  d=")] == lines
+# one job of each kind of schedule point, over the points (10, 1), (10, 2),
+# (20, 1) and (20, 2)
+VERBOSE_JOBS = [
+    "[job]\nquantity = vrk-fp\nschedule = 10,20\nseeds = 1,2\n\n[matrix]\nfile = f.txt\n",
+    "[job]\nquantity = mrk-relative\ngroup = Z\nschedule = 10,20\nseeds = 1,2\n\n"
+    "[generators]\nn = 1\na1 = 1@1 -1@0\n",
+    "[job]\nquantity = addition-check\nschedule = 10,20\nseeds = 1,2\n\n"
+    "[matrix]\nfile = f.txt\n",
+    "[job]\nquantity = defect\ngroup = F2\nschedule = 10,20\nseeds = 1,2\n",
+]
+
+
+def test_verbose_pooled_run_prints_every_point(tmp_path, monkeypatch, serial_pool, capsys):
+    def announced_make_sigma(desc, d, seed=0, dims=None):
+        print(f"sigma d={d} seed={seed}", file=sys.stderr)
+        return make_sigma(desc, d, seed, dims)
+
+    monkeypatch.setattr(meanlength, "make_sigma", announced_make_sigma)
+    (tmp_path / "f.txt").write_text(T_MINUS_ONE_Z)
+    for k, job in enumerate(VERBOSE_JOBS):
+        _, report, _ = _run(tmp_path, job, name=f"serial{k}", argv_extra=("-v",))
+        serial = capsys.readouterr().err.splitlines()
+        _run(tmp_path, job, name=f"pooled{k}", argv_extra=("-v", "--jobs", "2"))
+        pooled = capsys.readouterr().err
+        lines = [ln for ln in serial if ln.startswith("  d=")]
+        assert lines == [f"  d={p['d']} seed={p['seed']}: " +
+                         (f"{p['value_num']}/{p['value_den']}" if "value_num" in p else "done")
+                         for p in report["series"]]
+        assert len(lines) == 4
+        assert [ln for ln in pooled.splitlines() if ln.startswith("  d=")] == lines
+        # serially each line is printed as its point's result arrives
+        shown = [ln.strip().partition(":")[0] for ln in serial if ln.startswith(("sigma", "  d="))]
+        points = [f"d={d} seed={seed}" for d in (10, 20) for seed in (1, 2)]
+        assert shown == [line for point in points for line in (f"sigma {point}", point)]
+    assert serial_pool == [2] * len(VERBOSE_JOBS)
 
 
 @pytest.mark.parametrize("argv_extra", [(), ("--jobs", "2")])

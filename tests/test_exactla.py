@@ -340,6 +340,8 @@ def test_dense_rank_mod_p_huge_prime():
     a = [[1, 2], [3, 4]]
     assert dense_rank_mod_p(a, p) == 2
     assert dense_rank_mod_p([[p]], p) == 0
+    # numpy integer entries are reduced as Python ints, whose products cannot overflow
+    assert dense_rank_mod_p([[np.int64(3), np.int64(5)], [np.int64(7), np.int64(2)]], p) == 2
     # entries beyond int64 at a prime below the word-size limit
     assert dense_rank_mod_p([[2**70, 1], [2**71, 2]], 2**31 - 1) == 1
 
@@ -413,11 +415,45 @@ def test_empty_dense_matrix_has_rank_zero_at_every_prime():
         assert dense_rank_mod_p(SparseMatrix(0, 3, [], [], []), p) == 0
 
 
+def test_dense_rank_mod_p_takes_a_flat_list_as_a_row_and_refuses_three_dimensions():
+    assert dense_rank_mod_p([0, 3], 7) == 1 and dense_rank_mod_p([7, 14], 7) == 0
+    with pytest.raises(ExactLAError, match="a dense matrix has 2 dimensions, not 3"):
+        dense_rank_mod_p([[[1]]], 7)
+
+
 def test_dense_kernel_agrees_with_rational_rank():
     rng = np.random.default_rng(5)
+    p = 2**31 - 1
     for _ in range(6):
         a = rng.integers(-20, 21, size=(rng.integers(1, 40), rng.integers(1, 40)))
-        assert _kernels.dense_rank_mod_p(a, 2**31 - 1) == dense_rank_rational(a.tolist())
+        assert _kernels.dense_rank_mod_p(a % p, p) == dense_rank_rational(a.tolist())
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, P61])
+def test_rank_mod_p_hands_the_kernel_residue_blocks_of_the_field_dtype(monkeypatch, p):
+    # exactla prepares each block once, and the kernel takes it as it is:
+    # 2-D, int64 below 2**31 and Python ints from it on, entries in [0, p)
+    blocks = []
+    real = _kernels.dense_rank_mod_p
+
+    def spy(a, q):
+        blocks.append(a.copy())
+        return real(a, q)
+
+    monkeypatch.setattr(_kernels, "dense_rank_mod_p", spy)
+    rng = random.Random(31)
+    dense = _random_sparse(rng, 30, 24, density=0.6)
+    wide = _random_sparse(rng, 12, 12, density=0.5, bound=2**70)  # values beyond int64
+    for m, cuts in ((dense, ()), (dense, (10, 20)), (wide, (6,)), (PRODUCTS[0], (50,))):
+        start = len(blocks)
+        result = rank_mod_p(m, p, cuts=cuts)
+        assert [*result.leading_ranks, result.rank] == _dense_block_ranks(m, p, cuts)
+        assert len(blocks) > start
+    field_dtype = np.int64 if p < 2**31 else object
+    for a in blocks:
+        assert a.ndim == 2 and a.dtype == field_dtype
+        assert all(0 <= x < p for x in a.flat)
+        assert field_dtype is np.int64 or all(type(x) is int for x in a.flat)
 
 
 def test_rank_mod_p_requires_a_modulus():

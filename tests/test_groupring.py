@@ -1,8 +1,10 @@
 """Tests for group-ring arithmetic, matrices, and the direct-finiteness checker."""
 
 import random
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from soficlen.groups import (
@@ -193,6 +195,16 @@ def test_prime_field_arithmetic():
     assert gf5.normalize(Fraction(1, 2)) == 3  # 2^-1 = 3 mod 5
     with pytest.raises(GroupRingError):
         prime_field(4)
+
+
+def test_prime_field_takes_a_numpy_integer_as_the_python_int():
+    for p in (7, 2**61 - 1):
+        for q in (np.int64(p), np.uint64(p)):
+            ring = prime_field(q)
+            assert ring == prime_field(p) and type(ring.p) is int
+    for p in (7.0, "7"):
+        with pytest.raises(GroupRingError, match=re.escape(f"modulus {p!r} is not an integer")):
+            prime_field(p)
 
 
 def test_prime_field_refuses_a_denominator_divisible_by_p():

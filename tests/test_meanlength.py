@@ -37,7 +37,6 @@ from soficlen.meanlength import (
     estimate_vrk_fp,
     principal_rank_point,
     relative_mean_length_at,
-    relators,
     snap_to_H,
 )
 from soficlen.sofic import (
@@ -54,6 +53,15 @@ from group_tables import cyclic_table, symmetric_table
 
 Z = integer_line()
 F2 = free_group(2)
+
+
+def relators(B, F, sigma):
+    """The unquotiented reference: the sparse matrix whose rows are the
+    relators δ_v b − δ_{σ_s(v)} s·b for v ∈ [d], b a row of B, s ∈ F, in
+    coordinates [d] × W × [n]."""
+    widx = {g: i for i, g in enumerate(coordinate_window(B, B, F))}
+    blocks, nrows = meanlength._relator_triplets(B.entries, B.n, tuple(F), sigma, widx)
+    return meanlength.blocks_to_sparse(blocks, nrows, sigma.d * len(widx) * B.n, B.ring)
 
 
 def _t_minus_one(ring=INTEGERS):

@@ -366,8 +366,8 @@ def load_job(path) -> Job:
     with _at(f"{where} schedule"):
         if facts.oracle == "finite-group":
             if job.desc.family != groups.FINITE:
-                raise JobError(f"{where} group",
-                                   "finite-oracle needs group = finite:<table>")
+                raise JobError(f"{where} group" if group else f"{path} [matrix]",
+                               "finite-oracle needs group = finite:<table>")
             if len(seeds) > 1:
                 raise JobError(f"{where} seeds",
                                "finite-oracle's translation model uses no seed; give at most one")

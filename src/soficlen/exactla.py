@@ -24,12 +24,12 @@ eliminates it in place.  Everything is deterministic: same input, same
 rounds, same rank.
 
 One pass also ranks nested leading row blocks, the first ``cuts[0]``,
-``cuts[1]``, ... rows: the candidates of a round are the entries of the
-earliest block with a live row, which are a prefix of the sorted keys.  A
-pivot row of block b is subtracted only from rows of block b or later, so the
-rank of the first k blocks is the number of pivots taken in them plus the
-rank of their live rows, which the dense tail ranks for each such prefix.
-With no cuts the prefix is every entry.
+``cuts[1]``, ... rows, by one rule in both phases: a row is reduced only by
+earlier rows.  A round's candidates are the entries of the earliest block
+with a live row, a prefix of the sorted keys; the dense kernel pivots each
+column on its earliest live row and leaves its pivot rows nonzero, in place.
+So the rank of the first k blocks is the number of pivot rows in them, from
+one kernel call whatever the cuts.  With no cuts the prefix is every entry.
 
 Rank over Q comes from seeded random primes in (2**30, 2**31); elimination
 at any nonzero pivots gives the exact rank mod p, which never exceeds the
@@ -298,8 +298,7 @@ def _sparse_ranks(nrows, ncols, key, val, cuts, p) -> list[int]:
         ra, ca = np.count_nonzero(row_nnz), np.count_nonzero(col_nnz)
         area = ra * ca
         if area <= _DENSE_MAX_AREA and key.size >= _DENSE_FILL * area:
-            ends = np.searchsorted(r, bounds)  # the live entries above each bound
-            return (rank + _dense_tails(r, c, v, p, ends)).tolist()
+            return (rank + _dense_tail(r, c, v, p, bounds)).tolist()
         end = bounds[np.searchsorted(bounds, r[0], side="right")]
         k = np.searchsorted(r, end)  # the entries of the earliest live block
         pivots = _independent_pivots(r[:k], c[:k], row_nnz, col_nnz, ncols)
@@ -369,18 +368,16 @@ def _schur_update(key, v, r, c, row_nnz, pivots, ncols, p):
     return np.insert(key, at, fill_key[~hit]), np.insert(v, at, fill[~hit]) % p
 
 
-def _dense_tails(r, c, v, p, ends) -> list[int]:
-    """Ranks mod p of the live entries before each of ``ends``: one kernel
-    call per distinct nonempty prefix."""
-    ranks = {0: 0}
-    for end in ends:
-        if end not in ranks:
-            rows, ri = np.unique(r[:end], return_inverse=True)
-            cols, ci = np.unique(c[:end], return_inverse=True)
-            block = np.zeros((rows.size, cols.size), dtype=v.dtype)
-            block[ri, ci] = v[:end]
-            ranks[end] = _kernels.dense_rank_mod_p(block, p)
-    return [ranks[end] for end in ends]
+def _dense_tail(r, c, v, p, bounds):
+    """Ranks mod p of the live entries in the rows above each of ``bounds``:
+    the kernel keeps row order and leaves its pivot rows nonzero, so the rank
+    of a prefix is the number of nonzero rows above its bound."""
+    rows, ri = np.unique(r, return_inverse=True)
+    cols, ci = np.unique(c, return_inverse=True)
+    block = np.zeros((rows.size, cols.size), dtype=v.dtype)
+    block[ri, ci] = v
+    _kernels.dense_rank_mod_p(block, p)
+    return np.searchsorted(rows[(block != 0).any(axis=1)], bounds)
 
 
 def _checked_cuts(m: SparseMatrix, cuts) -> tuple[int, ...]:

@@ -10,6 +10,7 @@ carry identical group descriptors and rings — there is no coercion.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,28 +31,27 @@ class CoefficientRing:
         return f"GF({self.p})" if self.kind == "GF" else self.kind
 
     def normalize(self, x):
-        if self.kind == "Z":
-            if isinstance(x, Fraction):
+        """x in the ring: a Python int over Z and GF(p), a Fraction over Q.
+        Integers of any type (numpy's too) are taken through operator.index,
+        so that products stay exact."""
+        if isinstance(x, Fraction):
+            if self.kind == "Q":
+                return x
+            if self.kind == "Z":
                 if x.denominator != 1:
                     raise GroupRingError(f"{x} is not an integer coefficient")
                 return int(x)
-            if not isinstance(x, int):
-                raise GroupRingError(f"bad integer coefficient {x!r}")
-            return x
-        if self.kind == "Q":
-            if isinstance(x, (int, Fraction)):
-                return Fraction(x)
-            raise GroupRingError(f"bad rational coefficient {x!r}")
-        if isinstance(x, Fraction):
-            num = x.numerator % self.p
             den = x.denominator % self.p
             if den == 0:
                 raise GroupRingError(f"{x} has a denominator divisible by {self.p}, "
                                      f"not invertible in GF({self.p})")
-            return num * pow(den, -1, self.p) % self.p
-        if not isinstance(x, int):
-            raise GroupRingError(f"bad GF({self.p}) coefficient {x!r}")
-        return x % self.p
+            return x.numerator * pow(den, -1, self.p) % self.p
+        try:
+            x = operator.index(x)
+        except TypeError:
+            noun = {"Z": "integer", "Q": "rational"}.get(self.kind, self.label())
+            raise GroupRingError(f"bad {noun} coefficient {x!r}") from None
+        return Fraction(x) if self.kind == "Q" else x if self.kind == "Z" else x % self.p
 
 
 INTEGERS = CoefficientRing("Z")
@@ -87,7 +87,7 @@ def parse_ring(token: str) -> CoefficientRing:
 class GroupRingElement:
     """A finitely supported element of R[Γ].  Treated as immutable."""
 
-    __slots__ = ("desc", "ring", "coeffs", "_hash")
+    __slots__ = ("desc", "ring", "coeffs")
 
     def __init__(self, desc: GroupDescriptor, ring: CoefficientRing, coeffs=None):
         object.__setattr__(self, "desc", desc)
@@ -100,7 +100,6 @@ class GroupRingElement:
             if c != 0:
                 clean[g] = c
         object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "_hash", None)
 
     @classmethod
     def zero(cls, desc, ring):
@@ -172,11 +171,7 @@ class GroupRingElement:
                 and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(
-                self, "_hash",
-                hash((self.ring, frozenset(self.coeffs.items()))))
-        return self._hash
+        return hash((self.ring, frozenset(self.coeffs.items())))
 
     def __repr__(self):
         if not self.coeffs:

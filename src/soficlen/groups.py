@@ -9,6 +9,8 @@ equality), and hashable so they can key coefficient dictionaries.
 from __future__ import annotations
 
 import itertools
+import numbers
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -72,25 +74,23 @@ class GroupDescriptor:
                 if i != self.identity_index]
 
     def element(self, value) -> "GroupElement":
-        """Build an element from raw data, normalizing and validating."""
-        if self.family == INTEGER_LINE:
-            if not isinstance(value, int):
-                raise GroupError(f"integer line element must be an int, got {value!r}")
-            return GroupElement(self, value)
-        if self.family == LATTICE:
-            v = tuple(value)
-            if len(v) != self.rank or not all(isinstance(x, int) for x in v):
-                raise GroupError(f"lattice element must be a {self.rank}-tuple of ints")
-            return GroupElement(self, v)
+        """Build an element from raw data, normalizing and validating;
+        integers of any type (numpy's too) are kept as Python ints."""
+        scalar = self.family in (INTEGER_LINE, FINITE)
+        try:
+            v = operator.index(value) if scalar else tuple(map(operator.index, value))
+        except TypeError:
+            raise GroupError(f"{self.family} element {value!r} is not made of ints") from None
+        if self.family == LATTICE and len(v) != self.rank:
+            raise GroupError(f"lattice element must be a {self.rank}-tuple of ints")
         if self.family == FREE:
-            word = _reduce_word(tuple(value))
-            for letter in word:
+            v = _reduce_word(v)
+            for letter in v:
                 if letter == 0 or abs(letter) > self.rank:
                     raise GroupError(f"letter {letter} out of range for free rank {self.rank}")
-            return GroupElement(self, word)
-        if not isinstance(value, int) or not 0 <= value < self.order:
+        if self.family == FINITE and not 0 <= v < self.order:
             raise GroupError(f"finite element index {value!r} out of range")
-        return GroupElement(self, value)
+        return GroupElement(self, v)
 
 
 @dataclass(frozen=True)
@@ -199,8 +199,9 @@ def finite_group(table) -> GroupDescriptor:
         if len(r) != n:
             raise GroupError("multiplication table must be square")
         for x in r:
-            if not isinstance(x, int) or not 0 <= x < n:
+            if not isinstance(x, numbers.Integral) or not 0 <= x < n:
                 raise GroupError(f"table entry {x!r} out of range 0..{n - 1}")
+    rows = tuple(tuple(map(operator.index, r)) for r in rows)
     ident = None
     for e in range(n):
         if all(rows[e][j] == j for j in range(n)) and all(rows[j][e] == j for j in range(n)):

@@ -12,8 +12,7 @@ element s along the permutation σ_s.  Two finite models are built here:
   R[Γ] with n columns, and their rows are the generators.  The relators of
   a one-term row of B join two columns, and the quotient by them merges
   each connected component into one column, so only relators of rows with
-  two or more terms are ranked (on the benchmark's z-mrk-cli workload, B
-  the identity, this took the median ``solve_rel`` from 0.830 to 0.550).
+  two or more terms are ranked.
 
 ``estimate_vrk_fp`` turns 1 - rank/d (per ambient column) into the von
 Neumann rank of the presented quotient module, checking the duality

@@ -852,7 +852,12 @@ Z3_TABLE = ("z3.table", "3\n0 1 2\n1 2 0\n2 0 1\n")
      "  0 0 1@s1 -1@e\n", "[matrix]", "needs group Z or Z^k"),
     ("[job]\nquantity = laurent-oracle\ngroup = F2\nschedule = 10\n\n[matrix]\n"
      "text = 1 1 Z F2\n  0 0 1@s1 -1@e\n", "[job] group", "needs group Z or Z^k"),
-], ids=["folner-F2", "folner-box-rank", "laurent-header-F2", "laurent-group-F2"])
+    ("[job]\nquantity = finite-oracle\n\n[matrix]\ntext = 1 1 Z F2\n  0 0 1@s1 -1@e\n",
+     "[matrix]", "finite-oracle needs group = finite:<table>"),
+    ("[job]\nquantity = finite-oracle\ngroup = F2\n\n[matrix]\ntext = 1 1 Z F2\n"
+     "  0 0 1@s1 -1@e\n", "[job] group", "finite-oracle needs group = finite:<table>"),
+], ids=["folner-F2", "folner-box-rank", "laurent-header-F2", "laurent-group-F2",
+        "finite-oracle-header-F2", "finite-oracle-group-F2"])
 def test_jobs_an_oracle_cannot_take_exit_one_at_load(tmp_path, capsys, job, where, message):
     assert message in _exits_one_at(tmp_path, capsys, job, [], where)
 
@@ -881,7 +886,8 @@ def test_sizes_no_sofic_map_has_exit_one_at_schedule(tmp_path, capsys, job, mess
 
 
 @pytest.mark.parametrize("seeds, message", [
-    ("", "at least one seed"), ("1,1", "seeds must be distinct")], ids=["empty", "repeated"])
+    ("", "at least one seed"), ("1,1", "seeds must be distinct"),
+    ("5..1", "empty seed range '5..1'")], ids=["empty", "repeated", "backwards"])
 def test_bad_seed_lists_exit_one_at_seeds(tmp_path, capsys, seeds, message):
     job = DEFECT_JOB.format(extra=f"seeds = {seeds}\n")
     assert message in _exits_one_at(tmp_path, capsys, job, [], "[job] seeds")
@@ -894,7 +900,8 @@ def test_bad_seed_lists_exit_one_at_seeds(tmp_path, capsys, seeds, message):
      " [matrix] file: "),
     (FINITE_ORACLE_JOB.format(extra="").encode(), [("z2.table", b"2\n0 1\n1 0 \xff\n")],
      " [job] group: "),
-], ids=["job-file", "matrix-file", "table-file"])
+    (FINITE_ORACLE_JOB.format(extra="").encode(), [], " [job] group: [Errno 2] "),
+], ids=["job-file", "matrix-file", "table-file", "table-file-missing"])
 def test_input_files_that_are_not_utf8_exit_one_at_their_path(tmp_path, capsys, job, files,
                                                               where):
     for fname, content in files:
@@ -955,14 +962,31 @@ def test_input_files_with_a_utf8_byte_order_mark_are_read(tmp_path, capsys, job,
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize("job, message", [
-    ("quantity = defect\ngroup = F2\n", "File contains no section headers. file: "),
-    ("[job]\nquantity defect\n", "Source contains parsing errors: "),
-], ids=["no-section", "no-delimiter"])
-def test_job_file_syntax_errors_exit_one_on_one_line(tmp_path, capsys, job, message):
+GENERATORS = "\n[generators]\nn = 1\na1 = 1@1 -1@0\n"
+
+
+# job files that are not ini text, and the load errors no other test reaches:
+# each names its file, section and key on one line
+@pytest.mark.parametrize("job, where", [
+    ("quantity = defect\ngroup = F2\n", ": syntax error: File contains no section headers. file: "),
+    ("[job]\nquantity defect\n", ": syntax error: Source contains parsing errors: "),
+    ("[generators]\nn = 1\n", ": missing [job] section"),
+    (DEFECT_JOB.format(extra="dims = ,\n"), " [job] dims: empty size list"),
+    (DEFECT_JOB.format(extra="include_identity = maybe\n"),
+     " [job] include_identity: expected a boolean, got 'maybe'"),
+    ("[job]\nquantity = vrk-fp\nschedule = 10\n\n[matrix]\n", " [matrix]: needs 'file' or 'text'"),
+    ("[job]\nquantity = mrk-relative\ngroup = Z\nschedule = 10\n"
+     + GENERATORS.replace("n = 1", "n = 2"), " [generators]: vector '1@1 -1@0' has 1 components"),
+    ("[job]\nquantity = mrk-relative\ngroup = Z\nschedule = 10\n"
+     + GENERATORS.replace("n = 1\n", ""), " [generators] n: ambient rank n is required"),
+    ("[job]\nquantity = mrk-relative\nschedule = 10\n" + GENERATORS,
+     " [generators]: needs a group"),
+], ids=["no-section", "no-delimiter", "no-job-section", "empty-dims", "include_identity",
+        "matrix-neither-file-nor-text", "vector-components", "no-n", "generators-no-group"])
+def test_job_file_syntax_errors_exit_one_on_one_line(tmp_path, capsys, job, where):
     path = tmp_path / "bad.ini"
     path.write_text(job)
     assert main(["validate", str(path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}: syntax error: {message}")
+    assert err.startswith(f"error: {path}{where}")
     assert err.count("\n") == 1

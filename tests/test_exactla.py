@@ -430,6 +430,24 @@ def test_dense_kernel_agrees_with_rational_rank():
 
 
 @pytest.mark.parametrize("p", [2**31 - 1, P61])
+def test_dense_kernel_leaves_the_row_rank_profile_nonzero(p):
+    # a row is reduced only by earlier rows, so the rows left nonzero are the
+    # row rank profile: every leading row block's rank is the count of
+    # nonzero rows in it.  Repeated and zero rows, anywhere, make the profile
+    # differ from the first rows.
+    rng = np.random.default_rng(28)
+    for _ in range(12):
+        m, n, r = (int(x) for x in rng.integers(1, 16, size=3))
+        basis = rng.integers(-3, 4, size=(m, r)) @ rng.integers(-3, 4, size=(r, n))
+        a = np.vstack([basis, np.zeros((1, n), dtype=np.int64)])[rng.integers(0, m + 1, size=m)]
+        block = (a % p).astype(exactla._field_dtype(p))
+        rank = _kernels.dense_rank_mod_p(block, p)
+        assert np.cumsum((block != 0).any(axis=1)).tolist() == \
+            [dense_rank_rational(a[:k].tolist()) for k in range(1, m + 1)]
+        assert rank == dense_rank_rational(a.tolist())
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, P61])
 def test_rank_mod_p_hands_the_kernel_residue_blocks_of_the_field_dtype(monkeypatch, p):
     # exactla prepares each block once, and the kernel takes it as it is:
     # 2-D, int64 below 2**31 and Python ints from it on, entries in [0, p)
@@ -862,8 +880,8 @@ def test_block_ranks_when_the_dense_tail_comes_before_the_first_block_is_done(
     monkeypatch.setattr(_kernels, "dense_rank_mod_p", recorded)
     result = rank_mod_p(m, 2**31 - 1, cuts=(cut,))
     assert rounds
-    # one kernel call for the live rows of the first block, one for all of them
-    assert len(shapes) == 2 and 0 < shapes[0][0] < shapes[1][0]
+    # one kernel call for every live row: its nonzero rows rank both prefixes
+    assert len(shapes) == 1
     assert [*result.leading_ranks, result.rank] == _dense_block_ranks(m, 2**31 - 1, (cut,))
 
 

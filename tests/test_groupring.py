@@ -207,6 +207,37 @@ def test_prime_field_takes_a_numpy_integer_as_the_python_int():
             prime_field(p)
 
 
+def test_coefficients_take_numpy_integers_as_python_ints():
+    # a numpy coefficient is stored as the Python int, so products stay
+    # exact where int64 would wrap
+    Z = integer_line()
+    e = Z.identity()
+    big = np.int64(2**40)
+    for ring, value in ((INTEGERS, 2**40), (RATIONALS, Fraction(2**40)),
+                        (prime_field(2**61 - 1), 2**40)):
+        for c in (big, np.uint64(2**40), 2**40):
+            x = GroupRingElement.monomial(Z, ring, e, c)
+            assert x.coeffs == {e: value} and type(x.coeffs[e]) is type(value)
+            assert (x * x).coeffs == {e: ring.normalize(2**80)}
+        noun = {INTEGERS: "integer", RATIONALS: "rational"}.get(ring, "GF(2305843009213693951)")
+        for c in (2.0, "2", np.float64(2)):
+            with pytest.raises(GroupRingError, match=re.escape(f"bad {noun} coefficient {c!r}")):
+                ring.normalize(c)
+
+
+def test_equal_elements_and_matrices_hash_alike():
+    F2 = free_group(2)
+    s, t = F2.element((1,)), F2.element((2,))
+    x = GroupRingElement.from_terms(F2, INTEGERS, [(s, 2), (t, -1)])
+    y = GroupRingElement.from_terms(F2, INTEGERS, [(t, -1), (s, 1), (s, 1)])
+    assert x is not y and x == y and hash(x) == hash(y)
+    assert len({x, y, x + x}) == 2 and y in {x}
+    f = GroupRingMatrix(F2, INTEGERS, [[x, GroupRingElement.one(F2, INTEGERS)]])
+    g = GroupRingMatrix(F2, INTEGERS, [[y, GroupRingElement.one(F2, INTEGERS)]])
+    assert f is not g and f == g and hash(f) == hash(g)
+    assert len({f, g, GroupRingMatrix(F2, INTEGERS, [[x, x]])}) == 2 and g in {f}
+
+
 def test_prime_field_refuses_a_denominator_divisible_by_p():
     """1/7 and 3/14 have no residue in GF(7): the error is a GroupRingError
     naming the coefficient and p, in the library and in the text parser."""

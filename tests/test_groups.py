@@ -3,6 +3,7 @@
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 
 from soficlen.groups import (
@@ -210,6 +211,33 @@ def test_finite_group_rejects_bad_tables():
     table[2][2] = 1  # 2*2 = 1 breaks associativity but keeps bijectivity rows
     with pytest.raises(GroupError):
         finite_group(table)
+
+
+def test_finite_group_samples_associativity_beyond_order_64():
+    # order 70 is past the exhaustive check: a fixed sample of triples
+    table = cyclic_table(70)
+    assert finite_group(table).order == 70
+    table[3][4] = 8  # 3 * 4 is 7 in Z/70, and no identity or inverse moves
+    with pytest.raises(GroupError, match="associativity fails"):
+        finite_group(table)
+
+
+def test_elements_and_tables_take_numpy_integers_as_python_ints():
+    Z, Z2, F2 = integer_line(), lattice(2), free_group(2)
+    Z3 = finite_group(np.array(cyclic_table(3)))
+    assert Z3 == finite_group(cyclic_table(3))
+    assert all(type(x) is int for row in Z3.table for x in row)
+    cases = ((Z, np.int64(-3), -3), (Z2, np.array([1, -2]), (1, -2)),
+             (F2, np.array([1, 2, -2]), (1,)), (Z3, np.uint8(2), 2))
+    for desc, given, value in cases:
+        g = desc.element(given)
+        assert g == desc.element(value) and g.value == value
+        assert all(type(x) is int for x in (g.value if isinstance(value, tuple) else [g.value]))
+    for desc, given in ((Z, 1.0), (Z2, (1.0, 2)), (F2, (1.0,)), (Z3, "1")):
+        with pytest.raises(GroupError):
+            desc.element(given)
+    with pytest.raises(GroupError, match=r"table entry 1\.0 out of range 0\.\.1"):
+        finite_group([[0, 1.0], [1, 0]])
 
 
 def test_table_file_round_trip(tmp_path):

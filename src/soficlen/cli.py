@@ -78,7 +78,7 @@ from .meanlength import (make_sigma, principal_rank_point,  # noqa: F401
 from .oracles import (FolnerBox, OracleError, check_box, check_oracle_group,
                       compare, finite_group_vrk, folner_mean_length,
                       laurent_rank)
-from .sofic import (SoficError, SoficSchedule, check_seed, check_seeds,
+from .sofic import (MAX_SEEDS, SoficError, SoficSchedule, check_seed, check_seeds,
                     check_size, defect)
 
 
@@ -182,9 +182,16 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 def _seeds(text: str) -> tuple[int, ...]:
     lo, sep, hi = text.partition("..")
-    seeds = tuple(range(int(lo), int(hi) + 1)) if sep else _int_list(text)
-    if sep and not seeds:
-        raise ValueError(f"empty seed range {text.strip()!r}")
+    if sep:
+        lo, hi = int(lo), int(hi)
+        if hi < lo:
+            raise ValueError(f"empty seed range {text.strip()!r}")
+        check_seed(lo)
+        check_seed(hi)
+        if hi - lo >= MAX_SEEDS:
+            raise ValueError(f"seed range {text.strip()!r} names {hi - lo + 1} seeds, "
+                             f"more than {MAX_SEEDS}")
+    seeds = tuple(range(lo, hi + 1)) if sep else _int_list(text)
     for seed in seeds:
         check_seed(seed)
     check_seeds(seeds)

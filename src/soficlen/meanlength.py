@@ -19,6 +19,10 @@ Neumann rank of the presented quotient module, checking the duality
 rank(σ̄_f) + ker(σ̄_f) = d·n on every evaluation: a proven rank's kernel is
 d·n − rank, an unproven one's from a rank of σ̄_fᵀ with its own primes: at
 an addition-check point, the rank of route (i)'s matrix, σ̄_fᵀ renamed.
+On a cycle or a torus (``build_cyclic``, ``build_torus``) over Z or Q, the
+rank of σ̄_f is a sum over the characters, one exact rank over ℚ(ζ_m) per
+Galois orbit (``_sigma_bar_rank``): it is proven, builds no σ̄_f and draws
+no prime.  Every other rank here is an elimination of ``exactla``'s.
 All reported values are exact rationals at each finite size; limits are
 replaced by a schedule of sizes with spread/stabilization reporting.
 
@@ -41,7 +45,8 @@ from functools import partial
 import numpy as np
 
 from . import groups
-from .exactla import RankResult, SparseMatrix, _int_array, rank_mod_p, rank_over_Q
+from .exactla import (RankResult, SparseMatrix, _int_array, cyclotomic_rank, rank_mod_p,
+                      rank_over_Q)
 from .groupring import CoefficientRing, GroupRingError, GroupRingMatrix
 from .groups import GroupDescriptor, GroupElement
 from .sofic import SoficMap, SoficSchedule, defect, make_sigma
@@ -155,6 +160,33 @@ def build_sigma_bar(f: GroupRingMatrix, sigma: SoficMap) -> SparseMatrix:
     """
     return blocks_to_sparse(_sigma_blocks(f, sigma),
                             sigma.d * f.m, sigma.d * f.n, f.ring)
+
+
+def _sigma_bar_rank(f: GroupRingMatrix, sigma: SoficMap, seed: int) -> RankResult:
+    """The rank of σ̄_f over f's field.
+
+    On a cycle or torus σ over Z or Q no σ̄_f is built.  The characters χ of
+    the torus diagonalise every σ_s at once, and f(χ) and f(χᵘ) are Galois
+    conjugates of equal rank, so rank σ̄_f = Σ φ(m) · rank over ℚ(ζ_m) of
+    f(χ), over one χ of each Galois orbit (``SoficMap.galois_orbits``), f's
+    rational denominators cleared by one lcm.  That sum is exact, so the
+    rank is proven, with no prime drawn.  On every other σ, σ̄_f is ranked by
+    ``_rank`` with the primes of ``seed``.
+    """
+    if sigma.dims is None or f.ring.kind == "GF":
+        return _rank(build_sigma_bar(f, sigma), f.ring, seed, sigma.d)
+    if f.desc != sigma.desc:
+        raise GroupRingError("matrix and sofic map live over different groups")
+    coeffs = [c for row in f.entries for x in row for c in x.coeffs.values()]
+    scale = math.lcm(*(c.denominator for c in coeffs)) if f.ring.kind == "Q" else 1
+    line = f.desc.family == groups.INTEGER_LINE
+    terms = [[[((g.value,) if line else g.value, int(c * scale)) for g, c in x.coeffs.items()]
+              for x in row] for row in f.entries]
+    rank = 0
+    for m, size, char in sigma.galois_orbits():  # f(χ) = Σ c_s ζ_m^{char·s}
+        rank += size * cyclotomic_rank([[[(sum(a * b for a, b in zip(char, s)), c)
+                                          for s, c in x] for x in row] for row in terms], m)
+    return RankResult(rank, "Q", (), True, proven=True)
 
 
 def _support(f: GroupRingMatrix) -> set[GroupElement]:
@@ -359,9 +391,10 @@ def assemble_estimate(quantity: str, series, desc: GroupDescriptor, *,
 @dataclass(frozen=True)
 class PrincipalPoint:
     """One schedule evaluation of the presented module (R[Γ]^{1×n}) / rows(f):
-    the rank of σ̄_f, the kernel dimension (d·n − rank when the rank is
-    proven, else d·n minus the rank of σ̄_fᵀ), and the derived mean-rank/vrk
-    values.  duality = (kernel + rank == d·n)."""
+    the rank of σ̄_f (from characters on a cycle or torus, else by
+    elimination), the kernel dimension (d·n − rank when the rank is proven,
+    as every character rank is, else d·n minus the rank of σ̄_fᵀ), and the
+    derived mean-rank/vrk values.  duality = (kernel + rank == d·n)."""
 
     d: int
     seed: int
@@ -384,7 +417,9 @@ def principal_rank_point(f: GroupRingMatrix, sigma: SoficMap, *, seed: int = 0,
                          rank_seed: int = 0) -> PrincipalPoint:
     """Rank σ̄_f and kernel σ_f at one σ.
 
-    σ̄_f is assembled once and ranked over Q with the primes of
+    On a cycle or torus the rank is the character sum of
+    ``_sigma_bar_rank``, proven, and the kernel is d·n − rank.  On every
+    other σ, σ̄_f is assembled once and ranked over Q with the primes of
     ``rank_seed``.  A rank that its first prime proves (it meets the exact
     upper bound of ``exactla.rank_over_Q``) gives the kernel d·n − rank by
     rank–nullity.  An unproven rank, settled by two agreeing primes, is
@@ -395,11 +430,10 @@ def principal_rank_point(f: GroupRingMatrix, sigma: SoficMap, *, seed: int = 0,
     """
     check_vrk_ring(f.ring)
     d, n = sigma.d, f.n
-    bar = build_sigma_bar(f, sigma)
-    result = _rank(bar, f.ring, rank_seed, d)
+    result = _sigma_bar_rank(f, sigma, rank_seed)
     rank = result.rank
-    kernel = d * n - (rank if result.proven else
-                      _rank(bar.transpose(), f.ring, rank_seed + 1, d).rank)
+    kernel = d * n - (rank if result.proven else _rank(
+        build_sigma_bar(f, sigma).transpose(), f.ring, rank_seed + 1, d).rank)
     mrk = Fraction(rank, d)
     return PrincipalPoint(d, seed, rank, kernel, mrk, n - mrk,
                           duality=(kernel + rank == d * n))
@@ -440,16 +474,17 @@ def vrk_point(f: GroupRingMatrix, sigma: SoficMap, point) -> SeriesPoint:
 
 def addition_point(f: GroupRingMatrix, sigma: SoficMap, point) -> AdditionPoint:
     """Both routes of the addition check at one schedule point, one rank
-    each: route (i)'s matrix, σ̄_fᵀ renamed (see ``check_addition``), and
-    route (ii)'s σ̄_f.  An unproven rank of σ̄_f takes its kernel from route
-    (i)'s rank; raises MeanLengthError if the duality check fails."""
+    each: route (i)'s matrix, σ̄_fᵀ renamed (see ``check_addition``), by
+    elimination, and route (ii)'s σ̄_f, by ``_sigma_bar_rank`` (from
+    characters on a cycle or torus).  An unproven rank of σ̄_f takes its
+    kernel from route (i)'s rank; raises MeanLengthError if the duality
+    check fails."""
     check_vrk_ring(f.ring)
     d, n = sigma.d, f.n
     pair = RelativePair(f, GroupRingMatrix.identity(f.desc, f.ring, n), support_window(f))
     m, _ = _relative_quotient(pair, sigma)
     route_i = _rank(m.transpose(), f.ring, derive_rank_seed("add-i", point.d, point.seed), d)
-    route_ii = _rank(build_sigma_bar(f, sigma), f.ring,
-                     derive_rank_seed("add-ii", point.d, point.seed), d)
+    route_ii = _sigma_bar_rank(f, sigma, derive_rank_seed("add-ii", point.d, point.seed))
     rank = route_ii.rank
     _check_duality(d, point.seed, rank, d * n - (rank if route_ii.proven else route_i.rank), n)
     sub, mrk = Fraction(route_i.rank, d), Fraction(rank, d)
@@ -562,9 +597,11 @@ def check_addition(f: GroupRingMatrix, schedule: SoficSchedule, *,
     F = supp(f) ∪ {e}) by the relator quotient, built at each point.  Every
     row of B has one term, so each relator is an edge that merges the column
     (u, s, j) into (σ_s⁻¹(u), e, j); the merged matrix is σ̄_f renamed, and
-    route (i) ranks its transpose, which is also the kernel check of a route
-    (ii) rank that is not proven.  Route (ii): rank(σ̄_f)/d.  Route (iii):
-    quotient value n − (ii).  Reports |(i) − (ii)| and |(i) + (iii) − n|.
+    route (i) ranks its transpose by elimination, which is also the kernel
+    check of a route (ii) rank that is not proven.  Route (ii): rank(σ̄_f)/d,
+    from characters on a cycle or torus, so there route (i) is a second
+    algorithm on a second matrix.  Route (iii): quotient value n − (ii).
+    Reports |(i) − (ii)| and |(i) + (iii) − n|.
     """
     run = run_schedule(f.desc, schedule, partial(addition_point, f), None, mapper)
     points = tuple(value for _, value, _ in run)

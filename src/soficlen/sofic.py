@@ -51,9 +51,11 @@ class SoficMap:
     """A homomorphism σ: Γ → Sym(d), given by the permutations ``gens`` of
     Γ's standard generators (for a finite group: its multiplication-table
     rows, indexed by element).  σ_g is composed along g's normal form on
-    first use and cached."""
+    first use and cached.  ``dims`` are the sides L_i of the torus ∏ ℤ/L_i
+    that σ translates, ``(d,)`` for a cycle, and None for every other map;
+    ``galois_orbits`` enumerates that torus's characters."""
 
-    def __init__(self, desc: GroupDescriptor, gens, source: str, seed=None):
+    def __init__(self, desc: GroupDescriptor, gens, source: str, seed=None, dims=None):
         self.desc = desc
         self.gens = gens
         self.d = len(gens[0])
@@ -61,7 +63,9 @@ class SoficMap:
             raise SoficError("d must be >= 1")
         self.source = source
         self.seed = seed
+        self.dims = dims
         self._cache: dict = {}
+        self._orbits = None
 
     def perm(self, g: GroupElement) -> np.ndarray:
         """The permutation array of σ_g.  Treat as read-only."""
@@ -90,6 +94,28 @@ class SoficMap:
             acc = acc[perm_power(p, a)]
         return acc
 
+    def galois_orbits(self) -> list[tuple[int, int, tuple[int, ...]]]:
+        """One character of each Galois orbit of the torus σ translates, as
+        (m, φ(m), c): χ(s) = ζ_m^{c·s} with ζ_m = exp(2πi/m), so χ has order
+        m and its orbit {χᵘ : u a unit mod m} has φ(m) members.  Enumerated
+        once per σ, by marking each orbit when its first member is met."""
+        if self._orbits is None:
+            dims, orbits, units = self.dims, [], {}
+            strides = [math.prod(dims[i + 1:]) for i in range(len(dims))]
+            seen = bytearray(self.d)
+            mark = np.frombuffer(seen, dtype=np.uint8)
+            for flat in range(self.d):
+                if seen[flat]:
+                    continue
+                a = [flat // s % side for s, side in zip(strides, dims)]  # χ_a(s) = Π ζ_L^{a s}
+                m = math.lcm(*(side // math.gcd(x, side) for x, side in zip(a, dims)))
+                if m not in units:
+                    units[m] = np.flatnonzero(np.gcd(np.arange(m), m) == 1)
+                mark[np.outer(units[m], a) % dims @ strides] = 1  # the orbit: χ_{u·a}
+                orbits.append((m, units[m].size, tuple(x * m // side for x, side in zip(a, dims))))
+            self._orbits = orbits
+        return self._orbits
+
     def __repr__(self):
         extra = "" if self.seed is None else f", seed={self.seed}"
         return f"SoficMap({self.source}, d={self.d}{extra})"
@@ -101,7 +127,7 @@ class SoficMap:
 def build_cyclic(d: int) -> SoficMap:
     """ℤ acting on ℤ/d by the shift v ↦ v + 1."""
     return SoficMap(groups.integer_line(), [np.arange(1, d + 1, dtype=np.int64) % d],
-                    "Cyclic")
+                    "Cyclic", dims=(d,))
 
 
 def build_torus(dims) -> SoficMap:
@@ -111,7 +137,7 @@ def build_torus(dims) -> SoficMap:
         raise SoficError("torus dims must be positive")
     index = np.arange(math.prod(dims), dtype=np.int64).reshape(dims)
     gens = [np.roll(index, -1, axis=i).ravel() for i in range(len(dims))]
-    return SoficMap(groups.lattice(len(dims)), gens, "Torus")
+    return SoficMap(groups.lattice(len(dims)), gens, "Torus", dims=dims)
 
 
 def build_translation(desc: GroupDescriptor) -> SoficMap:
@@ -127,11 +153,18 @@ def check_seed(seed: int) -> None:
         raise SoficError(f"a seed must lie in [0, 2**64), got {seed}")
 
 
+# a schedule evaluates every size at every seed, so this many seeds is far
+# beyond any run; a seed range is checked against it before it is expanded
+MAX_SEEDS = 10_000
+
+
 def check_seeds(seeds) -> None:
     """Raise SoficError unless a schedule can take ``seeds``: at least one,
-    all distinct."""
+    at most MAX_SEEDS, all distinct."""
     if not seeds:
         raise SoficError("schedule needs at least one seed")
+    if len(seeds) > MAX_SEEDS:
+        raise SoficError(f"a schedule takes at most {MAX_SEEDS} seeds, got {len(seeds)}")
     if len(set(seeds)) != len(seeds):
         raise SoficError("seeds must be distinct")
 

@@ -477,13 +477,16 @@ file = f.txt
     assert _report_body(report) == rep.to_json_dict()
 
 
+# f = 2 - s - s^-1 over F2: its kernel is the number of cycles of sigma_s, so
+# at d = 500, seed 1 its rank is 495, below the bound 497, and not proven
+TWO_MINUS_S_F2 = "1 1 Z F2\n0 0 2@e -1@s1 -1@s1^-1\n"
+
+
 def test_duality_failure_stops_library_and_cli_alike(tmp_path, monkeypatch, capsys):
-    # t^2 - 1 has rank 18 at d = 20, below the bound 19, so the rank is not
-    # proven and principal_rank_point takes the kernel from the rank of the
-    # transpose at rank_seed + 1
-    t_squared_minus_one = "1 1 Z Z\n0 0 1@2 -1@0\n"
+    # the rank of 2 - s - s^-1 is not proven, so principal_rank_point takes
+    # the kernel from the rank of the transpose at rank_seed + 1
     real = meanlength.rank_over_Q
-    second_seed = derive_rank_seed("vrk", 20, 3) + 1
+    second_seed = derive_rank_seed("vrk", 500, 1) + 1
 
     def transpose_rank_short(m, *, seed=0, **kwargs):
         result = real(m, seed=seed, **kwargs)
@@ -493,21 +496,20 @@ def test_duality_failure_stops_library_and_cli_alike(tmp_path, monkeypatch, caps
 
     monkeypatch.setattr(meanlength, "rank_over_Q", transpose_rank_short)
     with pytest.raises(MeanLengthError) as info:
-        estimate_vrk_fp(parse_matrix(t_squared_minus_one), SoficSchedule((20,), (3,)))
-    assert "duality violation at d=20, seed=3" in str(info.value)
-    job = "[job]\nquantity = vrk-fp\nschedule = 20\nseeds = 3\n\n[matrix]\nfile = f.txt\n"
-    code, report, _ = _run(tmp_path, job, files=[("f.txt", t_squared_minus_one)])
+        estimate_vrk_fp(parse_matrix(TWO_MINUS_S_F2), SoficSchedule((500,), (1,)))
+    assert "duality violation at d=500, seed=1" in str(info.value)
+    job = "[job]\nquantity = vrk-fp\nschedule = 500\nseeds = 1\n\n[matrix]\nfile = f.txt\n"
+    code, report, _ = _run(tmp_path, job, files=[("f.txt", TWO_MINUS_S_F2)])
     assert code == 1
     assert report is None
     assert capsys.readouterr().err == f"error: {info.value}\n"
 
 
 def test_addition_duality_failure_stops_library_and_cli_alike(tmp_path, monkeypatch, capsys):
-    # t^2 - 1 has rank 18 at d = 20, below the bound 19, so route (ii)'s
-    # kernel comes from route (i)'s rank, the rank of the transposed quotient
-    t_squared_minus_one = "1 1 Z Z\n0 0 1@2 -1@0\n"
+    # the rank of 2 - s - s^-1 is not proven, so route (ii)'s kernel comes
+    # from route (i)'s rank, the rank of the transposed quotient
     real = meanlength.rank_over_Q
-    route_i_seed = derive_rank_seed("add-i", 20, 3)
+    route_i_seed = derive_rank_seed("add-i", 500, 1)
 
     def route_i_rank_short(m, *, seed=0, **kwargs):
         result = real(m, seed=seed, **kwargs)
@@ -517,10 +519,10 @@ def test_addition_duality_failure_stops_library_and_cli_alike(tmp_path, monkeypa
 
     monkeypatch.setattr(meanlength, "rank_over_Q", route_i_rank_short)
     with pytest.raises(MeanLengthError) as info:
-        check_addition(parse_matrix(t_squared_minus_one), SoficSchedule((20,), (3,)))
-    assert "duality violation at d=20, seed=3" in str(info.value)
-    job = "[job]\nquantity = addition-check\nschedule = 20\nseeds = 3\n\n[matrix]\nfile = f.txt\n"
-    code, report, _ = _run(tmp_path, job, files=[("f.txt", t_squared_minus_one)])
+        check_addition(parse_matrix(TWO_MINUS_S_F2), SoficSchedule((500,), (1,)))
+    assert "duality violation at d=500, seed=1" in str(info.value)
+    job = "[job]\nquantity = addition-check\nschedule = 500\nseeds = 1\n\n[matrix]\nfile = f.txt\n"
+    code, report, _ = _run(tmp_path, job, files=[("f.txt", TWO_MINUS_S_F2)])
     assert code == 1
     assert report is None
     assert capsys.readouterr().err == f"error: {info.value}\n"
@@ -540,7 +542,10 @@ def test_uncertified_rank_stops_library_and_cli_alike(tmp_path, monkeypatch, cap
         return dataclasses.replace(real(m, **kwargs), agreement=False)
 
     monkeypatch.setattr(module, "rank_over_Q", uncertified)
-    f = parse_matrix(T_MINUS_ONE_Z)
+    # a vrk point on a cycle takes its rank from characters, with no prime
+    # drawn, so the vrk case runs on F2, whose ranks take the primes
+    text = F2_MATRIX if quantity == "vrk" else T_MINUS_ONE_Z
+    f = parse_matrix(text)
     schedule = SoficSchedule((10,), (3,))
     with pytest.raises(OracleError if quantity == "folner" else MeanLengthError) as info:
         if quantity == "mrk":
@@ -557,7 +562,7 @@ def test_uncertified_rank_stops_library_and_cli_alike(tmp_path, monkeypatch, cap
         rank_seed = derive_rank_seed(quantity, 10, 3)
         assert str(info.value).startswith(f"uncertified rank at d=10, rank seed={rank_seed}: ")
     job = {"mrk": MRK_JOB, "vrk": VRK_JOB.format(extra="seeds = 3\n"), "folner": FOLNER_JOB}
-    code, report, _ = _run(tmp_path, job[quantity], files=[("f.txt", T_MINUS_ONE_Z)])
+    code, report, _ = _run(tmp_path, job[quantity], files=[("f.txt", text)])
     assert code == 1
     assert report is None
     assert capsys.readouterr().err == f"error: {info.value}\n"
@@ -887,7 +892,15 @@ def test_sizes_no_sofic_map_has_exit_one_at_schedule(tmp_path, capsys, job, mess
 
 @pytest.mark.parametrize("seeds, message", [
     ("", "at least one seed"), ("1,1", "seeds must be distinct"),
-    ("5..1", "empty seed range '5..1'")], ids=["empty", "repeated", "backwards"])
+    ("5..1", "empty seed range '5..1'"),
+    # refused before the range is expanded, which would not fit in memory
+    ("1..100000000000", "seed range '1..100000000000' names 100000000000 seeds, "
+     "more than 10000"),
+    ("0..10000", "names 10001 seeds, more than 10000"),
+    ("1..18446744073709551616", "a seed must lie in [0, 2**64), got 18446744073709551616"),
+    ("-1..5", "a seed must lie in [0, 2**64), got -1")],
+    ids=["empty", "repeated", "backwards", "huge-range", "one-too-many", "beyond-2**64",
+         "negative"])
 def test_bad_seed_lists_exit_one_at_seeds(tmp_path, capsys, seeds, message):
     job = DEFECT_JOB.format(extra=f"seeds = {seeds}\n")
     assert message in _exits_one_at(tmp_path, capsys, job, [], "[job] seeds")

@@ -21,6 +21,7 @@ from soficlen.groupring import (
     RATIONALS,
     GroupRingElement,
     GroupRingMatrix,
+    parse_matrix,
     prime_field,
 )
 from soficlen.meanlength import (
@@ -42,6 +43,7 @@ from soficlen.meanlength import (
 from soficlen.sofic import (
     SoficSchedule,
     build_cyclic,
+    build_quotient,
     build_random_free,
     build_torus,
     build_translation,
@@ -434,24 +436,29 @@ def test_relator_rank_is_the_forest_count(ring):
         assert rank(relators(B, F, sigma)).rank == _forest_rank(B, F, sigma)
 
 
+def _two_minus_s():
+    """2 − s − s⁻¹ over Z[F₂]: its kernel on σ is the number of cycles of
+    σ_s, so at d = 500, seed 1 its rank is 495, below the bound 497."""
+    s = F2.element((1,))
+    return GroupRingMatrix(F2, INTEGERS, [[GroupRingElement.from_terms(
+        F2, INTEGERS, [(F2.identity(), 2), (s, -1), (s.inverse(), -1)])]])
+
+
 def test_addition_route_one_ranks_the_transpose_of_the_quotient(monkeypatch):
     """Criterion 04's pairs have no relator row left, and their quotient is
     σ̄_f renamed.  Route (i) ranks another matrix than σ̄_f, with σ̄_f's
     column counts as its row counts; route (ii) ranks σ̄_f itself.  Each is
     ranked once, also when σ̄_f's rank misses its bound and its kernel comes
-    from route (i)'s rank."""
+    from route (i)'s rank.  The models are F₂'s, whose ranks take primes."""
     s_minus = GroupRingElement.from_terms(F2, INTEGERS, [(F2.element((1,)), 1),
                                                          (F2.identity(), -1)])
     t_minus = GroupRingElement.from_terms(F2, INTEGERS, [(F2.element((2,)), 1),
                                                          (F2.identity(), -1)])
-    t_squared_minus_one = GroupRingElement.from_terms(Z, INTEGERS, [(Z.element(2), 1),
-                                                                    (Z.identity(), -1)])
-    cases = [(GroupRingMatrix(Z, INTEGERS, [[_t_minus_one()]]), SoficSchedule((50,)), True),
+    cases = [(GroupRingMatrix(F2, INTEGERS, [[s_minus, t_minus]]),
+              SoficSchedule((50,), seeds=(1,)), True),
              (GroupRingMatrix(F2, INTEGERS, [[s_minus], [t_minus]]),
               SoficSchedule((60,), seeds=(1,)), True),
-             # rank 18 on build_cyclic(20), below the bound 19
-             (GroupRingMatrix(Z, INTEGERS, [[t_squared_minus_one]]),
-              SoficSchedule((20,), seeds=(3,)), False)]
+             (_two_minus_s(), SoficSchedule((500,), seeds=(1,)), False)]
     for f, schedule, proven in cases:
         ranked = _recorded_ranks(monkeypatch)
         report = check_addition(f, schedule)
@@ -693,25 +700,107 @@ def test_principal_rank_point_duality_flag():
 
 def test_principal_rank_point_ranks_a_proven_rank_once_and_an_unproven_one_twice(monkeypatch):
     """A proven rank gives the kernel d·n − rank with no second rank; an
-    unproven one takes the kernel from the rank of σ̄_fᵀ."""
-    f = GroupRingMatrix(Z, INTEGERS, [[_t_minus_one()]])
-    sigma = build_cyclic(12)
+    unproven one takes the kernel from the rank of σ̄_fᵀ.  The models are
+    F₂'s, whose ranks take primes."""
+    f = GroupRingMatrix(F2, INTEGERS, [[GroupRingElement.from_terms(
+        F2, INTEGERS, [(F2.element((letter,)), 1), (F2.identity(), -1)])] for letter in (1, 2)])
+    sigma = build_random_free(2, 60, 1)
     ranked = _recorded_ranks(monkeypatch)
     pp = principal_rank_point(f, sigma, rank_seed=4)
     assert [(m, kwargs["seed"]) for m, kwargs in ranked] == [(build_sigma_bar(f, sigma), 4)]
-    assert (pp.rank, pp.kernel, pp.duality) == (11, 1, True)
+    assert (pp.rank, pp.kernel, pp.duality) == (59, 1, True)
 
-    # rank d − 2 on the 21×21 torus, below the bound d: 1 + ω^a + ω^b
-    # vanishes at the two characters with {ω^a, ω^b} = {ω₃, ω₃²}
-    L2 = lattice(2)
-    f = GroupRingMatrix(L2, INTEGERS, [[GroupRingElement.from_terms(
-        L2, INTEGERS, [(L2.identity(), 1), (L2.element((1, 0)), 1), (L2.element((0, 1)), 1)])]])
-    sigma = build_torus((21, 21))
+    f = _two_minus_s()
+    sigma = build_random_free(2, 500, 1)
     bar = build_sigma_bar(f, sigma)
     ranked = _recorded_ranks(monkeypatch)
     pp = principal_rank_point(f, sigma, rank_seed=4)
     assert [(m, kwargs["seed"]) for m, kwargs in ranked] == [(bar, 4), (bar.transpose(), 5)]
-    assert (pp.rank, pp.kernel, pp.duality) == (21 * 21 - 2, 2, True)
+    assert (pp.rank, pp.kernel, pp.duality) == (495, 5, True)
+
+
+# --- σ̄_f's rank on cycles and tori, from characters -------------------------
+
+ONE_X_Y = "1 1 Z Z^2\n0 0 1@0,0 1@1,0 1@0,1\n"
+
+
+@pytest.mark.parametrize("text, dims, rank", [
+    (ONE_X_Y, (21, 21), 439),
+    ("1 1 Z Z^2\n0 0 1@1,0 -1@0,0\n", (40, 40), 1560),
+    ("2 2 Z Z^2\n0 0 1@0,0 1@1,0\n0 1 1@0,1\n1 0 1@1,0\n1 1 1@0,0 -1@0,1\n",
+     (64, 64), 8192),
+    ("1 1 Z Z^2\n0 0 1@0,0 -1@2,0 1@0,2 -1@1,1\n", (24, 24), 572),
+], ids=["1+x+y", "x-1", "2x2", "1-x2+y2-xy"])
+def test_character_ranks_of_pinned_tori(monkeypatch, text, dims, rank):
+    """The rank by characters, with no prime drawn, equals the eliminator's;
+    three of these miss the all-ones bound."""
+    f, sigma = parse_matrix(text), build_torus(dims)
+    ranked = _recorded_ranks(monkeypatch)
+    pp = principal_rank_point(f, sigma)
+    assert ranked == []
+    assert (pp.rank, pp.kernel, pp.duality) == (rank, sigma.d * f.n - rank, True)
+    assert rank_over_Q(build_sigma_bar(f, sigma)).rank == rank
+
+
+def test_character_ranks_of_criterion_06s_panel_on_the_20x20_torus():
+    """Criterion 06's five 2×2 f have full rank 800 on the 20×20 torus."""
+    rng, sigma = random.Random(606), build_torus((20, 20))
+    L2 = lattice(2)
+    for _ in range(5):
+        f = _random_matrix(rng, L2, INTEGERS, 2, 2, radius=1)
+        assert principal_rank_point(f, sigma).rank == 800
+        assert rank_over_Q(build_sigma_bar(f, sigma)).rank == 800
+
+
+def test_character_ranks_equal_the_eliminators_on_random_f():
+    """Random f of every small shape, over Z and Q, on cycles and tori with a
+    side of 1, with many divisors (840) and with unequal sides."""
+    rng = random.Random(2029)
+    models = [build_cyclic(1), build_cyclic(7), build_cyclic(840), build_torus((1, 6)),
+              build_torus((4, 6)), build_torus((12, 18)), build_torus((5, 1))]
+    for sigma, ring, (m, n) in itertools.product(
+            models, (INTEGERS, RATIONALS), ((1, 1), (1, 2), (2, 1), (2, 2), (3, 2))):
+        f = _random_matrix(rng, sigma.desc, ring, m, n, radius=1)
+        if ring is RATIONALS:
+            f = GroupRingMatrix(f.desc, ring, [[GroupRingElement(f.desc, ring, {
+                g: c / rng.randrange(1, 4) for g, c in x.coeffs.items()}) for x in row]
+                for row in f.entries])
+        pp = principal_rank_point(f, sigma)
+        assert pp.rank == rank_over_Q(build_sigma_bar(f, sigma)).rank, (sigma, f)
+        assert pp.kernel == sigma.d * n - pp.rank
+
+
+def test_character_rank_of_the_zero_matrix(monkeypatch):
+    ranked = _recorded_ranks(monkeypatch)
+    for sigma in (build_cyclic(12), build_torus((3, 4))):
+        pp = principal_rank_point(GroupRingMatrix.zeros(sigma.desc, RATIONALS, 2, 3), sigma)
+        assert (pp.rank, pp.kernel, pp.vrk) == (0, 3 * sigma.d, 3)
+    assert ranked == []
+
+
+def test_cycles_and_tori_rank_by_characters_and_other_models_by_elimination(monkeypatch):
+    """No rank over Q from principal_rank_point or route (ii) on a cycle or
+    torus; route (i) still ranks the transposed quotient there.  σ through a
+    quotient onto the cyclic table of order 12 is the cycle's action, but it
+    records no dims, so it takes the eliminator, which gives the same rank."""
+    f = GroupRingMatrix(Z, INTEGERS, [[GroupRingElement.from_terms(
+        Z, INTEGERS, [(Z.identity(), 1), (Z.element(2), 1), (Z.element(4), 1)])]])
+    ranked = _recorded_ranks(monkeypatch)
+    assert principal_rank_point(f, build_cyclic(12)).rank == 8  # 1 + ζ + ζ² = 0 at ζ₃
+    g = parse_matrix(ONE_X_Y)
+    assert principal_rank_point(g, build_torus((6, 6))).rank == 34
+    assert ranked == []
+    report = check_addition(g, SoficSchedule.from_dims([(6, 6)], (3,)))
+    assert report.max_residual_routes == 0
+    assert [kwargs["seed"] for _, kwargs in ranked] == [derive_rank_seed("add-i", 36, 3)]
+
+    ranked.clear()
+    Z12 = finite_group(cyclic_table(12))
+    sigma = build_quotient(Z, Z12, [Z12.element(1)])
+    assert sigma.dims is None
+    assert principal_rank_point(f, sigma, rank_seed=4).rank == 8
+    bar = build_sigma_bar(f, sigma)  # rank 8 misses the bound 12: the transpose too
+    assert [(m, kwargs["seed"]) for m, kwargs in ranked] == [(bar, 4), (bar.transpose(), 5)]
 
 
 def _orbit_count(d, perms):

@@ -1,5 +1,6 @@
 """Tests for permutation models of groups and their quality reports."""
 
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -17,6 +18,7 @@ from soficlen.groups import (
 )
 from soficlen.meanlength import estimate_vrk_fp
 from soficlen.sofic import (
+    MAX_SEEDS,
     SoficError,
     SoficSchedule,
     build_cyclic,
@@ -200,6 +202,52 @@ def test_quotient_map_matches_cyclic():
         assert np.array_equal(sigma.perm(Z.element(n)), cyc.perm(Z.element(n)))
     report = defect(sigma, ball(Z, 3))
     assert report.min_multiplicativity() == 1
+
+
+def test_a_schedule_takes_at_most_max_seeds_seeds():
+    assert len(SoficSchedule((5,), range(MAX_SEEDS)).seeds) == MAX_SEEDS
+    with pytest.raises(SoficError, match=f"at most {MAX_SEEDS} seeds, got {MAX_SEEDS + 1}"):
+        SoficSchedule((5,), range(MAX_SEEDS + 1))
+
+
+def test_cycles_and_tori_record_their_dims_and_no_other_map_does():
+    Z, L2, F2 = integer_line(), lattice(2), free_group(2)
+    Z6 = finite_group(cyclic_table(6))
+    assert build_cyclic(6).dims == (6,)
+    assert build_torus((3, 4)).dims == (3, 4)
+    assert make_sigma(L2, 12, 0, (3, 4)).dims == (3, 4)
+    torus = build_torus((3, 4))
+    for sigma in (build_quotient(Z, Z6, [Z6.element(1)]), build_translation(Z6),
+                  build_random_free(2, 6, 1), restrict(torus, L2.element((1, 0))),
+                  restrict(build_random_free(2, 6, 1), F2.element((1,)))):
+        assert sigma.dims is None
+
+
+@pytest.mark.parametrize("dims", [(1,), (12,), (30,), (1, 5), (4, 6), (6, 6), (2, 2, 2)])
+def test_galois_orbits_are_the_cyclic_subgroups_of_the_characters(dims):
+    """One (m, φ(m), c) per cyclic subgroup of ∏ ℤ/L_i, by brute force: the
+    character χ(s) = ζ_m^{c·s} has order m, and it generates its orbit's
+    subgroup, whose generators number φ(m)."""
+    sigma = build_torus(dims) if len(dims) > 1 else build_cyclic(dims[0])
+    characters = list(itertools.product(*map(range, dims)))
+
+    def generated(a):
+        return frozenset(tuple(k * x % side for x, side in zip(a, dims))
+                         for k in range(math.lcm(*dims)))
+
+    subgroups = {}
+    for a in characters:
+        subgroups.setdefault(generated(a), []).append(a)
+    found = set()
+    for m, size, c in sigma.galois_orbits():
+        # ζ_m^{c·s} = exp(2πi Σ a_i s_i / L_i) with a_i = c_i L_i / m
+        assert all(x * side % m == 0 for x, side in zip(c, dims))
+        a = tuple(x * side // m % side for x, side in zip(c, dims))
+        assert len(generated(a)) == m
+        assert size == len(subgroups[generated(a)]) == sum(
+            math.gcd(u, m) == 1 for u in range(m))
+        found.add(generated(a))
+    assert len(found) == len(sigma.galois_orbits()) == len(subgroups)
 
 
 def test_quotient_map_lattice():

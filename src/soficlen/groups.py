@@ -9,6 +9,7 @@ equality), and hashable so they can key coefficient dictionaries.
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 import operator
 from dataclasses import dataclass, field
@@ -239,15 +240,40 @@ def finite_group(table) -> GroupDescriptor:
 # ---------------------------------------------------------------------------
 # balls and word formatting
 
+# a window F costs |F|² defect pairs and d·|B|·|F| relator rows per point,
+# so no run uses a ball this large; a radius is checked before enumeration
+MAX_BALL = 10_000
+
+
+def _ball_size(desc: GroupDescriptor, radius: int) -> int:
+    """|ball(desc, radius)|, or some number above MAX_BALL, in time bounded
+    whatever the radius."""
+    if desc.family == FINITE:
+        return desc.order
+    if desc.family != FREE:  # Σ_i 2^i C(k, i) C(r, i) points of Z^k
+        k = desc.rank
+        return sum(2**i * math.comb(k, i) * math.comb(radius, i)
+                   for i in range(min(k, radius) + 1))
+    size, sphere = 1, 2 * desc.rank  # spheres of 2k(2k − 1)^(i−1) words
+    for _ in range(radius):
+        size, sphere = size + sphere, sphere * (2 * desc.rank - 1)
+        if size > MAX_BALL:
+            break
+    return size
+
+
 def ball(desc: GroupDescriptor, radius: int) -> list[GroupElement]:
     """Closed word-metric ball of the given radius, in a deterministic order.
 
     Uses the standard generators; for finite groups the radius is ignored and
     the whole group is returned.  Always contains the identity and is closed
-    under inversion.
+    under inversion.  A ball of more than MAX_BALL elements is refused before
+    it is enumerated.
     """
     if radius < 0:
         raise GroupError("radius must be >= 0")
+    if _ball_size(desc, radius) > MAX_BALL:
+        raise GroupError(f"the ball of radius {radius} has more than {MAX_BALL} elements")
     if desc.family == FINITE:
         return [GroupElement(desc, i) for i in range(desc.order)]
     if desc.family == INTEGER_LINE:

@@ -9,16 +9,16 @@ element s along the permutation σ_s.  Two finite models are built here:
 * ``relative_mean_length_at``: the relator-quotient model, whose
   normalized rank difference estimates the mean length of a finite piece A
   relative to the relators of (B, F).  A and B are matrices over
-  R[Γ] with n columns, and their rows are the generators.  The relators of
-  a one-term row of B join two columns, and the quotient by them merges
-  each connected component into one column, so only relators of rows with
-  two or more terms are ranked.
+  R[Γ] with n columns, and their rows are the generators.  The model is
+  σ̄_M of one small matrix M over R[Γ] (``_quotient_matrix``), in which the
+  relators of each one-term row of B merge columns of the window and leave
+  no row, so only relators of rows with two or more terms are ranked.
 
 ``estimate_vrk_fp`` turns 1 - rank/d (per ambient column) into the von
 Neumann rank of the presented quotient module, checking the duality
 rank(σ̄_f) + ker(σ̄_f) = d·n on every evaluation: a proven rank's kernel is
-d·n − rank, an unproven one's from a rank of σ̄_fᵀ with its own primes: at
-an addition-check point, the rank of route (i)'s matrix, σ̄_fᵀ renamed.
+d·n − rank, an unproven one's from a rank of σ̄_fᵀ with other primes (at
+an addition-check point, route (i)'s), which is σ̄_f again if f* = f.
 On a cycle or a torus (``build_cyclic``, ``build_torus``) over Z or Q, the
 rank of σ̄_f is a sum over the characters, one exact rank over ℚ(ζ_m) per
 Galois orbit (``_sigma_bar_rank``): it is proven, builds no σ̄_f and draws
@@ -47,7 +47,7 @@ import numpy as np
 from . import groups
 from .exactla import (RankResult, SparseMatrix, _int_array, cyclotomic_rank, rank_mod_p,
                       rank_over_Q)
-from .groupring import CoefficientRing, GroupRingError, GroupRingMatrix
+from .groupring import CoefficientRing, GroupRingElement, GroupRingError, GroupRingMatrix
 from .groups import GroupDescriptor, GroupElement
 from .sofic import SoficMap, SoficSchedule, defect, make_sigma
 
@@ -118,23 +118,6 @@ def derive_rank_seed(tag: str, d: int, seed: int) -> int:
 # ---------------------------------------------------------------------------
 # matrix models
 
-def _sigma_blocks(f: GroupRingMatrix, sigma: SoficMap):
-    """Triplets of the permutation model, one block of d entries per
-    (row, col, group element) of f; coefficients still in the ring."""
-    if f.desc != sigma.desc:
-        raise GroupRingError("matrix and sofic map live over different groups")
-    d = sigma.d
-    base = np.arange(d, dtype=np.int64)
-    blocks = []
-    for k in range(f.m):
-        for j in range(f.n):
-            for g, c in f.entries[k][j].coeffs.items():
-                rows = k * d + sigma.perm(g)
-                cols = j * d + base
-                blocks.append((rows, cols, c))
-    return blocks
-
-
 def blocks_to_sparse(blocks, nrows, ncols, ring: CoefficientRing) -> SparseMatrix:
     """Flatten (row-array, col-array, ring-coefficient) blocks into a
     SparseMatrix, clearing rational denominators by one global lcm (global
@@ -158,8 +141,12 @@ def build_sigma_bar(f: GroupRingMatrix, sigma: SoficMap) -> SparseMatrix:
     s with σ_s(v) = v'.  Over GF(p) entries are residues; over Z/Q they are
     integers (rational coefficients cleared by a global lcm).
     """
-    return blocks_to_sparse(_sigma_blocks(f, sigma),
-                            sigma.d * f.m, sigma.d * f.n, f.ring)
+    if f.desc != sigma.desc:
+        raise GroupRingError("matrix and sofic map live over different groups")
+    d, base = sigma.d, np.arange(sigma.d, dtype=np.int64)
+    blocks = [(k * d + sigma.perm(g), j * d + base, c) for k, row in enumerate(f.entries)
+              for j, x in enumerate(row) for g, c in x.coeffs.items()]
+    return blocks_to_sparse(blocks, d * f.m, d * f.n, f.ring)
 
 
 def _sigma_bar_rank(f: GroupRingMatrix, sigma: SoficMap, seed: int) -> RankResult:
@@ -201,88 +188,66 @@ def coordinate_window(A: GroupRingMatrix, B: GroupRingMatrix, F) -> tuple[GroupE
     return tuple(sorted(w, key=GroupElement.sort_key))
 
 
-def _vector_blocks(rows, components, at, widx, n: int, sign=1):
-    """Blocks putting sign · (coefficient of component j at g) in the
-    columns (at · |W| + index of g) · n + j of ``rows``."""
-    return [(rows, (at * len(widx) + widx[g]) * n + j, sign * c)
-            for j, comp in enumerate(components) for g, c in comp.coeffs.items()]
+def _quotient_matrix(pair: RelativePair) -> tuple[GroupRingMatrix, int]:
+    """The relator quotient of ``pair``: one matrix M over R[Γ] whose σ̄_M
+    is a relative point's matrix at every homomorphism σ, and the number r
+    of its leading relator rows.  Its columns are the classes of the
+    window's nodes (w, j) that each one-term row c·g of B in column j joins,
+    (g, j) ~ (s·g, j) for s ∈ F, each named by its first node r; a term c·g
+    placed at a node of root r enters M as c·(g·r⁻¹), since σ_{hs} =
+    σ_h∘σ_s moves the column (v, w, j) to (σ_{r·w⁻¹}(v), r, j).  Each other
+    row b of B and s ∈ F give the relator row b − s·b (b, then s); A's
+    rows follow."""
+    desc, n = pair.desc, pair.n
+    window = coordinate_window(pair.A, pair.B, pair.F)
+    widx = {g: i for i, g in enumerate(window)}
+    parent = list(range(len(window) * n))  # the node (w, j) is widx[w]·n + j
 
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
 
-def _relator_triplets(rows, n: int, F, sigma: SoficMap, widx):
-    """Triplet blocks of the relators of the B rows ``rows``: relator rows
-    ordered v, then B row, then F index; columns indexed (v, w, j) ↦
-    (v·|W| + w)·n + j."""
-    base = np.arange(sigma.d, dtype=np.int64)
-    nb, nf = len(rows), len(F)
-    blocks = []
-    for bi, b in enumerate(rows):
-        for si, s in enumerate(F):
-            at = (base * nb + bi) * nf + si
-            blocks += _vector_blocks(at, b, base, widx, n)
-            blocks += _vector_blocks(at, [comp.translate(s) for comp in b],
-                                     sigma.perm(s), widx, n, -1)
-    return blocks, sigma.d * nb * nf
-
-
-def _components(size: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The least node of each node's component in the graph on range(size)
-    with the edges (x[k], y[k]).  Every label is a root; each round hooks a
-    root onto a smaller root it shares an edge with, then pointer jumping
-    makes every label a root again, until no edge joins two trees."""
-    label = np.arange(size, dtype=np.int64)
-    while True:
-        lx, ly = label[x], label[y]
-        join = lx != ly
-        if not join.any():
-            return label
-        label[np.maximum(lx, ly)[join]] = np.minimum(lx, ly)[join]
-        while not np.array_equal(up := label[label], label):
-            label = up
-
-
-def _relative_quotient(pair: RelativePair, sigma: SoficMap) -> tuple[SparseMatrix, int]:
-    """The matrix of a relative point and its number of relator rows.
-
-    A row of B with one term c·g gives the relators c·(e_(v,g,j) −
-    e_(σ_s(v),s·g,j)), which ``_relator_triplets`` builds as two blocks:
-    c nonzero in the field, so up to that unit they are the edges of a
-    graph on the columns.  Quotienting by them merges each connected
-    component into one column, so these relators leave no row.  The
-    relators of the other rows of B come first, with their columns merged,
-    then the rows δ_v a of A.
-    """
-    if pair.desc != sigma.desc:
-        raise MeanLengthError("pair and sofic map live over different groups")
-    d, n = sigma.d, pair.n
-    widx = {g: i for i, g in enumerate(coordinate_window(pair.A, pair.B, pair.F))}
-    base = np.arange(d, dtype=np.int64)
-    one_term, general = [], []
+    general = []
     for b in pair.B.entries:
-        (one_term if sum(len(comp.coeffs) for comp in b) == 1 else general).append(b)
-    edges = [cols for _, cols, _ in _relator_triplets(one_term, n, pair.F, sigma, widx)[0]]
-    label = _components(d * len(widx) * n, np.concatenate([base[:0], *edges[0::2]]),
-                        np.concatenate([base[:0], *edges[1::2]]))
-    root = label == np.arange(label.size)
-    column = (np.cumsum(root) - 1)[label]
-    blocks, rel_rows = _relator_triplets(general, n, pair.F, sigma, widx)
-    for ai, a in enumerate(pair.A.entries):
-        blocks += _vector_blocks(rel_rows + base * pair.A.m + ai, a, base, widx, n)
-    blocks = [(rows, column[cols], c) for rows, cols, c in blocks]
-    nrows = rel_rows + d * pair.A.m
-    return blocks_to_sparse(blocks, nrows, int(root.sum()), pair.ring), rel_rows
+        terms = [(j, g) for j, x in enumerate(b) for g in x.coeffs]
+        if len(terms) != 1:
+            general.append(b)
+            continue
+        (j, g), = terms
+        for s in pair.F:
+            lo, hi = sorted((find(widx[g] * n + j), find(widx[s * g] * n + j)))
+            parent[hi] = lo  # so each root is its class's first node
+    column = {root: k for k, root in enumerate(x for x in range(len(parent)) if find(x) == x)}
+
+    def row(*parts):  # sign·c·g placed at the node (s·g, j), for each part (b, s, sign)
+        cols = [[] for _ in column]
+        for b, s, sign in parts:
+            for j, x in enumerate(b):
+                for g, c in x.coeffs.items():
+                    r = find(widx[s * g] * n + j)
+                    cols[column[r]].append((g * window[r // n].inverse(), sign * c))
+        return [GroupRingElement.from_terms(desc, pair.ring, terms) for terms in cols]
+
+    e = desc.identity()
+    rows = [row((b, e, 1), (b, s, -1)) for b in general for s in pair.F]
+    rows += [row((a, e, 1)) for a in pair.A.entries]
+    return GroupRingMatrix(desc, pair.ring, rows), len(general) * len(pair.F)
 
 
 def relative_mean_length_at(pair: RelativePair, sigma: SoficMap, *,
                             rank_seed: int = 0) -> Fraction:
-    """(rank(R ∪ A) − rank(R)) / d on the matrix of ``_relative_quotient``,
-    ranked once over the pair's field (GF(p) exactly, Q via the certified
-    multi-prime route) with the relators R left in it as a leading block.
-    A pivot row is subtracted only from rows of its own block or later, so
-    rank(R) is the pivots taken in R plus the rank of what is left of it.
-    Raises MeanLengthError if the ranks are uncertified.
+    """(rank(R ∪ A) − rank(R)) / d on σ̄_M, for M the relator quotient of
+    ``_quotient_matrix``, ranked once over the pair's field (GF(p) exactly, Q
+    via the certified multi-prime route) with the relators R left in it as a
+    leading block: σ̄_M's rows come in M's row order.  A pivot row is
+    subtracted only from rows of its own block or later, so rank(R) is the
+    pivots taken in R plus the rank of what is left of it.  Raises
+    MeanLengthError if the ranks are uncertified.
     """
-    m, rel_rows = _relative_quotient(pair, sigma)
-    ranks = _rank(m, pair.ring, rank_seed, sigma.d, cuts=(rel_rows,))
+    M, rel_rows = _quotient_matrix(pair)
+    ranks = _rank(build_sigma_bar(M, sigma), pair.ring, rank_seed, sigma.d,
+                  cuts=(rel_rows * sigma.d,))
     return Fraction(ranks.rank - ranks.leading_ranks[0], sigma.d)
 
 
@@ -424,9 +389,9 @@ def principal_rank_point(f: GroupRingMatrix, sigma: SoficMap, *, seed: int = 0,
     upper bound of ``exactla.rank_over_Q``) gives the kernel d·n − rank by
     rank–nullity.  An unproven rank, settled by two agreeing primes, is
     checked on the transpose σ̄_{f*} = σ̄_fᵀ: the kernel is d·n minus its
-    rank with the primes of ``rank_seed + 1``, a different matrix with its
-    own pivot sequence, so the duality flag is a real check there.  Raises
-    MeanLengthError if a rank is uncertified.
+    rank with the primes of ``rank_seed + 1``: for f* = f, as for
+    2 − s − s⁻¹, σ̄_f again, so the duality flag then checks only that two
+    prime sets agree.  Raises MeanLengthError if a rank is uncertified.
     """
     check_vrk_ring(f.ring)
     d, n = sigma.d, f.n
@@ -474,16 +439,17 @@ def vrk_point(f: GroupRingMatrix, sigma: SoficMap, point) -> SeriesPoint:
 
 def addition_point(f: GroupRingMatrix, sigma: SoficMap, point) -> AdditionPoint:
     """Both routes of the addition check at one schedule point, one rank
-    each: route (i)'s matrix, σ̄_fᵀ renamed (see ``check_addition``), by
-    elimination, and route (ii)'s σ̄_f, by ``_sigma_bar_rank`` (from
-    characters on a cycle or torus).  An unproven rank of σ̄_f takes its
-    kernel from route (i)'s rank; raises MeanLengthError if the duality
-    check fails."""
+    each: route (i)'s σ̄_Mᵀ, M the quotient of (f, I, supp f ∪ {e}) (see
+    ``check_addition``), by elimination, and route (ii)'s σ̄_f, by
+    ``_sigma_bar_rank`` (from characters on a cycle or torus).  An unproven
+    rank of σ̄_f takes its kernel from route (i)'s rank; raises
+    MeanLengthError if the duality check fails."""
     check_vrk_ring(f.ring)
     d, n = sigma.d, f.n
     pair = RelativePair(f, GroupRingMatrix.identity(f.desc, f.ring, n), support_window(f))
-    m, _ = _relative_quotient(pair, sigma)
-    route_i = _rank(m.transpose(), f.ring, derive_rank_seed("add-i", point.d, point.seed), d)
+    M, _ = _quotient_matrix(pair)
+    route_i = _rank(build_sigma_bar(M, sigma).transpose(), f.ring,
+                    derive_rank_seed("add-i", point.d, point.seed), d)
     route_ii = _sigma_bar_rank(f, sigma, derive_rank_seed("add-ii", point.d, point.seed))
     rank = route_ii.rank
     _check_duality(d, point.seed, rank, d * n - (rank if route_ii.proven else route_i.rank), n)
@@ -594,14 +560,13 @@ def check_addition(f: GroupRingMatrix, schedule: SoficSchedule, *,
     """Check that submodule and quotient values add up to the ambient rank.
 
     Route (i): mean length of A = rows(f) relative to (B = basis,
-    F = supp(f) ∪ {e}) by the relator quotient, built at each point.  Every
-    row of B has one term, so each relator is an edge that merges the column
-    (u, s, j) into (σ_s⁻¹(u), e, j); the merged matrix is σ̄_f renamed, and
-    route (i) ranks its transpose by elimination, which is also the kernel
-    check of a route (ii) rank that is not proven.  Route (ii): rank(σ̄_f)/d,
-    from characters on a cycle or torus, so there route (i) is a second
-    algorithm on a second matrix.  Route (iii): quotient value n − (ii).
-    Reports |(i) − (ii)| and |(i) + (iii) − n|.
+    F = supp(f) ∪ {e}) by the relator quotient M, which is f itself where
+    e sorts first (F_k, Z^k, finite groups; on Z, f with each column times
+    a unit t^k).  Route (i) ranks σ̄_Mᵀ = σ̄_fᵀ by elimination, the kernel
+    check of a route (ii) rank that is not proven (σ̄_f again if f* = f).
+    Route (ii): rank(σ̄_f)/d, from characters on a cycle or torus, so there
+    route (i) is a second algorithm on a second matrix.  Route (iii):
+    quotient value n − (ii).  Reports |(i) − (ii)| and |(i) + (iii) − n|.
     """
     run = run_schedule(f.desc, schedule, partial(addition_point, f), None, mapper)
     points = tuple(value for _, value, _ in run)

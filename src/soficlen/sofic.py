@@ -51,9 +51,11 @@ class SoficMap:
     """A homomorphism σ: Γ → Sym(d), given by the permutations ``gens`` of
     Γ's standard generators (for a finite group: its multiplication-table
     rows, indexed by element).  σ_g is composed along g's normal form on
-    first use and cached.  ``dims`` are the sides L_i of the torus ∏ ℤ/L_i
-    that σ translates, ``(d,)`` for a cycle, and None for every other map;
-    ``galois_orbits`` enumerates that torus's characters."""
+    first use and cached; on Z^k that is a homomorphism only if the
+    generators' permutations commute, so others are refused.  ``dims`` are
+    the sides L_i of the torus ∏ ℤ/L_i that σ translates, ``(d,)`` for a
+    cycle, and None for every other map; ``galois_orbits`` enumerates that
+    torus's characters."""
 
     def __init__(self, desc: GroupDescriptor, gens, source: str, seed=None, dims=None):
         self.desc = desc
@@ -61,6 +63,9 @@ class SoficMap:
         self.d = len(gens[0])
         if self.d < 1:
             raise SoficError("d must be >= 1")
+        if desc.family == groups.LATTICE and any(  # else σ composed along g is no homomorphism
+                not np.array_equal(p[q], q[p]) for i, p in enumerate(gens) for q in gens[:i]):
+            raise SoficError("the generators of a lattice must have commuting permutations")
         self.source = source
         self.seed = seed
         self.dims = dims
@@ -195,11 +200,6 @@ def build_quotient(desc, target, images) -> SoficMap:
     for q in images:
         if q.desc != target:
             raise SoficError("generator image outside the target group")
-    if desc.family == groups.LATTICE:
-        for a in images:
-            for b in images:
-                if a * b != b * a:
-                    raise SoficError("lattice quotient needs commuting images")
     gens = [np.array(target.table[q.value], dtype=np.int64) for q in images]
     return SoficMap(desc, gens, "QuotientHom")
 

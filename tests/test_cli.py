@@ -830,6 +830,16 @@ def test_empty_window_exits_one_at_radius(tmp_path, capsys, quantity, extra):
     _exits_one_at(tmp_path, capsys, job, [], "[job] radius")
 
 
+@pytest.mark.parametrize("group, radius", [("F2", 100), ("Z^2", 10**6), ("Z", 10**9)])
+def test_oversized_window_exits_one_at_radius(tmp_path, capsys, group, radius):
+    # refused from its size alone: enumerating any of these balls would not end
+    job = f"[job]\nquantity = defect\ngroup = {group}\nschedule = 10\nradius = {radius}\n"
+    if group == "Z^2":
+        job = job.replace("schedule = 10", "dims = 2x5")
+    err = _exits_one_at(tmp_path, capsys, job, [], "[job] radius")
+    assert f"radius {radius} has more than 10000 elements" in err
+
+
 @pytest.mark.parametrize("seeds", ["-1", "-2..1", "0,18446744073709551616"])
 def test_out_of_range_seed_exits_one_at_seeds(tmp_path, capsys, seeds):
     job = f"[job]\nquantity = defect\ngroup = F2\nschedule = 10\nseeds = {seeds}\n"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from soficlen.groups import (
+    MAX_BALL,
     GroupError,
     ball,
     finite_group,
@@ -94,6 +95,16 @@ def test_ball_lattice_two():
     values = {g.value for g in b1}
     assert (0, 0) in values and (1, 0) in values and (0, -1) in values
     assert len(ball(L2, 2)) == 13
+
+
+def test_ball_size_is_capped_before_enumeration():
+    """The largest radius of each family within MAX_BALL enumerates, with
+    the count that the closed forms give; one more is refused."""
+    for desc, radius, size in ((free_group(2), 7, 4373), (lattice(2), 70, 9941),
+                               (integer_line(), 4999, 9999)):
+        assert len(ball(desc, radius)) == size <= MAX_BALL
+        with pytest.raises(GroupError, match=f"radius {radius + 1} has more than {MAX_BALL}"):
+            ball(desc, radius + 1)
 
 
 def test_ball_is_symmetric_and_nested():

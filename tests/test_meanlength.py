@@ -1,6 +1,7 @@
 """Tests for the finite matrix models, relator modules, and the estimators."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -8,8 +9,10 @@ import numpy as np
 import pytest
 
 from soficlen import meanlength
-from soficlen.exactla import dense_rank_mod_p, dense_rank_rational, rank_mod_p, rank_over_Q
+from soficlen.exactla import (SparseMatrix, dense_rank_mod_p, dense_rank_rational, rank_mod_p,
+                              rank_over_Q)
 from soficlen.groups import (
+    GroupElement,
     ball,
     finite_group,
     free_group,
@@ -57,13 +60,35 @@ Z = integer_line()
 F2 = free_group(2)
 
 
+def _relator_window(B, F):
+    """W = supp(B) ∪ F·supp(B), sorted: the coordinates of ``relators``."""
+    support = {g for row in B.entries for x in row for g in x.coeffs}
+    return sorted(support | {s * g for s in F for g in support}, key=GroupElement.sort_key)
+
+
 def relators(B, F, sigma):
-    """The unquotiented reference: the sparse matrix whose rows are the
-    relators δ_v b − δ_{σ_s(v)} s·b for v ∈ [d], b a row of B, s ∈ F, in
-    coordinates [d] × W × [n]."""
-    widx = {g: i for i, g in enumerate(coordinate_window(B, B, F))}
-    blocks, nrows = meanlength._relator_triplets(B.entries, B.n, tuple(F), sigma, widx)
-    return meanlength.blocks_to_sparse(blocks, nrows, sigma.d * len(widx) * B.n, B.ring)
+    """The unquotiented reference, built here entry by entry: the sparse
+    matrix whose rows are the relators δ_v b − δ_{σ_s(v)} s·b for v ∈ [d],
+    b a row of B, s ∈ F, ordered v, then b, then s, in the coordinates
+    (v, w, j) ↦ (v·|W| + w)·n + j of [d] × W × [n]; rational coefficients
+    are cleared by one lcm."""
+    window = _relator_window(B, F)
+    widx = {g: i for i, g in enumerate(window)}
+    d, n, nb, nf = sigma.d, B.n, B.m, len(F)
+    scale = math.lcm(*(Fraction(c).denominator
+                       for row in B.entries for x in row for c in x.coeffs.values()))
+    rows, cols, vals = [], [], []
+    for v in range(d):
+        for bi, b in enumerate(B.entries):
+            for si, s in enumerate(F):
+                for j, x in enumerate(b):
+                    for g, c in x.coeffs.items():
+                        for at, h, sign in ((v, g, 1), (int(sigma.perm(s)[v]), s * g, -1)):
+                            rows.append((v * nb + bi) * nf + si)
+                            cols.append((at * len(window) + widx[h]) * n + j)
+                            vals.append(int(sign * c * scale))
+    modulus = B.ring.p if B.ring.kind == "GF" else None
+    return SparseMatrix(d * nb * nf, d * len(window) * n, rows, cols, vals, modulus)
 
 
 def _t_minus_one(ring=INTEGERS):
@@ -248,7 +273,7 @@ def _unquotiented_value(pair, sigma):
     in the coordinates (v, g, j)."""
     d, n, ring = sigma.d, pair.n, pair.ring
     rel = relators(pair.B, pair.F, sigma)
-    window = coordinate_window(pair.B, pair.B, pair.F)
+    window = _relator_window(pair.B, pair.F)
     rows = [{} for _ in range(rel.nrows)]
     for i, col, x in zip(rel.row, rel.col, rel.val):
         vw, j = divmod(col, n)
@@ -363,6 +388,22 @@ def test_relative_value_is_the_unquotiented_rank_difference(monkeypatch, ring):
             general = sum(sum(len(x.coeffs) for x in b) != 1 for b in rows)
             assert ranked[-1][1]["cuts"] == (sigma.d * general * len(F),)
             values.add(value)
+    # one-term rows off e, with non-unit coefficients, beside general rows,
+    # and F of one or two elements, so that classes are rooted away from e
+    for (desc, sigma), _ in itertools.product(models[1:], range(3)):
+        n = rng.randrange(1, 3)
+        A = _random_generators(rng, desc, ring, n, radius=2)
+        F = tuple(rng.sample(ball(desc, 1), rng.randrange(1, 3)))
+        off_e = [g for g in ball(desc, 2) if not g.is_identity()]
+        one_term = _one_term_rows(desc, ring, n, [
+            (rng.randrange(n), rng.choice(off_e), rng.choice((2, -2, 3, 5))) for _ in range(2)])
+        rows = one_term + list(_random_generators(rng, desc, ring, n).entries)
+        pair = RelativePair(A, GroupRingMatrix(desc, ring, rows), F)
+        value = relative_mean_length_at(pair, sigma)
+        assert value == _unquotiented_value(pair, sigma)
+        general = sum(sum(len(x.coeffs) for x in b) != 1 for b in rows)
+        assert ranked[-1][1]["cuts"] == (sigma.d * general * len(F),)
+        values.add(value)
     assert any(v.denominator > 1 for v in values)
 
 
@@ -383,13 +424,57 @@ def test_one_term_relators_closing_cycles_are_contracted():
         B = GroupRingMatrix(desc, INTEGERS, _one_term_rows(desc, INTEGERS, 1, terms))
         A = _random_generators(random.Random(3), desc, INTEGERS, 1, radius=2)
         pair = RelativePair(A, B, F)
-        m, rel_rows = meanlength._relative_quotient(pair, sigma)
+        M, rel_rows = meanlength._quotient_matrix(pair)
+        m = build_sigma_bar(M, sigma)
         assert rel_rows == 0 and m.nrows == sigma.d * A.m
         rel = relators(B, F, sigma)
         rank = rank_over_Q(rel).rank
         assert len(set(rel.row)) > rank
         assert m.ncols == sigma.d * len(coordinate_window(A, B, F)) - rank
         assert relative_mean_length_at(pair, sigma) == _unquotiented_value(pair, sigma)
+
+
+def test_quotient_of_the_addition_pair_is_f():
+    """For B the identity and F = supp f ∪ {e}, every node (w, j) joins
+    (e, j).  Where e sorts first (F₂, Z², S₃) the quotient is (f, 0); on Z
+    the root is the least integer m of F, so each column of the quotient is
+    f's column times the unit t^−m."""
+    S3, Z2 = finite_group(symmetric_table(3)), lattice(2)
+    rng = random.Random(17)
+    for desc in (F2, Z2, S3, Z):
+        for _ in range(4):
+            f = _random_matrix(rng, desc, INTEGERS, rng.randrange(1, 3), rng.randrange(1, 3))
+            F = meanlength.support_window(f)
+            M, rel_rows = meanlength._quotient_matrix(
+                RelativePair(f, GroupRingMatrix.identity(desc, INTEGERS, f.n), F))
+            assert rel_rows == 0
+            if desc is not Z:
+                assert M == f
+                continue
+            unit = GroupRingElement.monomial(Z, INTEGERS, F[0].inverse())
+            assert min(g.value for g in F) == F[0].value
+            assert M == GroupRingMatrix(Z, INTEGERS, [[x * unit for x in row] for row in f.entries])
+
+
+@pytest.mark.parametrize("A, B, F, value", [
+    ([[(5, 2)], [(2, -3), (4, 2)]], [[(5, -3)], [(0, -3)], [(3, -1), (5, -3)]], (1, 0), 2),
+    ([[(1, -1), (0, -3)]], [[(0, -3)], [(4, -3), (2, -3)]], (1, 4), 1),
+], ids=["P1", "P2"])
+def test_merge_multiplier_order_decides_these_s3_values(A, B, F, value):
+    """Two pairs over S₃ whose value depends on the order of the merge
+    multiplier: a term c·g at the node s·g of root r enters the quotient as
+    c·(g·r⁻¹).  Each of the orders r⁻¹·w·h, w·r⁻¹·h, h·r⁻¹·w and r⁻¹·h·w
+    (w = s·g the node, h = s⁻¹) gives 4/3 on the first or 2/3 on the
+    second.  Rows are lists of (element index, c), n = 1."""
+    S3 = finite_group(symmetric_table(3))
+
+    def matrix(rows):
+        return GroupRingMatrix(S3, INTEGERS, [[GroupRingElement.from_terms(
+            S3, INTEGERS, [(S3.element(i), c) for i, c in row])] for row in rows])
+
+    pair = RelativePair(matrix(A), matrix(B), tuple(S3.element(i) for i in F))
+    sigma = build_translation(S3)
+    assert relative_mean_length_at(pair, sigma) == value == _unquotiented_value(pair, sigma)
 
 
 def _forest_rank(B, F, sigma):
@@ -445,11 +530,12 @@ def _two_minus_s():
 
 
 def test_addition_route_one_ranks_the_transpose_of_the_quotient(monkeypatch):
-    """Criterion 04's pairs have no relator row left, and their quotient is
-    σ̄_f renamed.  Route (i) ranks another matrix than σ̄_f, with σ̄_f's
-    column counts as its row counts; route (ii) ranks σ̄_f itself.  Each is
-    ranked once, also when σ̄_f's rank misses its bound and its kernel comes
-    from route (i)'s rank.  The models are F₂'s, whose ranks take primes."""
+    """Criterion 04's pairs have no relator row left, and on F₂, where e
+    sorts first, their quotient is f itself.  Route (i) ranks σ̄_fᵀ, with
+    σ̄_f's column counts as its row counts; route (ii) ranks σ̄_f.  For the
+    self-adjoint 2 − s − s⁻¹ these are one matrix.  Each is ranked once,
+    also when σ̄_f's rank misses its bound and its kernel comes from route
+    (i)'s rank.  The models are F₂'s, whose ranks take primes."""
     s_minus = GroupRingElement.from_terms(F2, INTEGERS, [(F2.element((1,)), 1),
                                                          (F2.identity(), -1)])
     t_minus = GroupRingElement.from_terms(F2, INTEGERS, [(F2.element((2,)), 1),
@@ -469,7 +555,7 @@ def test_addition_route_one_ranks_the_transpose_of_the_quotient(monkeypatch):
         (route_i, kwargs_i), (route_ii, kwargs_ii) = ranked
         assert (kwargs_i, kwargs_ii) == ({"seed": seed_i, "cuts": ()}, {"seed": seed_ii, "cuts": ()})
         assert route_ii == bar
-        assert route_i != bar
+        assert route_i == bar.transpose()
         assert (route_i.nrows, route_i.ncols) == (bar.ncols, bar.nrows)
         assert (sorted(np.bincount(route_i.key // route_i.ncols, minlength=route_i.nrows))
                 == sorted(np.bincount(bar.key % bar.ncols, minlength=bar.ncols)))
@@ -700,8 +786,9 @@ def test_principal_rank_point_duality_flag():
 
 def test_principal_rank_point_ranks_a_proven_rank_once_and_an_unproven_one_twice(monkeypatch):
     """A proven rank gives the kernel d·n − rank with no second rank; an
-    unproven one takes the kernel from the rank of σ̄_fᵀ.  The models are
-    F₂'s, whose ranks take primes."""
+    unproven one takes the kernel from the rank of σ̄_fᵀ, which for the
+    self-adjoint 2 − s − s⁻¹ is σ̄_f again.  The models are F₂'s, whose
+    ranks take primes."""
     f = GroupRingMatrix(F2, INTEGERS, [[GroupRingElement.from_terms(
         F2, INTEGERS, [(F2.element((letter,)), 1), (F2.identity(), -1)])] for letter in (1, 2)])
     sigma = build_random_free(2, 60, 1)
@@ -716,6 +803,7 @@ def test_principal_rank_point_ranks_a_proven_rank_once_and_an_unproven_one_twice
     ranked = _recorded_ranks(monkeypatch)
     pp = principal_rank_point(f, sigma, rank_seed=4)
     assert [(m, kwargs["seed"]) for m, kwargs in ranked] == [(bar, 4), (bar.transpose(), 5)]
+    assert ranked[1][0] == ranked[0][0]  # f* = f: one matrix, ranked at two seeds' primes
     assert (pp.rank, pp.kernel, pp.duality) == (495, 5, True)
 
 

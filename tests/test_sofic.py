@@ -20,6 +20,7 @@ from soficlen.meanlength import estimate_vrk_fp
 from soficlen.sofic import (
     MAX_SEEDS,
     SoficError,
+    SoficMap,
     SoficSchedule,
     build_cyclic,
     build_quotient,
@@ -259,6 +260,22 @@ def test_quotient_map_lattice():
         for h in window:
             lhs = sigma.perm(g)[sigma.perm(h)]
             assert np.array_equal(lhs, sigma.perm(g * h))
+
+
+def test_lattice_generators_that_do_not_commute_are_refused():
+    """σ on Z^k is composed from powers of the generators' permutations, a
+    homomorphism only if they commute: two transpositions of S₃ given
+    directly, or as the images of a quotient onto S₃, are refused."""
+    p, q = np.array([1, 0, 2]), np.array([0, 2, 1])
+    assert not np.array_equal(p[q], q[p])
+    with pytest.raises(SoficError, match="commuting permutations"):
+        SoficMap(lattice(2), [p, q], "x")
+    S3 = finite_group(symmetric_table(3))
+    a, b = S3.element(1), S3.element(2)
+    assert a * b != b * a
+    with pytest.raises(SoficError, match="commuting permutations"):
+        build_quotient(lattice(2), S3, [a, b])
+    assert SoficMap(lattice(2), [p, p[p]], "x").d == 3
 
 
 def test_make_sigma_dispatch():

@@ -40,10 +40,6 @@ with that one prime.  Otherwise it is certified-probabilistic: the maximum
 of ranks modulo ``_MIN_PRIMES`` to ``_MAX_PRIMES`` primes, each eliminated
 in a pass of its own, resampling until the top rank of every block prefix is
 hit by two distinct primes.
-
-``cyclotomic_rank`` ranks a small matrix over ℚ(ζ_m) exactly, by
-division-free elimination over ℤ[x]/(x^m − 1); ``meanlength`` sums such
-ranks over the characters of a cycle or torus.
 """
 
 from __future__ import annotations
@@ -249,8 +245,8 @@ class RankResult:
     True mod p).  ``proven`` says that it is exact with no probability left:
     always mod p, and over Q when the first prime's ranks meet an exact
     upper bound on every block prefix; a rank over Q certified with
-    ``proven`` False is one on which two primes agree.  A rank summed from
-    ``cyclotomic_rank``s is proven and has no primes.
+    ``proven`` False is one on which two primes agree.  A character rank
+    (``meanlength._sigma_bar_rank``) is proven, at its primes ≡ 1 (mod E).
     ``leading_ranks[k]`` is the rank of the first ``cuts[k]`` rows, for the
     ``cuts`` the matrix was ranked with."""
 
@@ -464,66 +460,6 @@ def rank_over_Q(m: SparseMatrix, *, seed: int = 0, cuts=()) -> RankResult:
             prefix.count(max(prefix)) >= 2 for prefix in zip(*ranks))
     *leading, rank = (max(prefix) for prefix in zip(*ranks))
     return RankResult(rank, "Q", tuple(primes), agreement, tuple(leading), proven)
-
-
-# --- small matrices over cyclotomic fields ---------------------------------
-
-def _reduced(m: int, terms) -> dict:
-    """(exponent, coefficient) terms as an element of ℤ[x]/(x^m − 1): an
-    {exponent mod m: coefficient} dict with no zero coefficient."""
-    out: dict = {}
-    for k, c in terms:
-        out[k % m] = out.get(k % m, 0) + c
-    return {k: c for k, c in out.items() if c}
-
-
-def cyclotomic_rank(rows, m: int) -> int:
-    """Exact rank over ℚ(ζ_m) of a small matrix whose entries are integer
-    polynomials in x = ζ_m, each given as (exponent, coefficient) pairs.
-
-    Division-free elimination over ℤ[x]/(x^m − 1): a pivot row is
-    cross-multiplied into each later row, a ring operation that commutes
-    with x ↦ ζ_m, and ℤ[ζ_m] is an integral domain, so the count of pivots
-    is the rank, with no prime drawn.  An entry a vanishes at ζ_m exactly
-    when a·Π_q (x^{m/q} − 1), over the primes q dividing m, is 0 in
-    ℤ[x]/(x^m − 1): x^m − 1 is the squarefree product of the cyclotomic
-    polynomials Φ_k, k dividing m, and the factors vanish at every ζ_k but
-    ζ_m, as each proper divisor k divides some m/q.  So no Φ_m is built and
-    an entry stays as sparse as its terms.
-    """
-    shifts, rest, q = [], m, 2
-    while q * q <= rest:
-        if rest % q == 0:
-            shifts.append(m // q)
-            while rest % q == 0:
-                rest //= q
-        q += 1
-    if rest > 1:
-        shifts.append(m // rest)
-
-    def times(a: dict, b: dict):
-        return [(i + j, x * y) for i, x in a.items() for j, y in b.items()]
-
-    def vanishes(a: dict) -> bool:
-        for s in shifts:
-            a = _reduced(m, times(a, {s: 1, 0: -1}))
-        return not a
-
-    rows = [[_reduced(m, x) for x in row] for row in rows]
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        pivot = next((i for i in range(rank, len(rows)) if not vanishes(rows[i][col])), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        top = rows[rank]
-        for row in rows[rank + 1:]:
-            if row[col]:
-                minus_a = {k: -c for k, c in row[col].items()}
-                row[col + 1:] = [_reduced(m, times(top[col], x) + times(minus_a, y))
-                                 for x, y in zip(row[col + 1:], top[col + 1:])]
-        rank += 1
-    return rank
 
 
 # --- dense exact fallbacks --------------------------------------------------

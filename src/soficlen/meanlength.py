@@ -20,9 +20,9 @@ rank(σ̄_f) + ker(σ̄_f) = d·n on every evaluation: a proven rank's kernel is
 d·n − rank, an unproven one's from a rank of σ̄_fᵀ with other primes (at
 an addition-check point, route (i)'s), which is σ̄_f again if f* = f.
 On a cycle or a torus (``build_cyclic``, ``build_torus``) over Z or Q, the
-rank of σ̄_f is a sum over the characters, one exact rank over ℚ(ζ_m) per
-Galois orbit (``_sigma_bar_rank``): it is proven, builds no σ̄_f and draws
-no prime.  Every other rank here is an elimination of ``exactla``'s.
+rank of σ̄_f is a sum over the characters, one rank over ℚ(ζ_m) per Galois
+orbit, taken by the stacked dense kernel mod primes p ≡ 1 (mod E) and proven
+by a norm bound (``_sigma_bar_rank``).  Every other rank is an elimination.
 All reported values are exact rationals at each finite size; limits are
 replaced by a schedule of sizes with spread/stabilization reporting.
 
@@ -44,9 +44,9 @@ from functools import partial
 
 import numpy as np
 
-from . import groups
-from .exactla import (RankResult, SparseMatrix, _int_array, cyclotomic_rank, rank_mod_p,
-                      rank_over_Q)
+from . import _kernels, groups
+from .exactla import (RankResult, SparseMatrix, _field_dtype, _int_array, is_probable_prime,
+                      rank_mod_p, rank_over_Q)
 from .groupring import CoefficientRing, GroupRingElement, GroupRingError, GroupRingMatrix
 from .groups import GroupDescriptor, GroupElement
 from .sofic import SoficMap, SoficSchedule, defect, make_sigma
@@ -149,31 +149,85 @@ def build_sigma_bar(f: GroupRingMatrix, sigma: SoficMap) -> SparseMatrix:
     return blocks_to_sparse(blocks, d * f.m, d * f.n, f.ring)
 
 
-def _sigma_bar_rank(f: GroupRingMatrix, sigma: SoficMap, seed: int) -> RankResult:
-    """The rank of σ̄_f over f's field.
+def _character_primes(E: int):
+    """The primes p ≡ 1 (mod E) above 2**30, in increasing order."""
+    return (p for p in range(-(-2**30 // E) * E + 1, 2**64, E) if is_probable_prime(p))
 
-    On a cycle or torus σ over Z or Q no σ̄_f is built.  The characters χ of
-    the torus diagonalise every σ_s at once, and f(χ) and f(χᵘ) are Galois
-    conjugates of equal rank, so rank σ̄_f = Σ φ(m) · rank over ℚ(ζ_m) of
-    f(χ), over one χ of each Galois orbit (``SoficMap.galois_orbits``), f's
-    rational denominators cleared by one lcm.  That sum is exact, so the
-    rank is proven, with no prime drawn.  On every other σ, σ̄_f is ranked by
-    ``_rank`` with the primes of ``seed``.
+
+def _powers(omega: int, E: int, p: int):
+    """ω^0, ..., ω^(E − 1) mod p, by doubling, in the residue dtype of p;
+    None unless ω is a primitive E-th root of unity mod p."""
+    power = np.ones(1, dtype=_field_dtype(p))
+    while power.size < E:
+        power = np.concatenate([power, power * pow(omega, power.size, p) % p])
+    return power[:E] if pow(omega, E, p) == 1 and np.count_nonzero(power[:E] == 1) == 1 else None
+
+
+def _root_of_unity(E: int, p: int) -> int:
+    """The first x^((p − 1)/E) mod p, x = 2, 3, ..., of order E (p ≡ 1 (mod E))."""
+    return next(w for w in (pow(x, (p - 1) // E, p) for x in range(2, p))
+                if _powers(w, E, p) is not None)
+
+
+def _character_ranks(terms, shape, weights, E: int, p: int, omega: int) -> np.ndarray:
+    """The ranks mod p of f(χ) at ζ_E ↦ ω, for each χ(s) = ζ_E^{w·s}, w a
+    row of ``weights``, in one stacked kernel call; ``terms`` holds f's
+    (entry k·n + j, exponents, integer coefficient), reduced mod p in Python
+    ints.  Raises MeanLengthError unless ω is a primitive E-th root mod p."""
+    power = _powers(omega, E, p)
+    if power is None:
+        raise MeanLengthError(f"{omega} is not a primitive {E}-th root of unity mod {p}")
+    entry, exps, coeffs = zip(*terms) if terms else ((), (), ())
+    exps = np.array([[e % E for e in s] for s in exps], dtype=np.int64).reshape(-1, len(weights.T))
+    values = power[weights @ exps.T % E]
+    values = values * np.array([c % p for c in coeffs], dtype=power.dtype) % p
+    onehot = np.eye(shape[0] * shape[1], dtype=power.dtype)[list(entry)]
+    return _kernels.dense_ranks_mod_p((values @ onehot % p).reshape(-1, *shape), p)
+
+
+def _sigma_bar_rank(f: GroupRingMatrix, sigma: SoficMap, seed: int) -> RankResult:
+    """The rank of σ̄_f over f's field: by ``_rank`` with the primes of
+    ``seed``, but on a cycle or torus σ over Z or Q, where no σ̄_f is built.
+
+    There the characters χ diagonalise every σ_s, and f(χ), f(χᵘ) are Galois
+    conjugates, so rank σ̄_f = Σ φ(m) · rank over ℚ(ζ_m) of f(χ), one χ per
+    orbit (``SoficMap.galois_orbits``).  Let E = lcm(dims).  A rank mod a
+    prime p ≡ 1 (mod E) at ζ_E ↦ ω is a lower bound, so one stacked kernel
+    call at the first p proves every f(χ) of full rank; a short orbit takes
+    the max over its conjugates, one call per p, until the primes' product P
+    exceeds H, the product of f's min(f.m, f.n) largest row bounds ⌈‖ℓ¹ sums‖₂⌉
+    ≥ 1.  p splits into the φ(m) primes ζ_m ↦ ω^{uE/m}, so a minor that all
+    kill lies in Pℤ[ζ_m], and is 0, as |N| ≤ H^{φ(m)} < P^{φ(m)}.
     """
     if sigma.dims is None or f.ring.kind == "GF":
         return _rank(build_sigma_bar(f, sigma), f.ring, seed, sigma.d)
     if f.desc != sigma.desc:
         raise GroupRingError("matrix and sofic map live over different groups")
-    coeffs = [c for row in f.entries for x in row for c in x.coeffs.values()]
-    scale = math.lcm(*(c.denominator for c in coeffs)) if f.ring.kind == "Q" else 1
+    scale = math.lcm(*(c.denominator for row in f.entries for x in row for c in x.coeffs.values()))
     line = f.desc.family == groups.INTEGER_LINE
-    terms = [[[((g.value,) if line else g.value, int(c * scale)) for g, c in x.coeffs.items()]
-              for x in row] for row in f.entries]
-    rank = 0
-    for m, size, char in sigma.galois_orbits():  # f(χ) = Σ c_s ζ_m^{char·s}
-        rank += size * cyclotomic_rank([[[(sum(a * b for a, b in zip(char, s)), c)
-                                          for s, c in x] for x in row] for row in terms], m)
-    return RankResult(rank, "Q", (), True, proven=True)
+    terms = [(k * f.n + j, (g.value,) if line else g.value, int(c * scale))
+             for k, row in enumerate(f.entries) for j, x in enumerate(row)
+             for g, c in x.coeffs.items()]
+    full, E, orbits = min(f.m, f.n), math.lcm(*sigma.dims), sigma.galois_orbits()
+    squares = sorted(sum(sum(abs(int(c * scale)) for c in x.coeffs.values()) ** 2 for x in row)
+                     for row in f.entries)
+    bound = math.prod(math.isqrt(s - 1) + 1 if s else 1 for s in squares[-full:])
+    reps = np.array([[x * (E // m) for x in char] for m, _, char in orbits], dtype=np.int64)
+    primes = _character_primes(E)
+    used = [next(primes)]
+    best = _character_ranks(terms, (f.m, f.n), reps, E, used[0], _root_of_unity(E, used[0]))
+    short = np.flatnonzero(best < full)
+    while short.size:  # every conjugate of every short orbit, at the last prime
+        weights = np.concatenate([np.outer(orbits[o][1], reps[o]) % E for o in short])
+        p = used[-1]
+        ranks = _character_ranks(terms, (f.m, f.n), weights, E, p, _root_of_unity(E, p))
+        np.maximum.at(best, np.repeat(short, [orbits[o][1].size for o in short]), ranks)
+        short = short[best[short] < full]
+        if not short.size or math.prod(used) > bound:
+            break
+        used.append(next(primes))
+    rank = sum(units.size * int(r) for (_, units, _), r in zip(orbits, best))
+    return RankResult(rank, "Q", tuple(used), True, proven=True)
 
 
 def _support(f: GroupRingMatrix) -> set[GroupElement]:
@@ -382,9 +436,9 @@ def principal_rank_point(f: GroupRingMatrix, sigma: SoficMap, *, seed: int = 0,
                          rank_seed: int = 0) -> PrincipalPoint:
     """Rank σ̄_f and kernel σ_f at one σ.
 
-    On a cycle or torus the rank is the character sum of
-    ``_sigma_bar_rank``, proven, and the kernel is d·n − rank.  On every
-    other σ, σ̄_f is assembled once and ranked over Q with the primes of
+    On a cycle or torus the rank is ``_sigma_bar_rank``'s character sum,
+    proven at fixed primes ≡ 1 (mod E), and the kernel is d·n − rank.  Else
+    σ̄_f is assembled once and ranked over Q with the primes of
     ``rank_seed``.  A rank that its first prime proves (it meets the exact
     upper bound of ``exactla.rank_over_Q``) gives the kernel d·n − rank by
     rank–nullity.  An unproven rank, settled by two agreeing primes, is

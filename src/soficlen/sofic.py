@@ -99,11 +99,11 @@ class SoficMap:
             acc = acc[perm_power(p, a)]
         return acc
 
-    def galois_orbits(self) -> list[tuple[int, int, tuple[int, ...]]]:
+    def galois_orbits(self) -> list[tuple[int, np.ndarray, tuple[int, ...]]]:
         """One character of each Galois orbit of the torus σ translates, as
-        (m, φ(m), c): χ(s) = ζ_m^{c·s} with ζ_m = exp(2πi/m), so χ has order
-        m and its orbit {χᵘ : u a unit mod m} has φ(m) members.  Enumerated
-        once per σ, by marking each orbit when its first member is met."""
+        (m, units, c): χ(s) = ζ_m^{c·s} with ζ_m = exp(2πi/m) has order m, and
+        its orbit is {χᵘ : u in units}, the φ(m) units mod m.  Enumerated once
+        per σ, by marking each orbit when its first member is met."""
         if self._orbits is None:
             dims, orbits, units = self.dims, [], {}
             strides = [math.prod(dims[i + 1:]) for i in range(len(dims))]
@@ -117,7 +117,7 @@ class SoficMap:
                 if m not in units:
                     units[m] = np.flatnonzero(np.gcd(np.arange(m), m) == 1)
                 mark[np.outer(units[m], a) % dims @ strides] = 1  # the orbit: χ_{u·a}
-                orbits.append((m, units[m].size, tuple(x * m // side for x, side in zip(a, dims))))
+                orbits.append((m, units[m], tuple(x * m // side for x, side in zip(a, dims))))
             self._orbits = orbits
         return self._orbits
 

@@ -542,8 +542,8 @@ def test_uncertified_rank_stops_library_and_cli_alike(tmp_path, monkeypatch, cap
         return dataclasses.replace(real(m, **kwargs), agreement=False)
 
     monkeypatch.setattr(module, "rank_over_Q", uncertified)
-    # a vrk point on a cycle takes its rank from characters, with no prime
-    # drawn, so the vrk case runs on F2, whose ranks take the primes
+    # a vrk point on a cycle takes its rank from characters, with no
+    # rank_over_Q, so the vrk case runs on F2, whose ranks take the primes
     text = F2_MATRIX if quantity == "vrk" else T_MINUS_ONE_Z
     f = parse_matrix(text)
     schedule = SoficSchedule((10,), (3,))

@@ -15,7 +15,6 @@ from soficlen.exactla import (
     ExactLAError,
     RankResult,
     SparseMatrix,
-    cyclotomic_rank,
     dense_rank_mod_p,
     dense_rank_rational,
     is_probable_prime,
@@ -446,6 +445,28 @@ def test_dense_kernel_leaves_the_row_rank_profile_nonzero(p):
         assert np.cumsum((block != 0).any(axis=1)).tolist() == \
             [dense_rank_rational(a[:k].tolist()) for k in range(1, m + 1)]
         assert rank == dense_rank_rational(a.tolist())
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, P61])
+def test_stacked_kernel_ranks_each_block_as_the_2d_kernel_does(p):
+    # a stack of rank-deficient blocks, some of them zero, with repeated and
+    # zero rows, is ranked block by block and left as the 2-D kernel leaves
+    # each block: with its row rank profile nonzero, in place
+    rng = np.random.default_rng(31)
+    for _ in range(8):
+        k, m, n, r = (int(x) for x in rng.integers(1, 9, size=4))
+        a = np.stack([rng.integers(-3, 4, size=(m, r)) @ rng.integers(-3, 4, size=(r, n))
+                      * int(rng.integers(0, 4) > 0) for _ in range(k)])
+        a = a[:, rng.integers(0, m, size=m)]
+        a[:, rng.integers(0, m, size=m // 3)] = 0
+        stack = (a % p).astype(exactla._field_dtype(p))
+        blocks = [block.copy() for block in stack]
+        ranks = _kernels.dense_ranks_mod_p(stack, p)
+        assert ranks.tolist() == [_kernels.dense_rank_mod_p(block, p) for block in blocks]
+        for x, block, left in zip(a, blocks, stack):
+            assert np.array_equal(block, left)
+            assert np.cumsum((left != 0).any(axis=1)).tolist() == \
+                [dense_rank_rational(x[:j].tolist()) for j in range(1, m + 1)]
 
 
 @pytest.mark.parametrize("p", [2**31 - 1, P61])
@@ -1130,66 +1151,3 @@ def test_the_prime_loop_skips_a_repeated_draw_and_stops_after_the_last_prime(mon
     assert result.primes == tuple(distinct)
     assert (result.rank, result.agreement, result.proven) == (11, False, False)
     assert result == _per_prime_block_ranks(m)
-
-
-# --- small matrices over cyclotomic fields ----------------------------------
-
-def _complex_rank(rows, m):
-    """The rank of the matrix at x = exp(2πi/m) in complex floating point,
-    with an absolute tolerance: entries of a few small terms are far from
-    zero unless they vanish."""
-    zeta = np.exp(2j * np.pi / m)
-    values = np.array([[sum(c * zeta ** k for k, c in x) for x in row] for row in rows],
-                      dtype=complex)
-    return np.linalg.matrix_rank(values, tol=1e-7) if values.size else 0
-
-
-def test_cyclotomic_rank_sees_an_entry_that_vanishes_only_at_zeta():
-    # 1 + x + y at the character of order 3 with x ↦ ζ₃, y ↦ ζ₃²: the
-    # entry 1 + x + x² is no zero polynomial, but Φ₃ divides it
-    one_x_y = [(0, 1), (1, 1), (2, 1)]
-    assert cyclotomic_rank([[one_x_y]], 3) == 0
-    assert cyclotomic_rank([[[(0, 1), (1, 2)]]], 3) == 1  # y ↦ ζ₃: 1 + 2ζ₃
-    assert cyclotomic_rank([[one_x_y]], 1) == 1  # the trivial character: 3
-    assert cyclotomic_rank([[[(0, 1), (2, 1), (4, 1)]]], 6) == 0  # 1 + ζ₃ + ζ₃²
-    assert cyclotomic_rank([[one_x_y]], 6) == 1  # 1 + ζ₆ + ζ₃ = 2ζ₆
-    assert cyclotomic_rank([[[(0, 1), (5, 1), (-2, 1)]]], 3) == 0  # exponents mod m
-    # a second row that is ζ₃ times the first, and a first column of zeros
-    assert cyclotomic_rank([[[], [(0, 1)], [(1, 3)]], [[], [(1, 1)], [(2, 3)]]], 3) == 1
-
-
-def test_cyclotomic_rank_of_the_zero_matrix_is_zero():
-    assert cyclotomic_rank([], 4) == 0
-    assert cyclotomic_rank([[[], []], [[], []], [[(0, 1), (0, -1)], []]], 840) == 0
-    # every entry a multiple of 1 + x + x², which vanishes at ζ₃
-    assert cyclotomic_rank([[[(0, 1), (1, 1), (2, 1)]], [[(0, -2), (1, -2), (2, -2)]]], 3) == 0
-
-
-def test_cyclotomic_rank_equals_the_complex_rank_on_random_matrices():
-    """Random matrices with a row that is a combination of two others, and
-    with entries that carry a factor vanishing at ζ_m, against the rank at
-    exp(2πi/m) in floating point."""
-    rng = random.Random(29)
-
-    def element(m):
-        return [(rng.randrange(m), rng.randrange(-2, 3)) for _ in range(rng.randrange(4))]
-
-    def times(a, b):
-        return [(i + j, x * y) for i, x in a for j, y in b]
-
-    ranks = collections.Counter()
-    for m in (1, 2, 3, 4, 5, 6, 8, 12, 30, 105, 840):
-        for _ in range(12):
-            nrows, ncols = rng.randrange(1, 4), rng.randrange(1, 4)
-            rows = [[element(m) for _ in range(ncols)] for _ in range(nrows)]
-            if nrows > 1 and rng.random() < 0.5:  # rows[0] ← a·rows[0] + b·rows[1]
-                a, b = element(m), element(m)
-                rows[0] = [times(a, x) + times(b, y) for x, y in zip(rows[0], rows[1])]
-            q = rng.choice([q for q in (2, 3, 5, 7) if m % q == 0] or [1])
-            if q > 1 and rng.random() < 0.5:  # 1 + ζ_q + … + ζ_q^{q−1} = 0
-                i, j = rng.randrange(nrows), rng.randrange(ncols)
-                rows[i][j] = times(rows[i][j], [(k * m // q, 1) for k in range(q)])
-            rank = cyclotomic_rank(rows, m)
-            assert rank == _complex_rank(rows, m), (m, rows)
-            ranks[rank < min(nrows, ncols)] += 1
-    assert ranks[True] >= 20 and ranks[False] >= 20

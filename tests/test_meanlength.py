@@ -1,5 +1,6 @@
 """Tests for the finite matrix models, relator modules, and the estimators."""
 
+import collections
 import itertools
 import math
 import random
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 
 from soficlen import meanlength
-from soficlen.exactla import (SparseMatrix, dense_rank_mod_p, dense_rank_rational, rank_mod_p,
-                              rank_over_Q)
+from soficlen.exactla import (SparseMatrix, dense_rank_mod_p, dense_rank_rational,
+                              is_probable_prime, rank_mod_p, rank_over_Q)
 from soficlen.groups import (
     GroupElement,
     ball,
@@ -820,8 +821,8 @@ ONE_X_Y = "1 1 Z Z^2\n0 0 1@0,0 1@1,0 1@0,1\n"
     ("1 1 Z Z^2\n0 0 1@0,0 -1@2,0 1@0,2 -1@1,1\n", (24, 24), 572),
 ], ids=["1+x+y", "x-1", "2x2", "1-x2+y2-xy"])
 def test_character_ranks_of_pinned_tori(monkeypatch, text, dims, rank):
-    """The rank by characters, with no prime drawn, equals the eliminator's;
-    three of these miss the all-ones bound."""
+    """The rank by characters, with no elimination of σ̄_f, equals the
+    eliminator's; three of these miss the all-ones bound."""
     f, sigma = parse_matrix(text), build_torus(dims)
     ranked = _recorded_ranks(monkeypatch)
     pp = principal_rank_point(f, sigma)
@@ -864,6 +865,158 @@ def test_character_rank_of_the_zero_matrix(monkeypatch):
         pp = principal_rank_point(GroupRingMatrix.zeros(sigma.desc, RATIONALS, 2, 3), sigma)
         assert (pp.rank, pp.kernel, pp.vrk) == (0, 3 * sigma.d, 3)
     assert ranked == []
+
+
+def _cycle_matrix(rows):
+    """The matrix over Z[Z] whose entries are given as (exponent,
+    coefficient) pairs."""
+    return GroupRingMatrix(Z, INTEGERS, [[GroupRingElement.from_terms(
+        Z, INTEGERS, [(Z.element(k), c) for k, c in x]) for x in row] for row in rows])
+
+
+def test_character_rank_sees_an_entry_that_vanishes_only_at_zeta():
+    cases = [
+        (parse_matrix(ONE_X_Y), build_torus((3, 3)), 7),  # 1 + ζ₃ + ζ₃² = 0 at x ↦ ζ₃, y ↦ ζ₃²
+        (_cycle_matrix([[[(0, 1), (1, 2)]]]), build_cyclic(3), 3),  # 1 + 2ζ₃
+        (parse_matrix(ONE_X_Y), build_torus((1, 1)), 1),  # the trivial character: 3
+        (_cycle_matrix([[[(0, 1), (2, 1), (4, 1)]]]), build_cyclic(6), 2),  # 1 + ζ₃ + ζ₃² at ζ₆
+        (parse_matrix(ONE_X_Y), build_torus((6, 6)), 34),  # 1 + ζ₆ + ζ₃ = 2ζ₆ at (1, 2)
+        (_cycle_matrix([[[(0, 1), (5, 1), (-2, 1)]]]), build_cyclic(3), 1),  # exponents mod m
+        # a second row that is t times the first, and a first column of zeros
+        (_cycle_matrix([[[], [(0, 1)], [(1, 3)]], [[], [(1, 1)], [(2, 3)]]]), build_cyclic(3), 3),
+    ]
+    for f, sigma, rank in cases:
+        result = meanlength._sigma_bar_rank(f, sigma, 0)
+        assert (result.rank, result.proven) == (rank, True)
+        assert dense_rank_rational(build_sigma_bar(f, sigma)) == rank
+
+
+def test_character_rank_of_zero_rows_and_of_multiples_of_a_vanishing_entry():
+    sigma = build_cyclic(840)
+    zero = _cycle_matrix([[[], []], [[], []], [[(0, 1), (0, -1)], []]])
+    assert meanlength._sigma_bar_rank(zero, sigma, 0).rank == 0
+    # every entry a multiple of 1 + t + t², which vanishes at ζ₃ and ζ₃²
+    f = _cycle_matrix([[[(0, 1), (1, 1), (2, 1)]], [[(0, -2), (1, -2), (2, -2)]]])
+    assert meanlength._sigma_bar_rank(f, build_cyclic(3), 0).rank == 1
+    assert dense_rank_rational(build_sigma_bar(f, build_cyclic(3))) == 1
+    assert meanlength._sigma_bar_rank(f, sigma, 0).rank == 838
+    assert rank_over_Q(build_sigma_bar(f, sigma)).rank == 838
+
+
+def test_character_ranks_equal_exact_ranks_with_dependent_rows_and_vanishing_factors():
+    """Random f on cycles, with a row that is a combination of two others,
+    and with entries that carry a factor 1 + t^{d/q} + … vanishing at every
+    character of order q, against the rank of σ̄_f by Fraction elimination
+    (by rank_over_Q on the longer cycles)."""
+    rng = random.Random(29)
+
+    def element(d):
+        return [(rng.randrange(d), rng.randrange(-2, 3)) for _ in range(rng.randrange(4))]
+
+    def times(a, b):
+        return [(i + j, x * y) for i, x in a for j, y in b]
+
+    short = collections.Counter()
+    for d in (1, 2, 3, 4, 5, 6, 8, 12, 30, 105, 840):
+        sigma = build_cyclic(d)
+        for _ in range(12 if d <= 12 else 4):
+            nrows, ncols = rng.randrange(1, 4), rng.randrange(1, 4)
+            rows = [[element(d) for _ in range(ncols)] for _ in range(nrows)]
+            if nrows > 1 and rng.random() < 0.5:  # rows[0] ← a·rows[0] + b·rows[1]
+                a, b = element(d), element(d)
+                rows[0] = [times(a, x) + times(b, y) for x, y in zip(rows[0], rows[1])]
+            q = rng.choice([q for q in (2, 3, 5, 7) if d % q == 0] or [1])
+            if q > 1 and rng.random() < 0.5:
+                i, j = rng.randrange(nrows), rng.randrange(ncols)
+                rows[i][j] = times(rows[i][j], [(k * d // q, 1) for k in range(q)])
+            f = _cycle_matrix(rows)
+            bar = build_sigma_bar(f, sigma)
+            result = meanlength._sigma_bar_rank(f, sigma, 0)
+            exact = dense_rank_rational(bar) if d <= 12 else rank_over_Q(bar).rank
+            assert (result.rank, result.proven) == (exact, True), (d, rows)
+            short[result.rank < d * min(nrows, ncols)] += 1
+    assert short[True] >= 20 and short[False] >= 20
+
+
+def _norm_bound(f):
+    """The product of f's min(m, n) largest row bounds, each the ceiling of
+    the 2-norm of the row's ℓ¹ coefficient sums, and at least 1."""
+    bounds = []
+    for row in f.entries:
+        square = sum(sum(abs(c) for c in x.coeffs.values()) ** 2 for x in row)
+        root = math.isqrt(square)
+        bounds.append(max(1, root + (root * root < square)))
+    return math.prod(sorted(bounds)[f.m - min(f.m, f.n):])
+
+
+def test_character_ranks_carry_their_primes():
+    """Each character rank is proven and names its primes: the least ones
+    ≡ 1 (mod E) above 2**30, E the exponent of the torus, in order, and
+    more of them only while an orbit is short and their product is at most
+    the norm bound."""
+    cases = [(parse_matrix(text), build_torus(dims)) for text, dims in (
+        (ONE_X_Y, (21, 21)), ("1 1 Z Z^2\n0 0 1@1,0 -1@0,0\n", (40, 40)),
+        ("1 1 Z Z^2\n0 0 1@0,0 -1@2,0 1@0,2 -1@1,1\n", (24, 24)))]
+    cases.append((_cycle_matrix([[[(0, 1), (1, 1), (2, 1)]]]), build_cyclic(840)))
+    for f, sigma in cases:
+        E = math.lcm(*sigma.dims)
+        result = meanlength._sigma_bar_rank(f, sigma, 0)
+        assert result.proven and result.agreement and result.field == "Q"
+        assert result.primes == tuple(p for p in range(2**30 + 1, result.primes[-1] + 1)
+                                      if p % E == 1 and is_probable_prime(p))
+        assert math.prod(result.primes) > _norm_bound(f)
+
+
+def test_character_rank_takes_every_conjugate_of_a_short_orbit():
+    """On the 4-cycle, f = a ± b·t with a² + b² = p, for the route's own p
+    and ω = ζ₄ mod p: a + bζ₄ and a − bζ₄ generate the two primes of ℤ[i]
+    over p, so f's orbit representative at ζ₄ vanishes mod p, and its
+    conjugate at ζ₄³ does not.  f(χ) is nonzero at every χ, so the rank is
+    4, with the one prime p."""
+    p = next(meanlength._character_primes(4))
+    omega = meanlength._root_of_unity(4, p)
+    a = next(a for a in range(1, math.isqrt(p)) if math.isqrt(p - a * a) ** 2 == p - a * a)
+    b = math.isqrt(p - a * a)
+    b = b if (a + b * omega) % p == 0 else -b
+    assert (a + b * omega) % p == 0 and (a - b * omega) % p != 0
+    f, sigma = _cycle_matrix([[[(0, a), (1, b)]]]), build_cyclic(4)
+    result = meanlength._sigma_bar_rank(f, sigma, 0)
+    assert (result.rank, result.primes, result.proven) == (4, (p,), True)
+    assert dense_rank_rational(build_sigma_bar(f, sigma)) == 4
+
+
+def test_a_huge_coefficient_takes_primes_until_their_product_exceeds_the_bound():
+    """c(1 − x)(1 − y), c = 2**64 + 13, vanishes at the characters trivial
+    on x or on y, so its orbits there are short, and its norm bound 4c is
+    beyond one prime and two."""
+    c = 2**64 + 13
+    f = parse_matrix(f"1 1 Z Z^2\n0 0 {c}@0,0 -{c}@1,0 -{c}@0,1 {c}@1,1\n")
+    sigma = build_torus((3, 4))
+    result = meanlength._sigma_bar_rank(f, sigma, 0)
+    assert len(result.primes) > 2 and all(p % 12 == 1 for p in result.primes)
+    assert math.prod(result.primes[:-1]) <= 4 * c < math.prod(result.primes)
+    assert (result.rank, result.proven) == (rank_over_Q(build_sigma_bar(f, sigma)).rank, True)
+    assert result.rank == 6
+
+
+def test_character_route_refuses_an_omega_that_is_not_a_primitive_root(monkeypatch):
+    E = 12
+    p = next(meanlength._character_primes(E))
+    omega = meanlength._root_of_unity(E, p)
+    terms = [(0, (0, 0), 1), (0, (1, 0), 1), (0, (0, 1), 1)]  # 1 + x + y
+    weights = np.array([[0, 0], [4, 8]])  # the trivial character and x ↦ ζ₃, y ↦ ζ₃²
+    assert meanlength._character_ranks(terms, (1, 1), weights, E, p, omega).tolist() == [1, 0]
+    # a prime beyond int64 products: Python ints in object arrays, as in the kernel
+    big = next(q for q in range(2**61 // E * E + 1, 2**62, E) if is_probable_prime(q))
+    big_omega = meanlength._root_of_unity(E, big)
+    assert meanlength._character_ranks(terms, (1, 1), weights, E, big, big_omega).tolist() == [1, 0]
+    for bad in (1, pow(omega, 2, p), pow(omega, 3, p), 2):  # orders 1, 6, 4, and no root
+        with pytest.raises(MeanLengthError, match=f"not a primitive {E}-th root of unity"):
+            meanlength._character_ranks(terms, (1, 1), weights, E, p, bad)
+    real = meanlength._root_of_unity
+    monkeypatch.setattr(meanlength, "_root_of_unity", lambda E, p: pow(real(E, p), 2, p))
+    with pytest.raises(MeanLengthError, match="not a primitive"):
+        principal_rank_point(parse_matrix(ONE_X_Y), build_torus((3, 4)))
 
 
 def test_cycles_and_tori_rank_by_characters_and_other_models_by_elimination(monkeypatch):

@@ -226,9 +226,9 @@ def test_cycles_and_tori_record_their_dims_and_no_other_map_does():
 
 @pytest.mark.parametrize("dims", [(1,), (12,), (30,), (1, 5), (4, 6), (6, 6), (2, 2, 2)])
 def test_galois_orbits_are_the_cyclic_subgroups_of_the_characters(dims):
-    """One (m, φ(m), c) per cyclic subgroup of ∏ ℤ/L_i, by brute force: the
-    character χ(s) = ζ_m^{c·s} has order m, and it generates its orbit's
-    subgroup, whose generators number φ(m)."""
+    """One (m, units, c) per cyclic subgroup of ∏ ℤ/L_i, by brute force: the
+    character χ(s) = ζ_m^{c·s} has order m, and its orbit {χᵘ : u in units},
+    u the units mod m, is the set of its subgroup's generators."""
     sigma = build_torus(dims) if len(dims) > 1 else build_cyclic(dims[0])
     characters = list(itertools.product(*map(range, dims)))
 
@@ -240,13 +240,14 @@ def test_galois_orbits_are_the_cyclic_subgroups_of_the_characters(dims):
     for a in characters:
         subgroups.setdefault(generated(a), []).append(a)
     found = set()
-    for m, size, c in sigma.galois_orbits():
+    for m, units, c in sigma.galois_orbits():
         # ζ_m^{c·s} = exp(2πi Σ a_i s_i / L_i) with a_i = c_i L_i / m
         assert all(x * side % m == 0 for x, side in zip(c, dims))
         a = tuple(x * side // m % side for x, side in zip(c, dims))
         assert len(generated(a)) == m
-        assert size == len(subgroups[generated(a)]) == sum(
-            math.gcd(u, m) == 1 for u in range(m))
+        assert units.tolist() == [u for u in range(m) if math.gcd(u, m) == 1]
+        assert sorted(tuple(u * x % side for x, side in zip(a, dims)) for u in units.tolist()) \
+            == sorted(subgroups[generated(a)])
         found.add(generated(a))
     assert len(found) == len(sigma.galois_orbits()) == len(subgroups)
 

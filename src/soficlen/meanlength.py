@@ -19,10 +19,10 @@ Neumann rank of the presented quotient module, checking the duality
 rank(σ̄_f) + ker(σ̄_f) = d·n on every evaluation: a proven rank's kernel is
 d·n − rank, an unproven one's from a rank of σ̄_fᵀ with other primes (at
 an addition-check point, route (i)'s), which is σ̄_f again if f* = f.
-On a cycle or a torus (``build_cyclic``, ``build_torus``) over Z or Q, the
-rank of σ̄_f is a sum over the characters, one rank over ℚ(ζ_m) per Galois
-orbit, taken by the stacked dense kernel mod primes p ≡ 1 (mod E) and proven
-by a norm bound (``_sigma_bar_rank``).  Every other rank is an elimination.
+On a cycle or torus (``build_cyclic``, ``build_torus``) over Z or Q, σ̄_f's
+rank, or σ̄_M's with no relator rows, is a sum over characters: one rank over
+ℚ(ζ_m) per Galois orbit, by the stacked dense kernel mod primes p ≡ 1 (mod E),
+proven by a norm bound (``_sigma_bar_rank``).  Other ranks are eliminations.
 All reported values are exact rationals at each finite size; limits are
 replaced by a schedule of sizes with spread/stabilization reporting.
 
@@ -164,9 +164,15 @@ def _powers(omega: int, E: int, p: int):
 
 
 def _root_of_unity(E: int, p: int) -> int:
-    """The first x^((p − 1)/E) mod p, x = 2, 3, ..., of order E (p ≡ 1 (mod E))."""
+    """The first w = x^((p − 1)/E) mod p, x = 2, 3, ..., of order E (p ≡ 1
+    (mod E)): w^E = 1, so w has order E iff w^(E/q) ≠ 1 at each prime q | E."""
+    primes, rest = set(), E
+    for q in range(2, math.isqrt(E) + 1):
+        while rest % q == 0:
+            primes, rest = primes | {q}, rest // q
+    primes |= {rest} - {1}
     return next(w for w in (pow(x, (p - 1) // E, p) for x in range(2, p))
-                if _powers(w, E, p) is not None)
+                if all(pow(w, E // q, p) != 1 for q in primes))
 
 
 def _character_ranks(terms, shape, weights, E: int, p: int, omega: int) -> np.ndarray:
@@ -186,8 +192,9 @@ def _character_ranks(terms, shape, weights, E: int, p: int, omega: int) -> np.nd
 
 
 def _sigma_bar_rank(f: GroupRingMatrix, sigma: SoficMap, seed: int) -> RankResult:
-    """The rank of σ̄_f over f's field: by ``_rank`` with the primes of
-    ``seed``, but on a cycle or torus σ over Z or Q, where no σ̄_f is built.
+    """The rank of σ̄_f over f's field, f also a relative point's M with no
+    relator rows: by ``_rank`` with the primes of ``seed``, but on a cycle or
+    torus σ over Z or Q, where no σ̄_f is built.
 
     There the characters χ diagonalise every σ_s, and f(χ), f(χᵘ) are Galois
     conjugates, so rank σ̄_f = Σ φ(m) · rank over ℚ(ζ_m) of f(χ), one χ per
@@ -291,15 +298,17 @@ def _quotient_matrix(pair: RelativePair) -> tuple[GroupRingMatrix, int]:
 
 def relative_mean_length_at(pair: RelativePair, sigma: SoficMap, *,
                             rank_seed: int = 0) -> Fraction:
-    """(rank(R ∪ A) − rank(R)) / d on σ̄_M, for M the relator quotient of
-    ``_quotient_matrix``, ranked once over the pair's field (GF(p) exactly, Q
-    via the certified multi-prime route) with the relators R left in it as a
-    leading block: σ̄_M's rows come in M's row order.  A pivot row is
-    subtracted only from rows of its own block or later, so rank(R) is the
-    pivots taken in R plus the rank of what is left of it.  Raises
-    MeanLengthError if the ranks are uncertified.
+    """(rank(R ∪ A) − rank(R)) / d on σ̄_M, M the relator quotient of
+    ``_quotient_matrix``: rank σ̄_M / d by ``_sigma_bar_rank`` if M has no
+    relator rows R, else one rank over the pair's field (GF(p) exactly, Q via
+    the certified multi-prime route) with R left in σ̄_M as a leading block,
+    in M's row order.  A pivot row is subtracted only from rows of its own
+    block or later, so rank(R) is the pivots taken in R plus the rank of what
+    is left of it.  Raises MeanLengthError if the ranks are uncertified.
     """
     M, rel_rows = _quotient_matrix(pair)
+    if not rel_rows:
+        return Fraction(_sigma_bar_rank(M, sigma, rank_seed).rank, sigma.d)
     ranks = _rank(build_sigma_bar(M, sigma), pair.ring, rank_seed, sigma.d,
                   cuts=(rel_rows * sigma.d,))
     return Fraction(ranks.rank - ranks.leading_ranks[0], sigma.d)

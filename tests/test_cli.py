@@ -21,6 +21,7 @@ from soficlen.oracles import FolnerBox, OracleError, folner_mean_length
 from soficlen.sofic import SoficSchedule, make_sigma
 
 T_MINUS_ONE_Z = "1 1 Z Z\n0 0 1@1 -1@0\n"
+T_PLUS_ONE_Z = "1 1 Z Z\n0 0 1@1 1@0\n"
 
 
 def _run(tmp_path, job_text, files=(), name="job", argv_extra=()):
@@ -543,14 +544,15 @@ def test_uncertified_rank_stops_library_and_cli_alike(tmp_path, monkeypatch, cap
 
     monkeypatch.setattr(module, "rank_over_Q", uncertified)
     # a vrk point on a cycle takes its rank from characters, with no
-    # rank_over_Q, so the vrk case runs on F2, whose ranks take the primes
+    # rank_over_Q, so the vrk case runs on F2, whose ranks take the primes;
+    # so does a relator-free mrk point, so the mrk case has the two-term
+    # b row t + 1, whose relators leave rows to eliminate
     text = F2_MATRIX if quantity == "vrk" else T_MINUS_ONE_Z
     f = parse_matrix(text)
     schedule = SoficSchedule((10,), (3,))
     with pytest.raises(OracleError if quantity == "folner" else MeanLengthError) as info:
         if quantity == "mrk":
-            Z = integer_line()
-            pair = RelativePair(f, GroupRingMatrix.identity(Z, INTEGERS, 1), ball(Z, 1))
+            pair = RelativePair(f, parse_matrix(T_PLUS_ONE_Z), ball(integer_line(), 1))
             estimate_mean_length(pair, schedule)
         elif quantity == "vrk":
             estimate_vrk_fp(f, schedule)
@@ -561,7 +563,8 @@ def test_uncertified_rank_stops_library_and_cli_alike(tmp_path, monkeypatch, cap
     else:
         rank_seed = derive_rank_seed(quantity, 10, 3)
         assert str(info.value).startswith(f"uncertified rank at d=10, rank seed={rank_seed}: ")
-    job = {"mrk": MRK_JOB, "vrk": VRK_JOB.format(extra="seeds = 3\n"), "folner": FOLNER_JOB}
+    job = {"mrk": MRK_JOB + "b1 = 1@1 1@0\n", "vrk": VRK_JOB.format(extra="seeds = 3\n"),
+           "folner": FOLNER_JOB}
     code, report, _ = _run(tmp_path, job[quantity], files=[("f.txt", text)])
     assert code == 1
     assert report is None

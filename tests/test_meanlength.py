@@ -351,6 +351,23 @@ def _random_one_term_rows(rng, desc, ring, n):
         for _ in range(2)])
 
 
+def _assert_route(ranked, pair, sigma):
+    """The ranks one relative point took, recorded by ``_recorded_ranks``: a
+    point with relator rows is one elimination of σ̄_M with the relators as
+    its leading block.  A relator-free point on a cycle or torus over Z or Q
+    is ranked from characters, with no elimination, and elsewhere by one
+    elimination of σ̄_M."""
+    M, _ = meanlength._quotient_matrix(pair)
+    general = sum(sum(len(x.coeffs) for x in b) != 1 for b in pair.B.entries)
+    if general:
+        assert [(m, kwargs["cuts"]) for m, kwargs in ranked] == [
+            (build_sigma_bar(M, sigma), (sigma.d * general * len(pair.F),))]
+    elif sigma.dims is not None and pair.ring.kind != "GF":
+        assert ranked == []
+    else:
+        assert [m for m, _ in ranked] == [build_sigma_bar(M, sigma)]
+
+
 @pytest.mark.parametrize("ring", [INTEGERS, RATIONALS, prime_field(7)], ids=["Z", "Q", "GF7"])
 def test_relative_value_is_the_unquotiented_rank_difference(monkeypatch, ring):
     """The value from the quotient matrix equals (rank(R ∪ A) − rank(R)) / d
@@ -358,7 +375,8 @@ def test_relative_value_is_the_unquotiented_rank_difference(monkeypatch, ring):
     B is the identity, one-term rows, general rows or both together.  F is
     either ball(1), covering A's support, with a row g − e in A so that
     ranks drop, or a sample of ball(1) with A on ball(2), not covering it.
-    Only relators of rows with two or more terms are left as rows."""
+    Only relators of rows with two or more terms are left as rows; a point
+    with none is ranked as ``_assert_route`` says."""
     S3, Z2 = finite_group(symmetric_table(3)), lattice(2)
     models = [(Z, build_cyclic(5)), (Z2, build_torus((3, 3))),
               (F2, build_random_free(2, 5, 4)), (S3, build_translation(S3))]
@@ -384,10 +402,10 @@ def test_relative_value_is_the_unquotiented_rank_difference(monkeypatch, ring):
                 rows += _random_generators(rng, desc, ring, n).entries
             B = GroupRingMatrix(desc, ring, rows)
             pair = RelativePair(A, B, F)
+            ranked.clear()
             value = relative_mean_length_at(pair, sigma)
+            _assert_route(ranked, pair, sigma)
             assert value == _unquotiented_value(pair, sigma)
-            general = sum(sum(len(x.coeffs) for x in b) != 1 for b in rows)
-            assert ranked[-1][1]["cuts"] == (sigma.d * general * len(F),)
             values.add(value)
     # one-term rows off e, with non-unit coefficients, beside general rows,
     # and F of one or two elements, so that classes are rooted away from e
@@ -400,10 +418,10 @@ def test_relative_value_is_the_unquotiented_rank_difference(monkeypatch, ring):
             (rng.randrange(n), rng.choice(off_e), rng.choice((2, -2, 3, 5))) for _ in range(2)])
         rows = one_term + list(_random_generators(rng, desc, ring, n).entries)
         pair = RelativePair(A, GroupRingMatrix(desc, ring, rows), F)
+        ranked.clear()
         value = relative_mean_length_at(pair, sigma)
+        _assert_route(ranked, pair, sigma)
         assert value == _unquotiented_value(pair, sigma)
-        general = sum(sum(len(x.coeffs) for x in b) != 1 for b in rows)
-        assert ranked[-1][1]["cuts"] == (sigma.d * general * len(F),)
         values.add(value)
     assert any(v.denominator > 1 for v in values)
 
@@ -1042,6 +1060,74 @@ def test_cycles_and_tori_rank_by_characters_and_other_models_by_elimination(monk
     assert principal_rank_point(f, sigma, rank_seed=4).rank == 8
     bar = build_sigma_bar(f, sigma)  # rank 8 misses the bound 12: the transpose too
     assert [(m, kwargs["seed"]) for m, kwargs in ranked] == [(bar, 4), (bar.transpose(), 5)]
+
+
+def _recorded_character_ranks(monkeypatch):
+    """The RankResult of every call of ``meanlength._sigma_bar_rank``."""
+    results, real = [], meanlength._sigma_bar_rank
+
+    def recorded(f, sigma, seed):
+        results.append(real(f, sigma, seed))
+        return results[-1]
+
+    monkeypatch.setattr(meanlength, "_sigma_bar_rank", recorded)
+    return results
+
+
+@pytest.mark.parametrize("ring", [INTEGERS, RATIONALS], ids=["Z", "Q"])
+def test_relator_free_relative_points_on_cycles_and_tori_rank_from_characters(monkeypatch, ring):
+    """A relative point whose rows of B have one term each leaves no relator
+    row, so on a cycle or torus over Z or Q it is rank σ̄_M / d from the
+    characters, with no elimination: proven, at primes ≡ 1 (mod E).  A is
+    x − 1 and y − 1 in one column (t − 1 and t⁻¹ − 1 on Z), whose rank drops
+    at the trivial character, or two proportional rows, short at every
+    orbit; B is the identity, or one row 2·x, whose coefficient is no unit
+    of Z.  Each value is the unquotiented one and rank_over_Q's of σ̄_M."""
+    ranked = _recorded_ranks(monkeypatch)
+    results = _recorded_character_ranks(monkeypatch)
+    scale = Fraction(1, 3) if ring.kind == "Q" else 1
+    Z2 = lattice(2)
+    models = [(Z, build_cyclic(d)) for d in (1, 7, 12)]
+    models += [(Z2, build_torus(dims)) for dims in ((1, 6), (3, 4))]
+    for desc, sigma in models:
+        x, y = (Z.element(1), Z.element(-1)) if desc == Z else desc.generators()
+        e = desc.identity()
+
+        def element(*terms):
+            return GroupRingElement.from_terms(desc, ring, [(g, c * scale) for g, c in terms])
+
+        column = GroupRingMatrix(desc, ring, [[element((x, 1), (e, -1))],
+                                              [element((y, 1), (e, -1))]])
+        proportional = GroupRingMatrix(desc, ring, [
+            [element((e, k), (x, k)), element((y, k), (e, -3 * k))] for k in (1, 2)])
+        for A in (column, proportional):
+            basis = GroupRingMatrix.identity(desc, ring, A.n)
+            for B in (basis, GroupRingMatrix(desc, ring, _one_term_rows(desc, ring, A.n, [(0, x, 2)]))):
+                pair = RelativePair(A, B, tuple(ball(desc, 1)))
+                M, rel_rows = meanlength._quotient_matrix(pair)
+                ranked.clear()
+                results.clear()
+                value = relative_mean_length_at(pair, sigma, rank_seed=5)
+                assert rel_rows == 0 and ranked == []
+                (result,) = results
+                E = math.lcm(*sigma.dims)
+                assert result.proven and all((p - 1) % E == 0 for p in result.primes)
+                assert value == Fraction(rank_over_Q(build_sigma_bar(M, sigma)).rank, sigma.d)
+                assert value == _unquotiented_value(pair, sigma)
+                if A is column and B is basis:  # both rows vanish only at the trivial χ
+                    assert value == Fraction(sigma.d - 1, sigma.d)
+
+
+@pytest.mark.parametrize("E", [1, 2, 12, 20, 840, 1000, 3072])
+def test_root_of_unity_is_the_first_power_whose_table_has_order_E(E):
+    """ω found by its order is the ω of the power table: the first
+    x^((p − 1)/E) mod p, x = 2, 3, ..., among whose powers ω^0, ...,
+    ω^(E − 1) 1 is met once, at the first four primes ≡ 1 (mod E)."""
+    for p in itertools.islice(meanlength._character_primes(E), 4):
+        candidates = (pow(x, (p - 1) // E, p) for x in range(2, p))
+        omega = next(w for w in candidates if [pow(w, k, p) for k in range(E)].count(1) == 1)
+        assert pow(omega, E, p) == 1
+        assert meanlength._root_of_unity(E, p) == omega
 
 
 def _orbit_count(d, perms):

@@ -6,13 +6,15 @@ object array otherwise (duplicates are summed in Python ints unless no int64
 sum can overflow).  The sparse eliminator takes both arrays as they are and
 ranks the matrix modulo one prime.  It keeps the active entries as one key
 array and one residue array, and eliminates in rounds, dropping the entries
-that vanish at the start of each.  Each round takes the entries of Markowitz
-score (row_nnz - 1) * (col_nnz - 1) at most max(2 * min, min + 2), min the
-least score, as candidates (Davis and Yew's parallel pivot sets), gives each
-the int64 view of (i * ncols + j) * 0x9E3779B97F4A7C15 mod 2**64 as its
-priority (distinct, since the multiplier is odd) and keeps those whose
-priority is the lowest among the candidates two hops away in the row/column
-graph, as in Luby's maximal independent set algorithm.  The kept pivots
+that vanish at the start of each.  Each round's candidates are the entries
+of Markowitz score (row_nnz - 1) * (col_nnz - 1) at most max(2 * min, min +
+2), min the least score (Davis and Yew's parallel pivot sets), and those
+whose score is the least two hops away in the row/column graph.  It gives
+each the int64 view of (i * ncols + j) * 0x9E3779B97F4A7C15 mod 2**64 as its
+priority (distinct, since the multiplier is odd) and takes a maximal
+independent set of them by Luby's algorithm: each step keeps the free
+candidates whose priority is the lowest among the free ones two hops away,
+and a candidate that meets a kept one is free no more.  The kept pivots
 share no row or column and A[i, j'] = A[i', j] = 0 for any two of them, so
 their block is diagonal and one Schur update applies them all at once, with
 one pow per pivot for its inverse, as in the dense kernel.  Before each
@@ -308,27 +310,57 @@ def _sparse_ranks(nrows, ncols, key, val, cuts, p) -> list[int]:
 
 
 def _independent_pivots(r, c, row_nnz, col_nnz, ncols):
-    """Indices of the entries of Markowitz score (row_nnz - 1) * (col_nnz -
-    1) at most max(2 * min, min + 2) whose priority is the lowest among these
-    candidates two hops away in the row/column graph: no two share a row or a
-    column, and the entries that cross two of them, A[i, j'] and A[i', j],
-    are zero.  r and c hold every entry of the rows they meet: with cuts,
-    the rows of the earliest live block, as a pivot row of block b is
-    subtracted only from rows of block b or later."""
+    """Sorted indices of a maximal independent set of candidate pivots: no
+    two share a row or a column, and the entries that cross two of them,
+    A[i, j'] and A[i', j], are zero.  The candidates are the entries of
+    Markowitz score (row_nnz - 1) * (col_nnz - 1) at most max(2 * min, min +
+    2), and those whose score is the least two hops away in the row/column
+    graph.  Each Luby step takes the free candidates whose priority is the
+    lowest among the free ones two hops away; those that meet them are free
+    no more.  r and c hold every entry of the rows they meet: with cuts, the
+    rows of the earliest live block, as a pivot row of block b is subtracted
+    only from rows of block b or later."""
+    nr, nc = row_nnz.size, col_nnz.size
     score = (row_nnz[r] - 1) * (col_nnz[c] - 1)
     least = score.min()
-    cand = np.flatnonzero(score <= max(2 * least, least + 2))
-    cr, cc = r[cand], c[cand]
-    prio = ((cr * ncols + cc).astype(np.uint64) * _PRIORITY_MIX).view(np.int64)
-    row_min = np.full(row_nnz.size, _NO_PRIORITY)
-    col_min = np.full(col_nnz.size, _NO_PRIORITY)
-    np.minimum.at(row_min, cr, prio)
-    np.minimum.at(col_min, cc, prio)
-    row_reach = np.full(row_nnz.size, _NO_PRIORITY)
-    col_reach = np.full(col_nnz.size, _NO_PRIORITY)
+    free = np.flatnonzero((score <= max(2 * least, least + 2))
+                          | (score == _two_hop_min(r, c, r, c, score, nr, nc)))
+    fr, fc = r[free], c[free]
+    prio = ((fr * ncols + fc).astype(np.uint64) * _PRIORITY_MIX).view(np.int64)
+    taken = np.zeros(r.size, dtype=bool)
+    while free.size:
+        # only entries in a free row and a free column join two free candidates
+        in_row, in_col = np.zeros(nr, dtype=bool), np.zeros(nc, dtype=bool)
+        in_row[fr] = in_col[fc] = True
+        inside = in_row[r] & in_col[c]
+        r, c = r[inside], c[inside]
+        won = prio == _two_hop_min(r, c, fr, fc, prio, nr, nc)
+        taken[free[won]] = True
+        # a candidate meets a new pivot if its row meets the pivot's column
+        # or the pivot's row meets its column
+        in_row[:] = in_col[:] = False
+        in_row[fr[won]] = in_col[fc[won]] = True
+        met_row, met_col = np.zeros(nr, dtype=bool), np.zeros(nc, dtype=bool)
+        met_row[r[in_col[c]]] = met_col[c[in_row[r]]] = True
+        left = ~met_row[fr] & ~met_col[fc]
+        free, fr, fc, prio = free[left], fr[left], fc[left], prio[left]
+    return np.flatnonzero(taken)
+
+
+def _two_hop_min(r, c, sr, sc, x, nrows, ncols):
+    """For each entry (sr[k], sc[k]) of a set within the pattern (r, c), the
+    least x over the entries of the set that it meets: those in its row or
+    its column, and those at (i', j') where A[sr[k], j'] or A[i', sc[k]] is
+    in the pattern."""
+    row_min = np.full(nrows, _NO_PRIORITY)
+    col_min = np.full(ncols, _NO_PRIORITY)
+    np.minimum.at(row_min, sr, x)
+    np.minimum.at(col_min, sc, x)
+    row_reach = np.full(nrows, _NO_PRIORITY)
+    col_reach = np.full(ncols, _NO_PRIORITY)
     np.minimum.at(row_reach, r, col_min[c])
     np.minimum.at(col_reach, c, row_min[r])
-    return cand[(prio == row_reach[cr]) & (prio == col_reach[cc])]
+    return np.minimum(row_reach[sr], col_reach[sc])
 
 
 def _schur_update(key, v, r, c, row_nnz, pivots, ncols, p):

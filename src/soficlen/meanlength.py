@@ -40,7 +40,7 @@ import math
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -149,9 +149,12 @@ def build_sigma_bar(f: GroupRingMatrix, sigma: SoficMap) -> SparseMatrix:
     return blocks_to_sparse(blocks, d * f.m, d * f.n, f.ring)
 
 
-def _character_primes(E: int):
-    """The primes p ≡ 1 (mod E) above 2**30, in increasing order."""
-    return (p for p in range(-(-2**30 // E) * E + 1, 2**64, E) if is_probable_prime(p))
+@cache
+def _character_prime(E: int, above: int = 2**30) -> tuple[int, int]:
+    """The least prime p ≡ 1 (mod E) above ``above`` and its ω =
+    ``_root_of_unity(E, p)``, searched for once per (E, above)."""
+    p = next(p for p in range(-(-above // E) * E + 1, 2**64, E) if is_probable_prime(p))
+    return p, _root_of_unity(E, p)
 
 
 def _powers(omega: int, E: int, p: int):
@@ -220,19 +223,19 @@ def _sigma_bar_rank(f: GroupRingMatrix, sigma: SoficMap, seed: int) -> RankResul
                      for row in f.entries)
     bound = math.prod(math.isqrt(s - 1) + 1 if s else 1 for s in squares[-full:])
     reps = np.array([[x * (E // m) for x in char] for m, _, char in orbits], dtype=np.int64)
-    primes = _character_primes(E)
-    used = [next(primes)]
-    best = _character_ranks(terms, (f.m, f.n), reps, E, used[0], _root_of_unity(E, used[0]))
+    p, omega = _character_prime(E)
+    used = [p]
+    best = _character_ranks(terms, (f.m, f.n), reps, E, p, omega)
     short = np.flatnonzero(best < full)
     while short.size:  # every conjugate of every short orbit, at the last prime
         weights = np.concatenate([np.outer(orbits[o][1], reps[o]) % E for o in short])
-        p = used[-1]
-        ranks = _character_ranks(terms, (f.m, f.n), weights, E, p, _root_of_unity(E, p))
+        ranks = _character_ranks(terms, (f.m, f.n), weights, E, p, omega)
         np.maximum.at(best, np.repeat(short, [orbits[o][1].size for o in short]), ranks)
         short = short[best[short] < full]
         if not short.size or math.prod(used) > bound:
             break
-        used.append(next(primes))
+        p, omega = _character_prime(E, p)
+        used.append(p)
     rank = sum(units.size * int(r) for (_, units, _), r in zip(orbits, best))
     return RankResult(rank, "Q", tuple(used), True, proven=True)
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from soficlen import _kernels, exactla
+from soficlen import _kernels, exactla, oracles
 from soficlen.exactla import (
     ExactLAError,
     RankResult,
@@ -24,7 +24,7 @@ from soficlen.exactla import (
 )
 from soficlen.exactla import _MAX_PRIMES, _MIN_PRIMES
 from soficlen.groupring import INTEGERS, RATIONALS, GroupRingElement, GroupRingMatrix
-from soficlen.groups import lattice
+from soficlen.groups import integer_line, lattice
 from soficlen.meanlength import blocks_to_sparse, build_sigma_bar
 from soficlen.sofic import build_torus
 
@@ -1000,7 +1000,26 @@ def test_every_round_pivots_an_independent_relaxed_set_of_the_earliest_block(mon
                 assert np.array_equal(np.flatnonzero(crossing), np.sort(pivots))
                 score = (row_nnz[r] - 1) * (col_nnz[c] - 1)
                 least = score.min()
-                assert score[pivots].max() <= max(2 * least, least + 2)
+                # entry (i, j) meets the entries of the rows in column j and
+                # of the columns in row i: its own row and column, and those
+                # that cross it
+                entries = list(zip(r.tolist(), c.tolist(), score.tolist()))
+                rows_of, cols_of = collections.defaultdict(set), collections.defaultdict(set)
+                row_least, col_least = {}, {}
+                for i, j, s in entries:
+                    rows_of[j].add(i)
+                    cols_of[i].add(j)
+                    row_least[i] = min(s, row_least.get(i, s))
+                    col_least[j] = min(s, col_least.get(j, s))
+                candidates = {k for k, (i, j, s) in enumerate(entries)
+                              if s <= max(2 * least, least + 2)
+                              or s <= min(min(row_least[a] for a in rows_of[j]),
+                                          min(col_least[b] for b in cols_of[i]))}
+                assert set(pivots.tolist()) <= candidates
+                # maximal: every candidate meets a pivot
+                pivot_rows, pivot_cols = set(pr.tolist()), set(pc.tolist())
+                assert all(rows_of[j] & pivot_rows or cols_of[i] & pivot_cols
+                           for k, (i, j, _) in enumerate(entries) if k in candidates)
                 seen.append(pivots.size)
                 return pivots
 
@@ -1030,8 +1049,36 @@ def test_priorities_of_keys_near_2_63_stay_distinct():
 def test_relaxed_rounds_on_a_torus(rounds):
     m = _torus_sigma_bar()
     assert rank_mod_p(m, 2**31 - 1).rank == 800
-    # 62 rounds when only the entries of minimal score were candidates
-    assert len(rounds) <= 26
+    # 62 rounds when only the entries of minimal score were candidates, 26
+    # when a round took only the candidates first in their neighbourhoods
+    assert len(rounds) <= 14
+
+
+def test_maximal_rounds_on_bands_and_a_folner_box(rounds, monkeypatch):
+    """Bands of width 1, 2 and 3 took 145, 141 and 61 rounds, and the Folner
+    box-200 matrix of a 2 x 2 A over Z 59, when a round took only the
+    candidates first in their neighbourhoods; a maximal set of them takes
+    at most 20 and 16."""
+    p = 2**31 - 1
+    for width in (1, 2, 3):
+        m = _banded(300, width, seed=3)
+        before = len(rounds)
+        assert rank_mod_p(m, p).rank == dense_rank_mod_p(m, p) == 300
+        assert len(rounds) - before <= 20
+    Z = integer_line()
+    A = GroupRingMatrix(Z, INTEGERS, [
+        [GroupRingElement.from_terms(Z, INTEGERS, [(Z.element(g), c) for g, c in terms])
+         for terms in row] for row in ([[(1, 3)], [(-2, 2), (1, 1), (2, 2)]],
+                                       [[(-1, -3)], [(0, -1)]])])
+    boxes, real = [], oracles.rank_over_Q
+    monkeypatch.setattr(oracles, "rank_over_Q",
+                        lambda m, seed: boxes.append(m) or real(m, seed=seed))
+    assert oracles.folner_mean_length(A, [oracles.FolnerBox((200,))]) == [2]
+    (m,) = boxes
+    before = len(rounds)
+    assert (m.nrows, m.ncols) == (400, 408)
+    assert rank_mod_p(m, p).rank == dense_rank_mod_p(m, p) == 400
+    assert len(rounds) - before <= 16
 
 
 # --- proven ranks: the first prime against an exact upper bound

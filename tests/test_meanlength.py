@@ -985,14 +985,36 @@ def test_character_ranks_carry_their_primes():
         assert math.prod(result.primes) > _norm_bound(f)
 
 
+def test_the_least_character_prime_and_its_omega_are_searched_for_once_per_E(monkeypatch):
+    """The first rank at E = 20 searches for the least prime ≡ 1 (mod E)
+    above 2**30 and its ω; a second rank at that E, of the same f or of
+    x − 1, whose short orbit takes the conjugate round, tests no number for
+    primality.  The pair kept is a fresh search's."""
+    meanlength._character_prime.cache_clear()
+    tested, real = [], meanlength.is_probable_prime
+    monkeypatch.setattr(meanlength, "is_probable_prime", lambda n: tested.append(n) or real(n))
+    f, sigma = parse_matrix(ONE_X_Y), build_torus((4, 5))
+    first = meanlength._sigma_bar_rank(f, sigma, 0)
+    assert tested
+    tested.clear()
+    assert meanlength._sigma_bar_rank(f, sigma, 0) == first
+    x_minus_1 = parse_matrix("1 1 Z Z^2\n0 0 1@1,0 -1@0,0\n")
+    assert meanlength._sigma_bar_rank(x_minus_1, build_torus((20, 1)), 0).rank == 19
+    assert tested == []
+    E = 20
+    p = next(q for q in range(2**30 + 1, 2**31) if q % E == 1 and is_probable_prime(q))
+    assert first.primes == (p,)
+    assert meanlength._character_prime(E) == meanlength._character_prime.__wrapped__(E) == (
+        p, meanlength._root_of_unity(E, p))
+
+
 def test_character_rank_takes_every_conjugate_of_a_short_orbit():
     """On the 4-cycle, f = a ± b·t with a² + b² = p, for the route's own p
     and ω = ζ₄ mod p: a + bζ₄ and a − bζ₄ generate the two primes of ℤ[i]
     over p, so f's orbit representative at ζ₄ vanishes mod p, and its
     conjugate at ζ₄³ does not.  f(χ) is nonzero at every χ, so the rank is
     4, with the one prime p."""
-    p = next(meanlength._character_primes(4))
-    omega = meanlength._root_of_unity(4, p)
+    p, omega = meanlength._character_prime(4)
     a = next(a for a in range(1, math.isqrt(p)) if math.isqrt(p - a * a) ** 2 == p - a * a)
     b = math.isqrt(p - a * a)
     b = b if (a + b * omega) % p == 0 else -b
@@ -1019,8 +1041,7 @@ def test_a_huge_coefficient_takes_primes_until_their_product_exceeds_the_bound()
 
 def test_character_route_refuses_an_omega_that_is_not_a_primitive_root(monkeypatch):
     E = 12
-    p = next(meanlength._character_primes(E))
-    omega = meanlength._root_of_unity(E, p)
+    p, omega = meanlength._character_prime(E)
     terms = [(0, (0, 0), 1), (0, (1, 0), 1), (0, (0, 1), 1)]  # 1 + x + y
     weights = np.array([[0, 0], [4, 8]])  # the trivial character and x ↦ ζ₃, y ↦ ζ₃²
     assert meanlength._character_ranks(terms, (1, 1), weights, E, p, omega).tolist() == [1, 0]
@@ -1031,8 +1052,13 @@ def test_character_route_refuses_an_omega_that_is_not_a_primitive_root(monkeypat
     for bad in (1, pow(omega, 2, p), pow(omega, 3, p), 2):  # orders 1, 6, 4, and no root
         with pytest.raises(MeanLengthError, match=f"not a primitive {E}-th root of unity"):
             meanlength._character_ranks(terms, (1, 1), weights, E, p, bad)
-    real = meanlength._root_of_unity
-    monkeypatch.setattr(meanlength, "_root_of_unity", lambda E, p: pow(real(E, p), 2, p))
+    real = meanlength._character_prime
+
+    def squared(E, above=2**30):  # the prime with ω², of order 6 at E = 12
+        p, omega = real(E, above)
+        return p, pow(omega, 2, p)
+
+    monkeypatch.setattr(meanlength, "_character_prime", squared)
     with pytest.raises(MeanLengthError, match="not a primitive"):
         principal_rank_point(parse_matrix(ONE_X_Y), build_torus((3, 4)))
 
@@ -1122,12 +1148,16 @@ def test_relator_free_relative_points_on_cycles_and_tori_rank_from_characters(mo
 def test_root_of_unity_is_the_first_power_whose_table_has_order_E(E):
     """ω found by its order is the ω of the power table: the first
     x^((p − 1)/E) mod p, x = 2, 3, ..., among whose powers ω^0, ...,
-    ω^(E − 1) 1 is met once, at the first four primes ≡ 1 (mod E)."""
-    for p in itertools.islice(meanlength._character_primes(E), 4):
+    ω^(E − 1) 1 is met once, at the first four primes ≡ 1 (mod E), which
+    ``_character_prime`` finds with their ω."""
+    p = 2**30
+    for _ in range(4):
+        p = next(q for q in range(p + 1, 2**62) if (q - 1) % E == 0 and is_probable_prime(q))
         candidates = (pow(x, (p - 1) // E, p) for x in range(2, p))
         omega = next(w for w in candidates if [pow(w, k, p) for k in range(E)].count(1) == 1)
         assert pow(omega, E, p) == 1
         assert meanlength._root_of_unity(E, p) == omega
+        assert meanlength._character_prime(E, p - 1) == (p, omega)
 
 
 def _orbit_count(d, perms):

@@ -18,6 +18,6 @@ from .oracles import (FolnerBox, compare, finite_group_vrk,
                       folner_mean_length, laurent_rank)
 from .sofic import (DefectReport, SoficMap, SoficSchedule, build_cyclic,
                     build_quotient, build_random_free, build_torus,
-                    build_translation, defect, make_sigma, restrict)
+                    build_translation, defect, make_sigma)
 
 __version__ = "0.1.0"

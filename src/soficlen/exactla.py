@@ -17,8 +17,9 @@ candidates whose priority is the lowest among the free ones two hops away,
 and a candidate that meets a kept one is free no more.  The kept pivots
 share no row or column and A[i, j'] = A[i', j] = 0 for any two of them, so
 their block is diagonal and one Schur update applies them all at once, with
-one pow per pivot for its inverse, as in the dense kernel.  Before each
-round, an active block that is at least a quarter nonzero, and not too
+one pow per pivot for its inverse, as in the dense kernel; ``_merge``, the
+one sort-and-sum here, puts its fill among the surviving entries.  Before
+each round, an active block that is at least a quarter nonzero, and not too
 large, goes to the dense kernel instead.
 Residues are int64 below 2**31 and Python ints in object arrays above
 (``_field_dtype``); each dense block is prepared once, here, and the kernel
@@ -368,8 +369,8 @@ def _schur_update(key, v, r, c, row_nnz, pivots, ncols, p):
     p, sorted by key, for independent pivots at (I, J), whose block D =
     A[I, J] is diagonal; I' and J' are the other rows and columns.  Each
     row's entries are contiguous in the sorted arrays.  Each pivot's inverse
-    is one pow, as in the dense kernel; the values that come out may be
-    zero."""
+    is one pow, as in the dense kernel; ``_merge`` sums the fill into the
+    surviving entries, and the values that come out may be zero."""
     pr, pc = r[pivots], c[pivots]
     inv = np.array([pow(a, -1, p) for a in v[pivots].tolist()], dtype=v.dtype)
     pivot_of_col = np.full(ncols, -1)
@@ -390,15 +391,9 @@ def _schur_update(key, v, r, c, row_nnz, pivots, ncols, p):
     # the pivot row meets J in its pivot alone, whose column is eliminated
     off = pivot_of_col[c[source]] < 0
     source, target, factor = source[off], target[off], factor[off]
-    fill_key, fill = _merge(r[target] * ncols + c[source], -factor * v[source] % p)
-    key, v = key[rest], v[rest]
-    pos = np.searchsorted(key, fill_key)
-    hit = np.zeros(pos.size, dtype=bool)
-    inside = pos < key.size
-    hit[inside] = key[pos[inside]] == fill_key[inside]
-    v[pos[hit]] += fill[hit]
-    at = pos[~hit]
-    return np.insert(key, at, fill_key[~hit]), np.insert(v, at, fill[~hit]) % p
+    key, v = _merge(np.concatenate([key[rest], r[target] * ncols + c[source]]),
+                    np.concatenate([v[rest], -factor * v[source] % p]))
+    return key, v % p
 
 
 def _dense_tail(r, c, v, p, bounds):

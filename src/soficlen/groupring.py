@@ -157,13 +157,6 @@ class GroupRingElement:
                 acc[gh] = acc.get(gh, 0) + c * d
         return GroupRingElement(self.desc, self.ring, acc)
 
-    def translate(self, g: GroupElement) -> "GroupRingElement":
-        """Left translation g * self."""
-        if g.desc != self.desc:
-            raise GroupRingError("translation by element of a different group")
-        return GroupRingElement(
-            self.desc, self.ring, {g * h: c for h, c in self.coeffs.items()})
-
     def __eq__(self, other):
         if not isinstance(other, GroupRingElement):
             return NotImplemented

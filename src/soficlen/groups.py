@@ -115,6 +115,11 @@ class GroupElement:
     def is_identity(self) -> bool:
         return self == self.desc.identity()
 
+    @property
+    def exponents(self) -> tuple[int, ...]:
+        """The exponent vector of an element of Z or Z^k: (value,) on Z."""
+        return (self.value,) if self.desc.family == INTEGER_LINE else self.value
+
     def sort_key(self):
         """Deterministic total order within one group (used to fix the
         enumeration order of balls and support windows)."""

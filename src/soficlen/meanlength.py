@@ -214,8 +214,7 @@ def _sigma_bar_rank(f: GroupRingMatrix, sigma: SoficMap, seed: int) -> RankResul
     if f.desc != sigma.desc:
         raise GroupRingError("matrix and sofic map live over different groups")
     scale = math.lcm(*(c.denominator for row in f.entries for x in row for c in x.coeffs.values()))
-    line = f.desc.family == groups.INTEGER_LINE
-    terms = [(k * f.n + j, (g.value,) if line else g.value, int(c * scale))
+    terms = [(k * f.n + j, g.exponents, int(c * scale))
              for k, row in enumerate(f.entries) for j, x in enumerate(row)
              for g, c in x.coeffs.items()]
     full, E, orbits = min(f.m, f.n), math.lcm(*sigma.dims), sigma.galois_orbits()

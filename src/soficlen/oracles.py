@@ -151,7 +151,7 @@ def laurent_rank(f: GroupRingMatrix, *, seed: int = 0) -> LaurentRank:
     check_oracle_group(desc, "the Laurent oracle")
     if f.ring.kind == "GF":
         raise OracleError("Laurent oracle works over Z or Q coefficients")
-    k = 1 if desc.family == groups.INTEGER_LINE else desc.rank
+    k = desc.rank
     rng = random.Random(seed)
     seen = []
     for _ in range(3):
@@ -166,9 +166,8 @@ def laurent_rank(f: GroupRingMatrix, *, seed: int = 0) -> LaurentRank:
             for j in range(f.n):
                 val = Fraction(0)
                 for g, c in f.entries[i][j].coeffs.items():
-                    exps = (g.value,) if desc.family == groups.INTEGER_LINE else g.value
                     term = Fraction(c)
-                    for q, a in zip(point, exps):
+                    for q, a in zip(point, g.exponents):
                         term *= q ** a
                     val += term
                 row.append(val)

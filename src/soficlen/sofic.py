@@ -2,13 +2,12 @@
 
 Every map is a homomorphism given by the permutations of Γ's standard
 generators: cyclic shifts, torus axis shifts, multiplication-table rows
-(translation and quotient maps), independent seeded random permutations of
-F_k's generators, or one permutation pulled back along Z → Γ (restriction).
-σ_g is composed from them along g's normal form.  Permutations are numpy
-int64 arrays of length d (σ_g as the map v ↦ arr[v]), computed lazily per
-group element and cached.  Every builder is deterministic given (source, d,
-seed); the random free-group map has no multiplicativity defect, so its
-approximation error shows up in separation.
+(translation and quotient maps), or independent seeded random permutations
+of F_k's generators.  σ_g is composed from them along g's normal form.
+Permutations are numpy int64 arrays of length d (σ_g as the map v ↦ arr[v]),
+computed lazily per group element and cached.  Every builder is
+deterministic given (source, d, seed); the random free-group map has no
+multiplicativity defect, so its approximation error shows up in separation.
 """
 
 from __future__ import annotations
@@ -94,8 +93,7 @@ class SoficMap:
                 p = self.gens[abs(letter) - 1]
                 acc = acc[p if letter > 0 else perm_inverse(p)]
             return acc
-        exponents = (g.value,) if family == groups.INTEGER_LINE else g.value
-        for p, a in zip(self.gens, exponents):
+        for p, a in zip(self.gens, g.exponents):
             acc = acc[perm_power(p, a)]
         return acc
 
@@ -202,20 +200,6 @@ def build_quotient(desc, target, images) -> SoficMap:
             raise SoficError("generator image outside the target group")
     gens = [np.array(target.table[q.value], dtype=np.int64) for q in images]
     return SoficMap(desc, gens, "QuotientHom")
-
-
-def restrict(sigma: SoficMap, image: GroupElement) -> SoficMap:
-    """Sofic map on Z with σ'_n = σ_{image^n}.
-
-    The ball(1) injectivity check (image ≠ identity) is a heuristic only;
-    genuine injectivity of n ↦ image^n is the caller's responsibility.
-    """
-    if image.desc != sigma.desc:
-        raise SoficError("embedding image outside the base group")
-    if image.is_identity():
-        raise SoficError("embedding not injective on ball(1): image is the identity")
-    return SoficMap(groups.integer_line(), [sigma.perm(image)], "Restricted",
-                    seed=sigma.seed)
 
 
 def check_size(desc: GroupDescriptor, d: int, dims) -> None:

@@ -178,16 +178,6 @@ def test_support_of_product_contained_in_product_of_supports():
         assert set((a * b).support()) <= allowed
 
 
-def test_translate_is_left_multiplication():
-    F2 = free_group(2)
-    rng = random.Random(17)
-    for _ in range(10):
-        a = _random_element(rng, F2, INTEGERS)
-        g = rng.choice(ball(F2, 2))
-        mono = GroupRingElement.monomial(F2, INTEGERS, g)
-        assert a.translate(g) == mono * a
-
-
 def test_prime_field_arithmetic():
     gf5 = prime_field(5)
     assert gf5.normalize(7) == 2

@@ -45,6 +45,7 @@ from soficlen.meanlength import (
     snap_to_H,
 )
 from soficlen.sofic import (
+    SoficMap,
     SoficSchedule,
     build_cyclic,
     build_quotient,
@@ -52,7 +53,6 @@ from soficlen.sofic import (
     build_torus,
     build_translation,
     make_sigma,
-    restrict,
 )
 
 from group_tables import cyclic_table, symmetric_table
@@ -655,7 +655,7 @@ def test_restriction_matches_cyclic_for_full_cycle_seed():
             chosen = sigma
             break
     assert chosen is not None
-    restricted = restrict(chosen, s)
+    restricted = SoficMap(Z, [chosen.perm(s)], "PowersOfS")
     b = _column(GroupRingElement.one(Z, INTEGERS))
     a = _column(_t_minus_one())
     pair = RelativePair(a, b, (Z.element(1),))
@@ -672,7 +672,7 @@ def test_restriction_close_to_cyclic_for_generic_seeds():
     pair = RelativePair(a, b, (Z.element(1),))
     cyclic_value = relative_mean_length_at(pair, build_cyclic(d))
     for seed in (1, 2, 3):
-        restricted = restrict(build_random_free(2, d, seed), s)
+        restricted = SoficMap(Z, [build_random_free(2, d, seed).perm(s)], "PowersOfS")
         value = relative_mean_length_at(pair, restricted)
         assert abs(value - cyclic_value) <= Fraction(5, 100)
 

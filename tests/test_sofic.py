@@ -31,7 +31,6 @@ from soficlen.sofic import (
     make_sigma,
     perm_inverse,
     perm_power,
-    restrict,
 )
 
 from group_tables import cyclic_table, symmetric_table
@@ -170,28 +169,10 @@ def test_restrict_random_free_powers():
     Z = integer_line()
     base = build_random_free(2, 30, seed=2)
     s = F2.element((1,))
-    restricted = restrict(base, s)
     ps = base.perm(s)
+    restricted = SoficMap(Z, [ps], "PowersOfS")
     for n in range(-2, 4):
         assert np.array_equal(restricted.perm(Z.element(n)), perm_power(ps, n))
-
-
-def test_restrict_torus_first_coordinate():
-    L2 = lattice(2)
-    Z = integer_line()
-    torus = build_torus((4, 4))
-    restricted = restrict(torus, L2.element((1, 0)))
-    assert np.array_equal(restricted.perm(Z.element(1)),
-                          torus.perm(L2.element((1, 0))))
-    report = defect(restricted, ball(Z, 2))
-    assert report.min_multiplicativity() == 1
-
-
-def test_restrict_rejects_identity_image():
-    torus = build_torus((3, 3))
-    L2 = lattice(2)
-    with pytest.raises(SoficError):
-        restrict(torus, L2.identity())
 
 
 def test_quotient_map_matches_cyclic():
@@ -219,8 +200,9 @@ def test_cycles_and_tori_record_their_dims_and_no_other_map_does():
     assert make_sigma(L2, 12, 0, (3, 4)).dims == (3, 4)
     torus = build_torus((3, 4))
     for sigma in (build_quotient(Z, Z6, [Z6.element(1)]), build_translation(Z6),
-                  build_random_free(2, 6, 1), restrict(torus, L2.element((1, 0))),
-                  restrict(build_random_free(2, 6, 1), F2.element((1,)))):
+                  build_random_free(2, 6, 1),
+                  SoficMap(Z, [torus.perm(L2.element((1, 0)))], "Axis"),
+                  SoficMap(Z, [build_random_free(2, 6, 1).perm(F2.element((1,)))], "PowersOfS")):
         assert sigma.dims is None
 
 
@@ -312,7 +294,8 @@ def test_every_builder_respects_inverses():
          finite_group(symmetric_table(3)).element(4)),
         (build_random_free(2, 25, 11), free_group(2).element((1, -2))),
         (build_quotient(_F2, _S3, [_S3.element(1), _S3.element(3)]), _F2.element((2, 1, -2))),
-        (restrict(build_random_free(2, 25, 11), _F2.element((1, -2))), integer_line().element(3)),
+        (SoficMap(integer_line(), [build_random_free(2, 25, 11).perm(_F2.element((1, -2)))],
+                  "PowersOfG"), integer_line().element(3)),
     ]
     for sigma, g in cases:
         composed = sigma.perm(g)[sigma.perm(g.inverse())]
@@ -323,7 +306,8 @@ def test_every_builder_respects_inverses():
     (build_translation(_S3), ball(_S3, 1)),
     (build_random_free(2, 30, 4), ball(_F2, 2)),
     (build_quotient(_F2, _S3, [_S3.element(1), _S3.element(3)]), ball(_F2, 2)),
-    (restrict(build_random_free(2, 30, 4), _F2.element((1, -2))), ball(integer_line(), 4)),
+    (SoficMap(integer_line(), [build_random_free(2, 30, 4).perm(_F2.element((1, -2)))],
+              "PowersOfG"), ball(integer_line(), 4)),
 ], ids=["translation", "random-free", "quotient-free", "restricted"])
 def test_every_map_is_a_homomorphism_on_a_ball(sigma, window):
     for g in window:

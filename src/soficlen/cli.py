@@ -23,7 +23,7 @@ Job file shape::
     group = Z                    ; Z | Z^k | Fk | finite:<table file>
     ring = Z                     ; Z | Q | GF(p)
     schedule = 100,1000,5000     ; sizes d (strictly increasing)
-    seeds = 1..5                 ; or comma list; default 0
+    seeds = 1..5                 ; or comma list; default 0; several for Fk only
     dims = 8x8,64x64             ; torus sizes (lattice groups)
     radius = 1                   ; ball radius for the window F
     include_identity = true      ; keep e in F
@@ -180,7 +180,7 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(",") if x.strip())
 
 
-def _seeds(text: str) -> tuple[int, ...]:
+def _seeds(text: str, desc: GroupDescriptor) -> tuple[int, ...]:
     lo, sep, hi = text.partition("..")
     if sep:
         lo, hi = int(lo), int(hi)
@@ -194,7 +194,7 @@ def _seeds(text: str) -> tuple[int, ...]:
     seeds = tuple(range(lo, hi + 1)) if sep else _int_list(text)
     for seed in seeds:
         check_seed(seed)
-    check_seeds(seeds)
+    check_seeds(seeds, desc)
     return seeds
 
 
@@ -367,7 +367,7 @@ def load_job(path) -> Job:
                  else GroupRingMatrix.identity(job.desc, job.ring, n))
             job.pair = RelativePair(A, B, job.F)
 
-    seeds = _value(jobsec, "seeds", where, _seeds, (0,))
+    seeds = _value(jobsec, "seeds", where, partial(_seeds, desc=job.desc), (0,))
     ds = _value(jobsec, "schedule", where, _int_list)
     dims = _value(jobsec, "dims", where, _sides_list)
     with _at(f"{where} schedule"):
@@ -375,9 +375,6 @@ def load_job(path) -> Job:
             if job.desc.family != groups.FINITE:
                 raise JobError(f"{where} group" if group else f"{path} [matrix]",
                                "finite-oracle needs group = finite:<table>")
-            if len(seeds) > 1:
-                raise JobError(f"{where} seeds",
-                               "finite-oracle's translation model uses no seed; give at most one")
             job.schedule = SoficSchedule((job.desc.order,), seeds)
         elif ds is not None:
             job.schedule = SoficSchedule(ds, seeds, dims)

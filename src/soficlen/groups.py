@@ -249,6 +249,10 @@ def finite_group(table) -> GroupDescriptor:
 # so no run uses a ball this large; a radius is checked before enumeration
 MAX_BALL = 10_000
 
+# σ_g costs one gather of d entries per letter of g (SoficMap._compose), so
+# no run uses a longer word; a word is checked before it is expanded
+MAX_WORD = 10**6
+
 
 def _ball_size(desc: GroupDescriptor, radius: int) -> int:
     """|ball(desc, radius)|, or some number above MAX_BALL, in time bounded
@@ -359,6 +363,8 @@ def parse_word(desc: GroupDescriptor, text: str) -> GroupElement:
             raise GroupError(f"bad generator {part!r} in word {text!r}") from None
         if not 1 <= gen <= desc.rank:
             raise GroupError(f"generator s{gen} out of range for free rank {desc.rank}")
+        if len(word) + abs(exp) > MAX_WORD:
+            raise GroupError(f"word {text!r} writes more than {MAX_WORD} letters")
         letter = gen if exp > 0 else -gen
         word.extend([letter] * abs(exp))
     return desc.element(tuple(word))

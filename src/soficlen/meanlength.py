@@ -49,7 +49,7 @@ from .exactla import (RankResult, SparseMatrix, _field_dtype, _int_array, is_pro
                       rank_mod_p, rank_over_Q)
 from .groupring import CoefficientRing, GroupRingElement, GroupRingError, GroupRingMatrix
 from .groups import GroupDescriptor, GroupElement
-from .sofic import SoficMap, SoficSchedule, defect, make_sigma
+from .sofic import SoficMap, SoficSchedule, check_seeds, defect, make_sigma
 
 
 class MeanLengthError(ValueError):
@@ -540,7 +540,9 @@ def run_schedule(desc: GroupDescriptor, schedule: SoficSchedule, evaluate, windo
     ``map``, or a process pool's), σ built once per point where it is
     evaluated.  Yields ``(point, value, summary)`` in order as each arrives;
     ``summary`` is None but at the last point, where it is the defect on
-    ``window`` (if given) of the σ that point was evaluated on."""
+    ``window`` (if given) of the σ that point was evaluated on.  Several
+    seeds over a group that is not free are refused (``check_seeds``)."""
+    check_seeds(schedule.seeds, desc)
     points = schedule.points()
     windows = [None] * (len(points) - 1) + [window]
     results = mapper(partial(_run_point, desc, evaluate), points, windows)

@@ -156,22 +156,6 @@ def check_seed(seed: int) -> None:
         raise SoficError(f"a seed must lie in [0, 2**64), got {seed}")
 
 
-# a schedule evaluates every size at every seed, so this many seeds is far
-# beyond any run; a seed range is checked against it before it is expanded
-MAX_SEEDS = 10_000
-
-
-def check_seeds(seeds) -> None:
-    """Raise SoficError unless a schedule can take ``seeds``: at least one,
-    at most MAX_SEEDS, all distinct."""
-    if not seeds:
-        raise SoficError("schedule needs at least one seed")
-    if len(seeds) > MAX_SEEDS:
-        raise SoficError(f"a schedule takes at most {MAX_SEEDS} seeds, got {len(seeds)}")
-    if len(set(seeds)) != len(seeds):
-        raise SoficError("seeds must be distinct")
-
-
 def build_random_free(rank: int, d: int, seed: int) -> SoficMap:
     """Independent uniform permutations per generator of F_rank.  Each draws
     from a counter-based PRNG keyed by (seed, generator index)."""
@@ -225,7 +209,7 @@ def check_size(desc: GroupDescriptor, d: int, dims) -> None:
 
 
 def make_sigma(desc: GroupDescriptor, d: int, seed: int = 0, dims=None) -> SoficMap:
-    """Default approximation for a group family at size d."""
+    """Default approximation for a group family at size d; only F_k's reads ``seed``."""
     check_size(desc, d, dims)
     if desc.family == groups.INTEGER_LINE:
         return build_cyclic(d)
@@ -234,6 +218,25 @@ def make_sigma(desc: GroupDescriptor, d: int, seed: int = 0, dims=None) -> Sofic
     if desc.family == groups.FREE:
         return build_random_free(desc.rank, d, seed)
     return build_translation(desc)
+
+
+# a schedule evaluates every size at every seed, so this many seeds is far
+# beyond any run; a seed range is checked against it before it is expanded
+MAX_SEEDS = 10_000
+
+
+def check_seeds(seeds, desc: GroupDescriptor | None = None) -> None:
+    """Raise SoficError unless a schedule can take ``seeds``: at least one, at
+    most MAX_SEEDS, all distinct, and just one over a ``desc`` other than F_k,
+    whose models use no seed: a second would re-rank the identical matrices."""
+    if not seeds:
+        raise SoficError("schedule needs at least one seed")
+    if len(seeds) > MAX_SEEDS:
+        raise SoficError(f"a schedule takes at most {MAX_SEEDS} seeds, got {len(seeds)}")
+    if len(set(seeds)) != len(seeds):
+        raise SoficError("seeds must be distinct")
+    if len(seeds) > 1 and desc is not None and desc.family != groups.FREE:
+        raise SoficError("only F_k's random model uses a seed; give at most one")
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +317,7 @@ class SoficSchedule:
     """Evaluation grid: strictly increasing sizes × seed list.
 
     ``dims`` (optional) gives torus dimensions per size, with prod(dims_i)
-    = ds[i].  Deterministic sources ignore the seed component.
+    = ds[i].  Only F_k's random model reads the seed (``check_seeds``).
     """
 
     ds: tuple[int, ...]

@@ -22,6 +22,7 @@ from soficlen.sofic import SoficSchedule, make_sigma
 
 T_MINUS_ONE_Z = "1 1 Z Z\n0 0 1@1 -1@0\n"
 T_PLUS_ONE_Z = "1 1 Z Z\n0 0 1@1 1@0\n"
+F2_MATRIX = "2 1 Z F2\n0 0 1@s1 -1@e\n1 0 1@s2 -1@e\n"
 
 
 def _run(tmp_path, job_text, files=(), name="job", argv_extra=()):
@@ -286,6 +287,18 @@ file = f.txt
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("job, where", [
+    ("[job]\nquantity = vrk-fp\nschedule = 10\n\n[matrix]\n"
+     "text = 1 1 Z F2\n  0 0 1@s1^100000000000 -1@e\n", "[matrix]: line 2"),
+    ("[job]\nquantity = mrk-relative\ngroup = F2\nschedule = 10\n\n[generators]\nn = 1\n"
+     "a1 = 1@s1^100000000000 -1@e\n", "[generators]"),
+], ids=["matrix", "generators"])
+def test_word_with_a_huge_exponent_exits_one_at_its_section(tmp_path, capsys, job, where):
+    # refused before its 10**11 letters are written out
+    err = _exits_one_at(tmp_path, capsys, job, [], where.partition(":")[0])
+    assert f"{where}: word 's1^100000000000' writes more than 1000000 letters" in err
+
+
 def test_validate_subcommand(tmp_path, capsys):
     job = """
 [job]
@@ -349,7 +362,7 @@ seeds = 1..3
 [matrix]
 file = f.txt
 """
-    code, report, rows = _run(tmp_path, job, files=[("f.txt", T_MINUS_ONE_Z)])
+    code, report, rows = _run(tmp_path, job, files=[("f.txt", F2_MATRIX)])
     assert code == 0
     assert len(rows) == 1 + 2 * 3  # header + |ds| x |seeds|
     seeds = {p["seed"] for p in report["series"]}
@@ -370,7 +383,7 @@ seeds = 1,2
 [matrix]
 file = f.txt
 """
-    (tmp_path / "f.txt").write_text(T_MINUS_ONE_Z)
+    (tmp_path / "f.txt").write_text(F2_MATRIX)
     path = tmp_path / "again.ini"
     path.write_text(job)
     outs = []
@@ -407,8 +420,6 @@ file = f.txt
 
 # --- the CLI and the library evaluate points through the same functions ----
 
-F2_MATRIX = "2 1 Z F2\n0 0 1@s1 -1@e\n1 0 1@s2 -1@e\n"
-
 
 def _report_body(report):
     return {k: v for k, v in report.items() if k not in ("job", "generated_at")}
@@ -440,7 +451,7 @@ def test_mrk_relative_job_matches_library_estimator(tmp_path, jobs):
 quantity = mrk-relative
 group = Z
 schedule = 50,100
-seeds = 1,2
+seeds = 1
 radius = 1
 
 [generators]
@@ -454,7 +465,7 @@ a2 = 1@-1 | 1@1 1@0
                                       for v in (("1@1 -1@0", "2@0"), ("1@-1", "1@1 1@0"))])
     B = GroupRingMatrix.identity(Z, INTEGERS, 2)
     est = estimate_mean_length(RelativePair(A, B, ball(Z, 1)),
-                               SoficSchedule((50, 100), (1, 2)))
+                               SoficSchedule((50, 100), (1,)))
     assert code == 0
     assert _report_body(report) == est.to_json_dict()
 
@@ -628,11 +639,11 @@ def test_jobs_start_at_most_one_worker_per_point(tmp_path, serial_pool):
 
 
 # one job of each kind of schedule point, over the points (10, 1), (10, 2),
-# (20, 1) and (20, 2)
+# (20, 1) and (20, 2) of F2's random model, the one model that takes seeds
 VERBOSE_JOBS = [
     "[job]\nquantity = vrk-fp\nschedule = 10,20\nseeds = 1,2\n\n[matrix]\nfile = f.txt\n",
-    "[job]\nquantity = mrk-relative\ngroup = Z\nschedule = 10,20\nseeds = 1,2\n\n"
-    "[generators]\nn = 1\na1 = 1@1 -1@0\n",
+    "[job]\nquantity = mrk-relative\ngroup = F2\nschedule = 10,20\nseeds = 1,2\n\n"
+    "[generators]\nn = 1\na1 = 1@s1 -1@e\n",
     "[job]\nquantity = addition-check\nschedule = 10,20\nseeds = 1,2\n\n"
     "[matrix]\nfile = f.txt\n",
     "[job]\nquantity = defect\ngroup = F2\nschedule = 10,20\nseeds = 1,2\n",
@@ -645,7 +656,7 @@ def test_verbose_pooled_run_prints_every_point(tmp_path, monkeypatch, serial_poo
         return make_sigma(desc, d, seed, dims)
 
     monkeypatch.setattr(meanlength, "make_sigma", announced_make_sigma)
-    (tmp_path / "f.txt").write_text(T_MINUS_ONE_Z)
+    (tmp_path / "f.txt").write_text(F2_MATRIX)
     for k, job in enumerate(VERBOSE_JOBS):
         _, report, _ = _run(tmp_path, job, name=f"serial{k}", argv_extra=("-v",))
         serial = capsys.readouterr().err.splitlines()
@@ -676,12 +687,12 @@ def test_every_point_builds_its_sigma_once(tmp_path, monkeypatch, serial_pool, a
         monkeypatch.setattr(module, "make_sigma", counting_make_sigma)
     schedule = SoficSchedule((10, 20), (1, 2))
     points = [(p.d, p.seed) for p in schedule.points()]
-    estimate_vrk_fp(parse_matrix(T_MINUS_ONE_Z), schedule)
+    estimate_vrk_fp(parse_matrix(F2_MATRIX), schedule)
     assert built == points
     built.clear()
     job = ("[job]\nquantity = vrk-fp\nschedule = 10,20\nseeds = 1,2\n\n"
            "[matrix]\nfile = f.txt\n")
-    code, _, _ = _run(tmp_path, job, files=[("f.txt", T_MINUS_ONE_Z)], argv_extra=argv_extra)
+    code, _, _ = _run(tmp_path, job, files=[("f.txt", F2_MATRIX)], argv_extra=argv_extra)
     assert code == 0
     assert built == points
     assert serial_pool == ([2] if argv_extra else [])
@@ -761,7 +772,7 @@ def test_jobs_load_with_the_keys_their_quantity_reads(tmp_path, capsys):
     files = [("f.txt", T_MINUS_ONE_Z), ("z2.table", "2\n0 1\n1 0\n")]
     for fname, content in files:
         (tmp_path / fname).write_text(content)
-    estimate = "ring = Z\nseeds = 1,2\nsnap_tol = 0.1\n"
+    estimate = "ring = Z\nseeds = 1\nsnap_tol = 0.1\n"
     window = "radius = 2\ninclude_identity = false\n"
     gens = "\n[generators]\nn = 1\na1 = 1@1 -1@0\nb1 = 1@0\n"
     jobs = [
@@ -783,12 +794,28 @@ def test_jobs_load_with_the_keys_their_quantity_reads(tmp_path, capsys):
         assert main(["validate", str(path)]) == 0, capsys.readouterr().err
 
 
+Z2_MATRIX = "1 1 Z Z^2\n0 0 1@1,0 -1@0,0\n"
+Z_GENS = "\n[generators]\nn = 1\na1 = 1@1 -1@0\n"
+
+
 @pytest.mark.parametrize("seeds", ["1,2", "0..2"])
-def test_finite_oracle_with_several_seeds_exits_one_at_seeds(tmp_path, capsys, seeds):
-    # the translation model of a finite group uses no seed, so a second one
-    # would be dropped, not evaluated
-    job = FINITE_ORACLE_JOB.format(extra=f"seeds = {seeds}\n")
-    err = _exits_one_at(tmp_path, capsys, job, [("z2.table", "2\n0 1\n1 0\n")],
+@pytest.mark.parametrize("job", [
+    VRK_JOB,
+    "[job]\nquantity = mrk-relative\ngroup = Z\nschedule = 10\n{extra}" + Z_GENS,
+    "[job]\nquantity = folner\ngroup = Z\nschedule = 10\nboxes = 10\n{extra}" + Z_GENS,
+    "[job]\nquantity = addition-check\nschedule = 10\n{extra}\n[matrix]\nfile = f.txt\n",
+    "[job]\nquantity = defect\ngroup = Z\nschedule = 10\n{extra}",
+    "[job]\nquantity = laurent-oracle\ndims = 4x4\n{extra}\n[matrix]\nfile = z2.txt\n",
+    "[job]\nquantity = vrk-fp\ndims = 4x4\n{extra}\n[matrix]\nfile = z2.txt\n",
+    FINITE_ORACLE_JOB,
+    "[job]\nquantity = defect\ngroup = finite:z2.table\nschedule = 2\n{extra}",
+], ids=["vrk-fp-Z", "mrk-relative-Z", "folner-Z", "addition-check-Z", "defect-Z",
+        "laurent-oracle-Z^2", "vrk-fp-Z^2", "finite-oracle", "defect-finite"])
+def test_several_seeds_without_a_random_model_exit_one_at_seeds(tmp_path, capsys, job, seeds):
+    # only F2's model is random: over Z, Z^k or a finite group each further
+    # seed would rebuild the same sigma and rank the same matrix again
+    files = [("f.txt", T_MINUS_ONE_Z), ("z2.txt", Z2_MATRIX), ("z2.table", "2\n0 1\n1 0\n")]
+    err = _exits_one_at(tmp_path, capsys, job.format(extra=f"seeds = {seeds}\n"), files,
                         "[job] seeds")
     assert "give at most one" in err
 

@@ -8,6 +8,7 @@ import pytest
 
 from soficlen.groups import (
     MAX_BALL,
+    MAX_WORD,
     GroupError,
     ball,
     finite_group,
@@ -298,6 +299,16 @@ def test_parse_word_free_syntax():
     assert parse_word(F2, "s1^3") == F2.element((1, 1, 1))
     with pytest.raises(GroupError):
         parse_word(F2, "s3")
+
+
+def test_a_word_writing_more_than_max_word_letters_is_refused_before_it_is_built():
+    F2 = free_group(2)
+    assert len(parse_word(F2, f"s1^{MAX_WORD - 1}*s2").value) == MAX_WORD
+    # the letters written count, before the word is reduced
+    for text in (f"s1^{MAX_WORD + 1}", f"s1^{MAX_WORD}*s2^-1", "s2^-100000000000",
+                 f"s1^{MAX_WORD // 2 + 1}*s1^-{MAX_WORD // 2 + 1}"):
+        with pytest.raises(GroupError, match=f"writes more than {MAX_WORD} letters"):
+            parse_word(F2, text)
 
 
 def test_generators_match_family():

@@ -45,6 +45,7 @@ from soficlen.meanlength import (
     snap_to_H,
 )
 from soficlen.sofic import (
+    SoficError,
     SoficMap,
     SoficSchedule,
     build_cyclic,
@@ -792,6 +793,23 @@ def test_estimate_vrk_refuses_prime_field_coefficients():
         with pytest.raises(MeanRankOnlyError) as info:
             estimate(f, SoficSchedule((10,)))
         assert "mean-rank only" in str(info.value)
+
+
+def test_several_seeds_are_refused_before_any_sigma_unless_the_group_is_free(monkeypatch):
+    built = []
+
+    def counting_make_sigma(desc, d, seed=0, dims=None):
+        built.append((d, seed))
+        return make_sigma(desc, d, seed, dims)
+
+    monkeypatch.setattr(meanlength, "make_sigma", counting_make_sigma)
+    schedule = SoficSchedule((10,), (1, 2))
+    f = GroupRingMatrix(Z, INTEGERS, [[_t_minus_one()]])
+    with pytest.raises(SoficError, match="give at most one"):
+        estimate_vrk_fp(f, schedule)
+    assert built == []
+    est = estimate_vrk_fp(parse_matrix("1 1 Z F2\n0 0 1@s1 -1@e\n"), schedule)
+    assert [(p.d, p.seed) for p in est.series] == built == [(10, 1), (10, 2)]
 
 
 def test_principal_rank_point_duality_flag():
